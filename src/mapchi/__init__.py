@@ -13,7 +13,6 @@ from __future__ import annotations
 from .arith import (
     ALPHA,
     AlphaFn,
-    Rational,
     TruncatedSeries,
     UniPoly,
     VariableMixError,
@@ -92,7 +91,6 @@ __all__ = [
     "ParityError",
     "Partition",
     "PowerSumExpr",
-    "Rational",
     "RouteMismatchError",
     "TruncatedSeries",
     "TruncationError",

@@ -19,31 +19,22 @@ Conventions
   normalized on construction (numerator and denominator coprime, denominator
   monic), so equal values have equal representations and ``==`` is
   structural.
-* The Bernoulli cache is guarded by a lock and is safe under concurrent
-  read/insert.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "VariableMixError",
     "bernoulli",
     "sum_of_powers_poly",
     "UniPoly",
     "AlphaFn",
     "TruncatedSeries",
-    "series_log",
-    "series_z_ddz",
     "ALPHA",
 ]
-
-#: All exact scalars in this package are plain `fractions.Fraction` values.
-Rational = Fraction
 
 ALPHA = "alpha"
 
@@ -57,7 +48,6 @@ class VariableMixError(ValueError):
 # ---------------------------------------------------------------------------
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
-_bernoulli_lock = threading.Lock()
 
 
 def bernoulli(j: int) -> Fraction:
@@ -76,14 +66,13 @@ def bernoulli(j: int) -> Fraction:
     """
     if j < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    with _bernoulli_lock:
-        while len(_bernoulli_cache) <= j:
-            n = len(_bernoulli_cache)
-            acc = Fraction(0)
-            for k in range(n):
-                acc += math.comb(n + 1, k) * _bernoulli_cache[k]
-            _bernoulli_cache.append(-acc / (n + 1))
-        return _bernoulli_cache[j]
+    while len(_bernoulli_cache) <= j:
+        n = len(_bernoulli_cache)
+        acc = Fraction(0)
+        for k in range(n):
+            acc += math.comb(n + 1, k) * _bernoulli_cache[k]
+        _bernoulli_cache.append(-acc / (n + 1))
+    return _bernoulli_cache[j]
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +114,6 @@ class UniPoly:
     def gen(cls, var: str) -> UniPoly:
         """The polynomial ``var`` itself."""
         return cls(var, (Fraction(0), Fraction(1)))
-
-    @classmethod
-    def constant(cls, var: str, value) -> UniPoly:
-        return cls(var, (value,))
 
     @classmethod
     def monomial(cls, var: str, k: int, value=Fraction(1)) -> UniPoly:
@@ -258,9 +243,6 @@ class UniPoly:
         if isinstance(sub, UniPoly) and not isinstance(acc, UniPoly):
             return UniPoly(sub.var, (acc,))
         return acc
-
-    def map_coeffs(self, fn) -> UniPoly:
-        return UniPoly(self.var, [fn(c) for c in self.coeffs])
 
     def coeff_strings(self) -> list[str]:
         """Coefficients as strings indexed by degree (for serialization)."""
@@ -562,10 +544,6 @@ class TruncatedSeries:
         self.coeffs = tuple(cs)
         self.max_order = max_order
 
-    @classmethod
-    def one(cls, var: str, max_order: int) -> TruncatedSeries:
-        return cls(var, (Fraction(1),), max_order)
-
     def coefficient(self, k: int):
         if k < 0 or k > self.max_order:
             raise IndexError(f"order {k} outside truncation {self.max_order}")
@@ -646,16 +624,6 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries({self.var!r}, {list(self.coeffs)!r}, max_order={self.max_order})"
-
-
-def series_log(s: TruncatedSeries) -> TruncatedSeries:
-    """Logarithm of a truncated series with constant term 1."""
-    return s.log()
-
-
-def series_z_ddz(s: TruncatedSeries) -> TruncatedSeries:
-    """The Euler operator z*d/dz on a truncated series."""
-    return s.z_ddz()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -43,15 +42,6 @@ from .verify import EXIT_FAILURE, CheckResult, run_verify
 FORMATS = ("pretty", "json", "csv")
 
 
-@dataclass
-class Config:
-    """Resolved global options."""
-
-    max_edges: int = 3
-    format: str = "pretty"
-    verbosity: int = 0
-
-
 def _alpha_str(fn) -> str:
     """Serialize an AlphaFn as a plain string, polynomial case unparenthesized."""
     if fn.is_polynomial:
@@ -68,32 +58,38 @@ def _print_json(payload) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_maps_table(args, config: Config) -> int:
+def _parse_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
+def cmd_maps_table(args) -> int:
     table = map_count_table(args.max_edges)
-    b_value = Fraction(args.b) if args.b is not None else None
     rows = []
     for key in table.keys_sorted():
         poly = table.entries[key]
         row: dict[str, object] = {"i": list(key.i), "j": key.j, "n": key.n}
-        if b_value is None:
+        if args.b is None:
             row["poly"] = poly.coeff_strings()
         else:
-            row["count"] = str(Fraction(poly.eval(b_value)))
+            row["count"] = str(Fraction(poly.eval(args.b)))
         rows.append(row)
 
-    if config.format == "json":
+    if args.format == "json":
         _print_json({"max_edges": table.max_n, "rows": rows})
-    elif config.format == "csv":
-        header = "n,j,i," + ("count" if b_value is not None else "poly")
+    elif args.format == "csv":
+        header = "n,j,i," + ("count" if args.b is not None else "poly")
         print(header)
         for key, row in zip(table.keys_sorted(), rows):
             i_str = " ".join(str(k) for k in key.i)
-            tail = row["count"] if b_value is not None else poly_str(table.entries[key])
+            tail = row["count"] if args.b is not None else poly_str(table.entries[key])
             print(f"{key.n},{key.j},{i_str},{tail}")
     else:
         for key, row in zip(table.keys_sorted(), rows):
             label = f"n={key.n} j={key.j} i={list(key.i)}"
-            tail = row["count"] if b_value is not None else poly_str(table.entries[key])
+            tail = row["count"] if args.b is not None else poly_str(table.entries[key])
             print(f"{label:<28} {tail}")
     return 0
 
@@ -103,7 +99,7 @@ def cmd_maps_table(args, config: Config) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_euler_xi(args, config: Config) -> int:
+def cmd_euler_xi(args) -> int:
     if args.route == "closed":
         poly = xi_closed(args.g, args.s)
     elif args.route == "logw":
@@ -119,7 +115,7 @@ def cmd_euler_xi(args, config: Config) -> int:
             )
             return EXIT_FAILURE
         poly = xi_from_maps(args.g, args.s, map_count_table(needed))
-    if config.format == "json":
+    if args.format == "json":
         _print_json(
             {
                 "g": args.g,
@@ -134,7 +130,7 @@ def cmd_euler_xi(args, config: Config) -> int:
     return 0
 
 
-def cmd_euler_chi(args, config: Config) -> int:
+def cmd_euler_chi(args) -> int:
     if args.variant == "real":
         value = chi_real(args.g, args.s)
     elif args.variant == "complex":
@@ -144,7 +140,7 @@ def cmd_euler_chi(args, config: Config) -> int:
             print("error: --variant fixed requires --m", file=sys.stderr)
             return EXIT_FAILURE
         value = chi_fixed_curves(args.g, args.s, args.m, separating=args.separating)
-    if config.format == "json":
+    if args.format == "json":
         payload: dict[str, object] = {
             "variant": value.variant,
             "g": value.g,
@@ -175,12 +171,12 @@ def _parse_shape(text: str) -> Partition:
         raise argparse.ArgumentTypeError(f"bad shape {text!r}: {exc}") from None
 
 
-def cmd_jack(args, config: Config) -> int:
+def cmd_jack(args) -> int:
     rec = jack(args.shape)
     ordered = sorted(
         rec.expansion.terms.items(), key=lambda t: t[0].parts, reverse=True
     )
-    if config.format == "json":
+    if args.format == "json":
         _print_json(
             {
                 "shape": list(rec.shape.parts),
@@ -225,7 +221,7 @@ def _parse_sides(text: str) -> tuple[int, ...]:
     return sides
 
 
-def cmd_oracle_glue(args, config: Config) -> int:
+def cmd_oracle_glue(args) -> int:
     census = glue_census(*args.sides, collect_patterns=args.patterns)
     classes = [
         {
@@ -236,7 +232,7 @@ def cmd_oracle_glue(args, config: Config) -> int:
         }
         for (chi, orientable), count in sorted(census.by_chi.items(), reverse=True)
     ]
-    if config.format == "json":
+    if args.format == "json":
         payload: dict[str, object] = {
             "sides": list(census.sides),
             "edges": census.edge_count,
@@ -274,13 +270,13 @@ def cmd_oracle_glue(args, config: Config) -> int:
     return 0
 
 
-def cmd_oracle_rooted(args, config: Config) -> int:
+def cmd_oracle_rooted(args) -> int:
     if args.surface == "orientable":
-        counts = rooted_orientable_counts(args.edges, bound=args.edges)
+        counts = rooted_orientable_counts(args.edges)
     else:
-        counts = rooted_locally_orientable_counts(args.edges, bound=args.edges)
+        counts = rooted_locally_orientable_counts(args.edges)
     keys = sorted(counts, key=lambda k: (k.n, k.j, k.i))
-    if config.format == "json":
+    if args.format == "json":
         _print_json(
             {
                 "edges": args.edges,
@@ -300,9 +296,9 @@ def cmd_oracle_rooted(args, config: Config) -> int:
     return 0
 
 
-def cmd_oracle_lambda(args, config: Config) -> int:
+def cmd_oracle_lambda(args) -> int:
     triple = lambda_from_census(args.g, args.s)
-    if config.format == "json":
+    if args.format == "json":
         _print_json(
             {
                 "g": args.g,
@@ -324,14 +320,14 @@ def cmd_oracle_lambda(args, config: Config) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify_all(args, config: Config) -> int:
+def cmd_verify_all(args) -> int:
     def report_line(result: CheckResult) -> None:
         tag = {"pass": "PASS", "fail": "FAIL", "skip": "SKIP"}[result.status]
-        if result.status == "pass" and config.verbosity == 0:
+        if result.status == "pass" and args.verbosity == 0:
             print(f"{tag} {result.name}")
         else:
             print(f"{tag} {result.name}: {result.detail}")
-        if config.verbosity:
+        if args.verbosity:
             print(f"  [{result.seconds:.2f}s] {result.name}", file=sys.stderr)
 
     report = run_verify(max_edges=args.max_edges, on_result=report_line)
@@ -381,6 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     table.add_argument(
         "--b",
+        type=_parse_rational,
         default=None,
         help="specialize b to this rational (0 orientable, 1 all surfaces)",
     )
@@ -457,18 +454,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = Config(
-        max_edges=getattr(args, "max_edges", 3),
-        format=args.format,
-        verbosity=args.verbosity,
-    )
     logging.basicConfig(
-        level=logging.INFO if config.verbosity else logging.WARNING,
+        level=logging.INFO if args.verbosity else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
     try:
-        return args.run(args, config)
+        return args.run(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

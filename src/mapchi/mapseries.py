@@ -85,9 +85,6 @@ class MapCountTable:
     def __getitem__(self, key: MapKey) -> UniPoly:
         return self.entries[key]
 
-    def get(self, key: MapKey, default=None):
-        return self.entries.get(key, default)
-
     def keys_sorted(self) -> list[MapKey]:
         """Rows ordered by edge count, then face count, then vertex partition."""
         return sorted(

@@ -17,14 +17,13 @@ Jack functions are taken in the J normalization, fixed by three conditions:
 system over `AlphaFn` in the power-sum coefficient vector, walking the
 partitions of each weight in ascending reverse-lex order so orthogonality
 can be imposed against previously computed shapes.  Records are cached per
-shape; the cache is guarded by a lock.
+shape.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -147,11 +146,6 @@ class PowerSumExpr:
         return "PowerSumExpr({" + ", ".join(bits) + "})"
 
 
-def psum_multiply(f: PowerSumExpr, g: PowerSumExpr) -> PowerSumExpr:
-    """Product of two power-sum expressions."""
-    return f * g
-
-
 def inner_product(f: PowerSumExpr, g: PowerSumExpr):
     """The alpha-deformed inner product, diagonal in the power-sum basis.
 
@@ -266,7 +260,6 @@ class JackRecord:
 
 
 _jack_cache: dict[Partition, JackRecord] = {}
-_jack_lock = threading.Lock()
 
 
 def jack(shape) -> JackRecord:
@@ -278,31 +271,20 @@ def jack(shape) -> JackRecord:
     True
     """
     theta = shape if isinstance(shape, Partition) else Partition(shape)
-    with _jack_lock:
-        rec = _jack_cache.get(theta)
-        if rec is not None:
-            return rec
-        # Computing a shape requires every earlier shape of the same weight,
-        # so fill in the whole weight level in ascending reverse-lex order.
-        ascending = list(reversed(partitions_of(theta.weight)))
-        previous: list[JackRecord] = []
-        for pos, sigma in enumerate(ascending):
-            cached = _jack_cache.get(sigma)
-            if cached is None:
-                cached = _solve_jack(sigma, pos, ascending, previous)
-                _jack_cache[sigma] = cached
-            previous.append(cached)
-        return _jack_cache[theta]
-
-
-def clear_jack_cache(max_weight: int | None = None) -> None:
-    """Drop cached Jack records; with max_weight, drop only heavier shapes."""
-    with _jack_lock:
-        if max_weight is None:
-            _jack_cache.clear()
-        else:
-            for key in [k for k in _jack_cache if k.weight > max_weight]:
-                del _jack_cache[key]
+    rec = _jack_cache.get(theta)
+    if rec is not None:
+        return rec
+    # Computing a shape requires every earlier shape of the same weight,
+    # so fill in the whole weight level in ascending reverse-lex order.
+    ascending = list(reversed(partitions_of(theta.weight)))
+    previous: list[JackRecord] = []
+    for pos, sigma in enumerate(ascending):
+        cached = _jack_cache.get(sigma)
+        if cached is None:
+            cached = _solve_jack(sigma, pos, ascending, previous)
+            _jack_cache[sigma] = cached
+        previous.append(cached)
+    return _jack_cache[theta]
 
 
 def _solve_jack(

@@ -1,9 +1,11 @@
-"""Acceptance gate: one test per shipped claim, one printed line per criterion.
+"""Acceptance gate: every check of `mapchi.verify.CHECKS`, one test each.
 
-Run with `pytest tests/test_acceptance.py -s` to see the PASS/FAIL lines as
-they happen.  Everything is exact rational arithmetic; there are no
-tolerances anywhere.  The final criterion builds the four-edge table and
-takes on the order of a minute.
+The shipped claims are written down once, in the verify registry; this file
+runs them, plus the two Euler-characteristic closed forms over the full
+g <= 10 range that the registry checks on a smaller grid.  Run with
+`pytest tests/test_acceptance.py -s` to see one PASS/FAIL line per check as
+it happens.  The checks run at four edges, so the gate builds the 4-edge
+table (Jack weight 8) once, which takes about two minutes.
 """
 
 from __future__ import annotations
@@ -11,23 +13,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import pytest
+
 from mapchi.arith import bernoulli
-from mapchi.eulerchar import (
-    eval_at_gamma,
-    gamma_poly,
-    xi_closed,
-    xi_from_logW,
-    xi_from_maps,
-)
-from mapchi.maporacle import (
-    glue_census,
-    rooted_locally_orientable_counts,
-    rooted_orientable_counts,
-)
-from mapchi.mapseries import map_count_table, nonneg_report, specialize_counts
-from mapchi.partitions import Partition, partitions_of
-from mapchi.symfunc import cauchy_check, expand_in_variables, inner_product, jack
-from test_mapseries import known_table
+from mapchi.eulerchar import chi_real, eval_at_gamma, xi_closed
+from mapchi.verify import CHECKS, run_check
+
+MAX_EDGES = 4
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -38,49 +30,10 @@ def report(name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def test_criterion_1_refined_map_table():
-    """Every refined map number with n <= 3 matches the frozen oracle table."""
-    table = map_count_table(3)
-    expected = known_table()
-    ok = table.entries == expected
-    report(
-        "criterion 1 (refined map numbers, n <= 3)",
-        ok,
-        f"{len(expected)} rows, all exact b-polynomials",
-    )
-
-
-def test_criterion_2_square_gluings():
-    """The square has four filtered nonorientable gluings, each a distinct word."""
-    census = glue_census(4, collect_patterns=True)
-    words = census.patterns_filtered.get((0, False), [])
-    ok = (
-        census.lambda_nonorientable(1) == 4
-        and len(words) == 4
-        and set(words) == {"a a b b", "a b a^-1 b", "a b a b^-1", "a b b a"}
-    )
-    report(
-        "criterion 2 (lambda^N_1(2) = 4 with four patterns)",
-        ok,
-        "; ".join(sorted(words)),
-    )
-
-
-def test_criterion_3_xi_route_triangle():
-    """Closed form, log-W extraction, and the map sum all give the same xi."""
-    ok = all(
-        xi_closed(g, s) == xi_from_logW(g, s)
-        for g in range(1, 7)
-        for s in range(1, 5)
-    )
-    expected_11 = gamma_poly((Fraction(1, 12), Fraction(-1, 4), Fraction(1, 12)))
-    via_maps = xi_from_maps(1, 1, map_count_table(3))
-    ok = ok and via_maps == xi_closed(1, 1) == expected_11
-    report(
-        "criterion 3 (xi route triangle, g <= 6, s <= 4)",
-        ok,
-        "xi(1,1) = 1/12 - (1/4)/gamma + (1/12)/gamma^2 on all three routes",
-    )
+@pytest.mark.parametrize("name, check", CHECKS, ids=[name for name, _ in CHECKS])
+def test_verify_check(name, check):
+    result = run_check(name, check, MAX_EDGES)
+    report(name, result.status == "pass", result.detail)
 
 
 def test_criterion_4_real_moduli_closure():
@@ -99,8 +52,6 @@ def test_criterion_4_real_moduli_closure():
                 * bernoulli(g)
             )
             ok = ok and lhs == rhs
-    from mapchi.eulerchar import chi_real
-
     ok = ok and chi_real(1, 0).value == Fraction(1, 2)
     ok = ok and chi_real(0, 0).value == 1 and chi_real(0, 1).value == 1
     ok = ok and all(chi_real(0, s).value == 0 for s in range(2, 6))
@@ -123,57 +74,3 @@ def test_criterion_5_orientable_specialization():
         for g in range(2, 11, 2):
             ok = ok and eval_at_gamma(xi_closed(g, s), Fraction(1)) == 0
     report("criterion 5 (xi(1) values, odd g <= 9 and even g <= 10)", ok)
-
-
-def test_criterion_6_oracle_algebra_agreement():
-    """Both rooted-map oracles agree with the series table at b = 0 and b = 1."""
-    table = map_count_table(3)
-    at_zero = specialize_counts(table, Fraction(0))
-    at_one = specialize_counts(table, Fraction(1))
-    ok = True
-    for n in (1, 2, 3):
-        orient = rooted_orientable_counts(n)
-        everything = rooted_locally_orientable_counts(n)
-        for key in (k for k in table.entries if k.n == n):
-            ok = ok and orient.get(key, 0) == at_zero[key]
-            ok = ok and everything.get(key, 0) == at_one[key]
-        ok = ok and set(orient) <= {k for k in table.entries if k.n == n}
-        ok = ok and set(everything) <= {k for k in table.entries if k.n == n}
-    report("criterion 6 (rooted oracles vs table at b=0 and b=1, n <= 3)", ok)
-
-
-def test_criterion_7_jack_property_suite():
-    """Defining Jack conditions through weight 6, Cauchy through degree 4."""
-    ok = True
-    for w in range(1, 7):
-        shapes = partitions_of(w)
-        records = [jack(shape) for shape in shapes]
-        for rec in records:
-            mono = expand_in_variables(rec.expansion, w)
-            ok = ok and all(mu.rlex_le(rec.shape) for mu in mono)
-            ok = ok and mono.get(Partition((1,) * w)) == math.factorial(w)
-        for a in range(len(records)):
-            for b in range(a + 1, len(records)):
-                pairing = inner_product(records[a].expansion, records[b].expansion)
-                ok = ok and pairing == 0
-        if w % 2:
-            ok = ok and all(rec.p2coeff == 0 for rec in records)
-    for degree in range(5):
-        ok = ok and cauchy_check(degree, 4).ok
-    report(
-        "criterion 7 (Jack orthogonality/triangularity/normalization to weight 6; "
-        "Cauchy to degree 4 in 4 variables)",
-        ok,
-    )
-
-
-def test_criterion_8_nonnegativity_report():
-    """The conjecture report is empty through four edges (Jack weight 8)."""
-    table = map_count_table(4)
-    violations = nonneg_report(table)
-    rows = sum(1 for k in table.entries if k.n == 4)
-    report(
-        "criterion 8 (nonnegativity report empty, n <= 4)",
-        violations == [],
-        f"{rows} four-edge rows scanned, {len(violations)} violations",
-    )

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from mapchi import arith
+from mapchi import arith, maporacle, symfunc
 from mapchi.cli import main
 
 
@@ -207,6 +207,40 @@ def test_verify_all_detects_corrupted_bernoulli_cache(capsys):
         arith._bernoulli_cache[:] = saved
     assert code == 2
     assert any(line.startswith("FAIL exact-arith") for line in out.splitlines())
+
+
+def _enumeration_started(*args, **kwargs):
+    raise AssertionError("a guard let an oversized request start enumerating")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maps", "table", "--b", "1/0"],
+        ["maps", "table", "--b", "x"],
+        ["maps", "table", "--max-edges", "0"],
+        ["maps", "table", "--max-edges", "6"],
+        ["oracle", "rooted", "--edges", "5"],
+        ["oracle", "rooted", "--edges", "4", "--surface", "all"],
+        ["oracle", "glue", "--sides", "3"],
+        ["jack", "--shape", "0"],
+        ["euler", "xi", "--g", "0", "--s", "1"],
+    ],
+    ids=" ".join,
+)
+def test_bad_arguments_exit_2_with_one_error_line(capsys, monkeypatch, argv):
+    """Malformed or oversized arguments are refused before any enumeration."""
+    monkeypatch.setattr(maporacle, "_orientable_counts", _enumeration_started)
+    monkeypatch.setattr(maporacle, "_locally_orientable_counts", _enumeration_started)
+    monkeypatch.setattr(symfunc, "_solve_jack", _enumeration_started)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses values its types reject
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
 
 
 def test_version_flag(capsys):

@@ -19,52 +19,7 @@ from mapchi.mapseries import (
     specialize_counts,
 )
 from mapchi.symfunc import PowerSumExpr
-
-# Refined counts through three edges, frozen from the combinatorial oracles.
-# Keys are (vertex distribution, faces, edges); values are b-polynomial
-# coefficient tuples, constant term first.
-KNOWN_COUNTS: dict[tuple[tuple[int, ...], int, int], tuple[int, ...]] = {
-    ((2,), 1, 1): (1,),
-    ((0, 1), 1, 1): (0, 1),
-    ((0, 1), 2, 1): (1,),
-    ((2, 1), 1, 2): (2,),
-    ((0, 2), 1, 2): (0, 1),
-    ((1, 0, 1), 1, 2): (0, 4),
-    ((0, 0, 0, 1), 1, 2): (1, 1, 3),
-    ((0, 2), 2, 2): (1,),
-    ((1, 0, 1), 2, 2): (4,),
-    ((0, 0, 0, 1), 2, 2): (0, 5),
-    ((0, 0, 0, 1), 3, 2): (2,),
-    ((2, 2), 1, 3): (3,),
-    ((0, 3), 1, 3): (0, 1),
-    ((3, 0, 1), 1, 3): (2,),
-    ((1, 1, 1), 1, 3): (0, 12),
-    ((0, 0, 2), 1, 3): (1, 1, 5),
-    ((2, 0, 0, 1), 1, 3): (0, 9),
-    ((0, 1, 0, 1), 1, 3): (3, 3, 9),
-    ((1, 0, 0, 0, 1), 1, 3): (6, 6, 18),
-    ((0, 0, 0, 0, 0, 1), 1, 3): (0, 13, 13, 15),
-    ((0, 3), 2, 3): (1,),
-    ((1, 1, 1), 2, 3): (12,),
-    ((0, 0, 2), 2, 3): (0, 9),
-    ((2, 0, 0, 1), 2, 3): (9,),
-    ((0, 1, 0, 1), 2, 3): (0, 15),
-    ((1, 0, 0, 0, 1), 2, 3): (0, 30),
-    ((0, 0, 0, 0, 0, 1), 2, 3): (10, 10, 32),
-    ((0, 0, 2), 3, 3): (4,),
-    ((0, 1, 0, 1), 3, 3): (6,),
-    ((1, 0, 0, 0, 1), 3, 3): (12,),
-    ((0, 0, 0, 0, 0, 1), 3, 3): (0, 22),
-    ((0, 0, 0, 0, 0, 1), 4, 3): (5,),
-}
-
-
-def known_table() -> dict[MapKey, UniPoly]:
-    return {
-        MapKey(i, j, n): UniPoly("b", coeffs)
-        for (i, j, n), coeffs in KNOWN_COUNTS.items()
-    }
-
+from mapchi.verify import REFERENCE_COUNTS
 
 def test_series_first_coefficient():
     """z^1 coefficient of S(z) is (x/(2 alpha)) p_11 + (x(x + alpha - 1)/(2 alpha)) p_2."""
@@ -88,7 +43,9 @@ def test_map_series_first_coefficient():
 
 def test_map_counts_match_known_table():
     table = map_count_table(3)
-    assert table.entries == known_table()
+    assert table.entries == {
+        key: UniPoly("b", coeffs) for key, coeffs in REFERENCE_COUNTS.items()
+    }
 
 
 def test_specializations_hit_rooted_map_totals():
@@ -111,8 +68,8 @@ def test_keys_sorted_order():
 
 
 def test_mapkey_validate_accepts_good_keys():
-    for (i, j, n) in KNOWN_COUNTS:
-        assert MapKey(i, j, n).validate() == MapKey(i, j, n)
+    for key in REFERENCE_COUNTS:
+        assert key.validate() == key
 
 
 def test_mapkey_validate_rejects_bad_keys():
