@@ -494,9 +494,6 @@ class AlphaFn:
         """Substitute a polynomial for alpha; requires a trivial denominator."""
         return self.as_alpha_poly().compose(sub)
 
-    def complexity(self) -> int:
-        return self.num.degree + self.den.degree
-
     def __repr__(self):
         if self.is_polynomial:
             return f"AlphaFn({poly_str(self.num)})"

@@ -29,6 +29,7 @@ from .eulerchar import (
     xi_from_maps,
 )
 from .maporacle import (
+    DEFAULT_BOUND,
     glue_census,
     lambda_from_census,
     rooted_locally_orientable_counts,
@@ -271,6 +272,12 @@ def cmd_oracle_glue(args) -> int:
 
 
 def cmd_oracle_rooted(args) -> int:
+    if args.edges > DEFAULT_BOUND:
+        print(
+            f"error: oracle rooted enumerates at most {DEFAULT_BOUND} edges",
+            file=sys.stderr,
+        )
+        return EXIT_FAILURE
     if args.surface == "orientable":
         counts = rooted_orientable_counts(args.edges)
     else:

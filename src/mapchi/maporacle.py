@@ -344,8 +344,9 @@ def _check_bound(n: int, bound: int) -> None:
         raise ValueError("edge count must be positive")
     if n > bound:
         raise TruncationError(
-            f"edge count {n} exceeds the enumeration bound {bound}; "
-            "raise the bound explicitly to accept the cost"
+            f"edge count {n} exceeds the enumeration bound {bound}; pass a "
+            "larger bound= to rooted_orientable_counts or "
+            "rooted_locally_orientable_counts to accept the cost"
         )
 
 

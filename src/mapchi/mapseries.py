@@ -24,20 +24,25 @@ b enters only at extraction, after all rational-function cancellation.
 
 from __future__ import annotations
 
-import logging
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import ALPHA, AlphaFn, TruncatedSeries, UniPoly
-from .partitions import Partition, partition_from_distribution, vertex_distribution_of
-from .symfunc import PowerSumExpr, jack
-from .partitions import partitions_of
+from .arith import AlphaFn, TruncatedSeries, UniPoly
+from .partitions import (
+    Partition,
+    partition_from_distribution,
+    partitions_of,
+    vertex_distribution_of,
+)
+from .symfunc import PowerSumExpr, hook_product, jack, jack_norm_factors
 
-logger = logging.getLogger(__name__)
-
-#: Largest supported truncation; weight-10 Jack solves are already slow.
+#: Largest supported truncation.  The 5-edge table (Jack weight 10) takes
+#: about 25 s on 2 vCPUs, most of it in the S(z) assembly; 6 edges has never
+#: been measured.
 MAX_EDGE_TRUNCATION = 5
 
 
@@ -110,24 +115,63 @@ def jack_partition_sum(max_n: int) -> TruncatedSeries:
         raise ValueError(
             f"truncation {max_n} exceeds supported bound {MAX_EDGE_TRUNCATION}"
         )
-    if max_n >= 4:
-        logger.warning(
-            "jack_partition_sum(max_n=%d) needs all Jack functions of weight %d; "
-            "expect minutes of exact rational-function elimination",
-            max_n,
-            2 * max_n,
-        )
     coeffs: list[object] = [PowerSumExpr.one()]
     for m in range(1, max_n + 1):
-        total = PowerSumExpr.zero()
-        for theta in partitions_of(2 * m):
-            rec = jack(theta)
-            if not rec.p2coeff:
-                continue
-            scalar = rec.principal * (rec.p2coeff / rec.norm)
-            total = total + rec.expansion * scalar
-        coeffs.append(total)
+        coeffs.append(_partition_sum_level(m))
     return TruncatedSeries("z", coeffs, max_n)
+
+
+def _partition_sum_level(m: int) -> PowerSumExpr:
+    """The z^m coefficient of S(z), summed over one common denominator.
+
+    Every norm is a product of alpha-linear factors, so their lcm D is a
+    max-multiplicity merge of those factors.  Each shape then contributes
+    the polynomial (D / norm) * p2coeff * principal * expansion, and only
+    the final coefficients are reduced, once each, as AlphaFn(sum, D).
+    """
+    contributions = []
+    common: Counter[tuple[int, int]] = Counter()
+    content_lcm = 1
+    for theta in partitions_of(2 * m):
+        rec = jack(theta)
+        if not rec.p2coeff:
+            continue
+        content, factors = _primitive_factors(jack_norm_factors(theta))
+        contributions.append((rec, content, factors))
+        common |= factors
+        content_lcm = math.lcm(content_lcm, content)
+
+    sums: dict[tuple[Partition, int], UniPoly] = {}
+    for rec, content, factors in contributions:
+        scale = rec.p2coeff.num * Fraction(content_lcm, content)
+        scale = scale * hook_product((common - factors).elements())
+        for j, pj in enumerate(rec.principal.coeffs):
+            if not pj:
+                continue
+            weight = scale * pj.num
+            for mu, c in rec.expansion.terms.items():
+                sums[mu, j] = sums.get((mu, j), 0) + weight * c.num
+
+    den = hook_product(common.elements()) * content_lcm
+    terms: dict[Partition, list[AlphaFn]] = {}
+    for (mu, j), num in sums.items():
+        row = terms.setdefault(mu, [AlphaFn.zero()] * (2 * m + 1))
+        row[j] = AlphaFn(num, den)
+    return PowerSumExpr({mu: UniPoly("x", row) for mu, row in terms.items()})
+
+
+def _primitive_factors(factors) -> tuple[int, Counter[tuple[int, int]]]:
+    """Split s * alpha + t factors into an integer content and primitive factors."""
+    content = 1
+    out: Counter[tuple[int, int]] = Counter()
+    for s, t in factors:
+        if s == 0:
+            content *= t
+            continue
+        g = math.gcd(s, t)
+        content *= g
+        out[s // g, t // g] += 1
+    return content, out
 
 
 def map_series(max_n: int) -> TruncatedSeries:

@@ -13,29 +13,28 @@ Jack functions are taken in the J normalization, fixed by three conditions:
   no later than theta in reverse-lex order,
 * normalization: the coefficient of m_(1^n) equals n!.
 
-`jack` computes them by solving the defining conditions as an exact linear
-system over `AlphaFn` in the power-sum coefficient vector, walking the
-partitions of each weight in ascending reverse-lex order so orthogonality
-can be imposed against previously computed shapes.  Records are cached per
-shape.
+`jack` computes one shape at a time by Stanley's eigen-recursion: J_theta
+is the eigenvector of a Laplace-Beltrami (cut-and-join) operator, which is
+triangular in the monomial basis, so its monomial coefficients follow one
+by one down the reverse-lex order.  They are polynomials in alpha, and the
+recursion only divides them exactly by eigenvalue differences linear in
+alpha, so no rational function and no gcd appears.  The norm and the
+principal specialization are Stanley's hook products.  Records are cached
+per shape, and the operator once per weight.
 """
 
 from __future__ import annotations
 
-import logging
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
-from .arith import ALPHA, AlphaFn, UniPoly
+from .arith import ALPHA, AlphaFn, UniPoly, poly_divmod
 from .partitions import Partition, partitions_of, z_of
 
-logger = logging.getLogger(__name__)
-
-
 class JackSystemError(RuntimeError):
-    """Raised when the defining linear system for a Jack function is singular."""
+    """Raised when the Laplace-Beltrami recursion for a Jack function breaks down."""
 
 
 # ---------------------------------------------------------------------------
@@ -272,147 +271,240 @@ def jack(shape) -> JackRecord:
     """
     theta = shape if isinstance(shape, Partition) else Partition(shape)
     rec = _jack_cache.get(theta)
-    if rec is not None:
-        return rec
-    # Computing a shape requires every earlier shape of the same weight,
-    # so fill in the whole weight level in ascending reverse-lex order.
-    ascending = list(reversed(partitions_of(theta.weight)))
-    previous: list[JackRecord] = []
-    for pos, sigma in enumerate(ascending):
-        cached = _jack_cache.get(sigma)
-        if cached is None:
-            cached = _solve_jack(sigma, pos, ascending, previous)
-            _jack_cache[sigma] = cached
-        previous.append(cached)
-    return _jack_cache[theta]
+    if rec is None:
+        rec = _jack_cache[theta] = _solve_jack(theta)
+    return rec
 
 
-def _solve_jack(
-    theta: Partition,
-    pos: int,
-    ascending: list[Partition],
-    previous: list[JackRecord],
-) -> JackRecord:
+def _solve_jack(theta: Partition) -> JackRecord:
     n = theta.weight
     if n == 0:
-        one = PowerSumExpr.one()
         return JackRecord(
             shape=theta,
-            expansion=one,
+            expansion=PowerSumExpr.one(),
             norm=AlphaFn.one(),
             principal=UniPoly.one("x"),
             p2coeff=AlphaFn.one(),
         )
-
-    trans = power_to_monomial(n)
-    lam_list = ascending
-    count = len(lam_list)
-
-    rows: list[list[AlphaFn]] = []
-    rhs: list[AlphaFn] = []
-
-    # Triangularity: the monomial coefficient vanishes strictly above theta.
-    for mu in lam_list[pos + 1 :]:
-        rows.append([AlphaFn(trans.get((lam, mu), 0)) for lam in lam_list])
-        rhs.append(AlphaFn.zero())
-    # Normalization: coefficient of m_(1^n) equals n!.
-    bottom = lam_list[0]
-    rows.append([AlphaFn(trans.get((lam, bottom), 0)) for lam in lam_list])
-    rhs.append(AlphaFn(math.factorial(n)))
-    # Orthogonality against every earlier shape of the same weight.
-    for srec in previous:
-        rows.append(
-            [
-                srec.expansion.coefficient(lam) * z_of(lam) * AlphaFn.alpha(lam.length)
-                if lam in srec.expansion.terms
-                else AlphaFn.zero()
-                for lam in lam_list
-            ]
-        )
-        rhs.append(AlphaFn.zero())
-
-    solution = _solve_linear(rows, rhs, count, shape=theta)
-
-    expansion = PowerSumExpr(
-        {lam: c for lam, c in zip(lam_list, solution) if c}
-    )
-    for lam, c in expansion.terms.items():
-        if not c.is_polynomial:
-            logger.warning(
-                "Jack expansion coefficient [p_%s] J_%s has a nontrivial "
-                "denominator: %r",
-                lam.parts,
-                theta.parts,
-                c,
-            )
-
-    norm = inner_product(expansion, expansion)
-    if not isinstance(norm, AlphaFn):
-        norm = AlphaFn(norm)
-    if not norm:
-        raise JackSystemError(f"vanishing norm for shape {theta.parts}")
-
-    principal_coeffs: list[object] = [AlphaFn.zero()] * (n + 1)
-    for lam, c in expansion.terms.items():
-        principal_coeffs[lam.length] = principal_coeffs[lam.length] + c
-    principal = UniPoly("x", principal_coeffs)
-
-    if n % 2 == 0:
-        p2 = expansion.coefficient(Partition((2,) * (n // 2)))
-        p2coeff = p2 if isinstance(p2, AlphaFn) else AlphaFn(p2)
-    else:
-        p2coeff = AlphaFn.zero()
-
+    level = _level(n)
+    psums: dict[Partition, UniPoly] = {}
+    for mu, v in _monomial_coefficients(theta, level).items():
+        for rho, c in level.inverse[mu].items():
+            psums[rho] = psums.get(rho, 0) + v * c
+    expansion = PowerSumExpr({rho: AlphaFn(c) for rho, c in psums.items() if c})
+    # An odd weight has no pure-2 partition, so the lookup misses there.
+    p2coeff = expansion.terms.get(Partition((2,) * (n // 2)), AlphaFn.zero())
     return JackRecord(
         shape=theta,
         expansion=expansion,
-        norm=norm,
-        principal=principal,
+        norm=AlphaFn(hook_product(jack_norm_factors(theta))),
+        principal=_principal_specialization(theta),
         p2coeff=p2coeff,
     )
 
 
-def _solve_linear(
-    rows: list[list[AlphaFn]],
-    rhs: list[AlphaFn],
-    ncols: int,
-    shape: Partition | None = None,
-) -> list[AlphaFn]:
-    """Exact Gauss-Jordan elimination over the rational-function field."""
-    if len(rows) != ncols:
-        raise JackSystemError(
-            f"defining system for {shape and shape.parts} is not square"
-        )
-    aug = [list(row) + [r] for row, r in zip(rows, rhs)]
-    used = [False] * len(aug)
-    pivot_of_col: list[int] = []
-    for col in range(ncols):
-        best = None
-        for ri, row in enumerate(aug):
-            entry = row[col]
-            if used[ri] or not entry:
-                continue
-            cx = entry.complexity()
-            if best is None or cx < best[0]:
-                best = (cx, ri)
-                if cx == 0:
-                    break
-        if best is None:
+def _monomial_coefficients(theta: Partition, level: _Level) -> dict[Partition, UniPoly]:
+    """[m_mu] J_theta for every mu, by Stanley's eigen-recursion.
+
+    J_theta is the eigenvector of the Laplace-Beltrami operator with
+    eigenvalue e_theta whose leading coefficient is the upper hook product.
+    The operator is triangular in the monomial basis, so walking down the
+    reverse-lex order from theta each coefficient solves
+
+        (e_theta - e_mu) * [m_mu] J = sum over nu above mu of [m_nu] J * A[nu, mu].
+
+    Every [m_mu] J_theta is a polynomial in alpha (Knop-Sahi), so each
+    division is exact; a remainder means a broken operator.  Where the two
+    eigenvalues coincide, mu and theta are incomparable in dominance order
+    and the coefficient is zero.
+    """
+    e_theta = _eigenvalue(theta)
+    coeffs = {theta: hook_product(_hook_factors(theta)[0])}
+    shapes = partitions_of(theta.weight)
+    for mu in shapes[shapes.index(theta) + 1 :]:
+        numerator = UniPoly.zero(ALPHA)
+        for nu, entry in level.column[mu]:
+            v = coeffs.get(nu)
+            if v is not None:
+                numerator = numerator + v * entry
+        if not numerator:
+            continue
+        gap = e_theta - _eigenvalue(mu)
+        if not gap:
             raise JackSystemError(
-                f"singular defining system for shape {shape and shape.parts}"
+                f"[m_{mu.parts}] J_{theta.parts} has a nonzero numerator but "
+                "the eigenvalues coincide"
             )
-        ri = best[1]
-        used[ri] = True
-        pivot_of_col.append(ri)
-        inv = aug[ri][col].inv()
-        aug[ri] = [e * inv if e else e for e in aug[ri]]
-        prow = aug[ri]
-        for rj, row in enumerate(aug):
-            if rj == ri or not row[col]:
+        quotient, remainder = poly_divmod(numerator, gap)
+        if remainder:
+            raise JackSystemError(
+                f"[m_{mu.parts}] J_{theta.parts} is not a polynomial in alpha"
+            )
+        coeffs[mu] = quotient
+    return coeffs
+
+
+# -- closed forms from the diagram -------------------------------------------
+
+
+def _hook_factors(theta: Partition) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Stanley's upper and lower hooks of every cell, as alpha-linear factors.
+
+    A factor (s, t) stands for s * alpha + t.  A cell with arm a and leg l
+    has upper hook alpha * a + l + 1 and lower hook alpha * (a + 1) + l.
+    """
+    parts = theta.parts
+    columns = [sum(1 for p in parts if p > j) for j in range(parts[0] if parts else 0)]
+    upper: list[tuple[int, int]] = []
+    lower: list[tuple[int, int]] = []
+    for i, row in enumerate(parts):
+        for j in range(row):
+            arm, leg = row - j - 1, columns[j] - i - 1
+            upper.append((arm, leg + 1))
+            lower.append((arm + 1, leg))
+    return upper, lower
+
+
+def jack_norm_factors(shape) -> list[tuple[int, int]]:
+    """<J_shape, J_shape> as a list of alpha-linear factors (s, t) = s * alpha + t.
+
+    The norm is the product of the upper and lower hooks over the cells.
+
+    >>> jack_norm_factors((2,))
+    [(1, 1), (0, 1), (2, 0), (1, 0)]
+    """
+    theta = shape if isinstance(shape, Partition) else Partition(shape)
+    upper, lower = _hook_factors(theta)
+    return upper + lower
+
+
+def hook_product(factors) -> UniPoly:
+    """The alpha-polynomial product of linear factors (s, t) = s * alpha + t."""
+    out = UniPoly.one(ALPHA)
+    for s, t in factors:
+        out = out * UniPoly(ALPHA, (Fraction(t), Fraction(s)))
+    return out
+
+
+def _eigenvalue(mu: Partition) -> UniPoly:
+    """e_mu = alpha * n(mu') - n(mu), the Laplace-Beltrami eigenvalue of J_mu."""
+    n_mu = sum(i * p for i, p in enumerate(mu.parts))
+    n_conj = sum(p * (p - 1) // 2 for p in mu.parts)
+    return UniPoly(ALPHA, (Fraction(-n_mu), Fraction(n_conj)))
+
+
+def _principal_specialization(theta: Partition) -> UniPoly:
+    """J_theta with every p_k sent to x: the product of x - i + alpha * j over cells (i, j)."""
+    coeffs = [UniPoly.one(ALPHA)]  # x-coefficients, as alpha-polynomials
+    for i, row in enumerate(theta.parts):
+        for j in range(row):
+            shift = UniPoly(ALPHA, (Fraction(-i), Fraction(j)))
+            coeffs = [
+                (coeffs[k - 1] if k else 0) + (coeffs[k] * shift if k < len(coeffs) else 0)
+                for k in range(len(coeffs) + 1)
+            ]
+    return UniPoly("x", [AlphaFn(c) for c in coeffs])
+
+
+# -- the Laplace-Beltrami operator, one weight at a time ----------------------
+
+
+class _Level(NamedTuple):
+    """The operator of one weight in the monomial basis, and the basis change.
+
+    column[mu]:  the entries A[nu, mu] with nu strictly above mu, where
+                 Delta m_nu = sum_mu A[nu, mu] m_mu.
+    inverse[mu]: m_mu in the power-sum basis, {rho: coefficient}.
+    """
+
+    column: dict[Partition, list[tuple[Partition, UniPoly]]]
+    inverse: dict[Partition, dict[Partition, Fraction]]
+
+
+def _cut_and_join(rho: Partition) -> dict[Partition, UniPoly]:
+    """Delta p_rho in the power-sum basis, with alpha-polynomial coefficients.
+
+        Delta = 1/2 sum_{i,j} (alpha i j p_{i+j} d_i d_j + (i+j) p_i p_j d_{i+j})
+                + (alpha - 1)/2 sum_i i (i-1) p_i d_i
+
+    The first sum joins two parts of rho, the second cuts one part in two.
+    Its eigenvalue on J_mu is e_mu.
+    """
+    mult = rho.multiplicities()
+    out: dict[Partition, UniPoly] = {}
+
+    def add(removed, added, value) -> None:
+        parts = list(rho.parts)
+        for p in removed:
+            parts.remove(p)
+        key = Partition(sorted(parts + list(added), reverse=True))
+        out[key] = out.get(key, 0) + value
+
+    for i in mult:
+        for j in mult:
+            pairs = mult[i] * (mult[j] - 1) if i == j else mult[i] * mult[j]
+            if pairs:
+                add((i, j), (i + j,), UniPoly(ALPHA, (Fraction(0), Fraction(i * j * pairs, 2))))
+    for k, m_k in mult.items():
+        for i in range(1, k):
+            add((k,), (i, k - i), UniPoly(ALPHA, (Fraction(k * m_k, 2),)))
+    diagonal = Fraction(sum(k * (k - 1) * m_k for k, m_k in mult.items()), 2)
+    add((), (), UniPoly(ALPHA, (-diagonal, diagonal)))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _level(n: int) -> _Level:
+    """Conjugate Delta into the monomial basis: A = M^-1 P M.
+
+    M is the power-sum to monomial table, triangular in reverse-lex order, so
+    its inverse comes from back-substitution.  The result must again be
+    triangular with the eigenvalues e_mu on its diagonal; anything else
+    raises `JackSystemError`.
+    """
+    shapes = partitions_of(n)
+    trans = power_to_monomial(n)
+    rows: dict[Partition, list[tuple[Partition, Fraction]]] = {rho: [] for rho in shapes}
+    for (rho, mu), c in trans.items():
+        rows[rho].append((mu, c))
+
+    # p_rho = M[rho, rho] m_rho + (monomials above rho), solved from the top.
+    inverse: dict[Partition, dict[Partition, Fraction]] = {}
+    for rho in shapes:
+        m_rho = {rho: Fraction(1)}
+        for mu, c in rows[rho]:
+            if mu != rho:
+                for sigma, d in inverse[mu].items():
+                    m_rho[sigma] = m_rho.get(sigma, 0) - c * d
+        lead = 1 / trans[rho, rho]
+        inverse[rho] = {sigma: d * lead for sigma, d in m_rho.items() if d}
+
+    delta = {rho: _cut_and_join(rho) for rho in shapes}
+    column: dict[Partition, list[tuple[Partition, UniPoly]]] = {mu: [] for mu in shapes}
+    for nu in shapes:
+        image: dict[Partition, UniPoly] = {}
+        for rho, c in inverse[nu].items():
+            for sigma, entry in delta[rho].items():
+                image[sigma] = image.get(sigma, 0) + entry * c
+        mono: dict[Partition, UniPoly] = {}
+        for sigma, coeff in image.items():
+            for mu, c in rows[sigma]:
+                mono[mu] = mono.get(mu, 0) + coeff * c
+        for mu, entry in mono.items():
+            if not entry:
                 continue
-            f = row[col]
-            aug[rj] = [a - f * b if b else a for a, b in zip(row, prow)]
-    return [aug[pivot_of_col[col]][ncols] for col in range(ncols)]
+            if mu.parts > nu.parts:
+                raise JackSystemError(
+                    f"weight-{n} operator is not triangular: m_{nu.parts} -> m_{mu.parts}"
+                )
+            if mu != nu:
+                column[mu].append((nu, entry))
+        if mono.get(nu, 0) != _eigenvalue(nu):
+            raise JackSystemError(
+                f"weight-{n} operator has diagonal {mono.get(nu)!r} at {nu.parts}, "
+                f"expected {_eigenvalue(nu)!r}"
+            )
+    return _Level(column=column, inverse=inverse)
 
 
 # ---------------------------------------------------------------------------

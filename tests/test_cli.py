@@ -241,6 +241,7 @@ def test_bad_arguments_exit_2_with_one_error_line(capsys, monkeypatch, argv):
     assert code == 2
     assert "error:" in err
     assert "Traceback" not in err
+    assert "raise the bound" not in err
 
 
 def test_version_flag(capsys):

@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import pytest
 
+from mapchi import symfunc
 from mapchi.arith import ALPHA, AlphaFn, UniPoly
 from mapchi.partitions import Partition, partitions_of, z_of
 from mapchi.symfunc import (
+    JackSystemError,
     PowerSumExpr,
     cauchy_check,
     expand_in_variables,
@@ -114,7 +116,7 @@ def test_jack_norms():
         AlphaFn.alpha(4) * 2 + AlphaFn.alpha(3) * 5 + AlphaFn.alpha(2) * 2
     )
     assert jack((2, 1)).norm == expected_21
-    for n in range(1, 6):
+    for n in range(1, 9):
         for shape in partitions_of(n):
             rec = jack(shape)
             assert rec.norm == inner_product(rec.expansion, rec.expansion)
@@ -185,13 +187,14 @@ def test_jack_principal_specializations():
     assert jack((1,)).principal == x
     assert jack((2,)).principal == x**2 + x * ALPHA_GEN
     assert jack((1, 1)).principal == x**2 - x
-    for shape in partitions_of(4):
-        rec = jack(shape)
-        direct = sum(
-            (c * x ** mu.length for mu, c in rec.expansion.terms.items()),
-            UniPoly("x", ()),
-        )
-        assert rec.principal == direct
+    for n in range(1, 9):
+        for shape in partitions_of(n):
+            rec = jack(shape)
+            direct = sum(
+                (c * x ** mu.length for mu, c in rec.expansion.terms.items()),
+                UniPoly("x", ()),
+            )
+            assert rec.principal == direct
 
 
 def test_jack_p2_coefficients():
@@ -201,6 +204,29 @@ def test_jack_p2_coefficients():
         for shape in partitions_of(n):
             assert jack(shape).p2coeff == 0
     assert jack((2, 2)).p2coeff == jack((2, 2)).expansion.coefficient((2, 2))
+
+
+def test_corrupted_operator_diagonal_raises(monkeypatch):
+    """A level whose diagonal is not the eigenvalues is refused, not solved.
+
+    p_(n) = m_(n), and m_(n) is the only monomial that is 1 at a single
+    variable equal to 1, so adding alpha * p_(n) to every Delta p_rho adds
+    alpha to the (n), (n) diagonal entry of the monomial-basis operator and
+    changes nothing else.
+    """
+    honest = symfunc._cut_and_join
+
+    def corrupted(rho):
+        out = honest(rho)
+        top = Partition((rho.weight,))
+        out[top] = out.get(top, 0) + UniPoly.gen(ALPHA)
+        return out
+
+    monkeypatch.setattr(symfunc, "_cut_and_join", corrupted)
+    monkeypatch.setattr(symfunc, "_jack_cache", {})
+    symfunc._level.cache_clear()
+    with pytest.raises(JackSystemError, match="diagonal"):
+        jack((3,))
 
 
 def test_jack_cache_returns_identical_records():
