@@ -42,12 +42,19 @@ from .verify import EXIT_FAILURE, CheckResult, run_verify
 
 FORMATS = ("pretty", "json", "csv")
 
+#: Largest Jack weight `jack` solves: weight 14 takes about 5 s, and the
+#: operator build grows like p(n)^2.
+MAX_JACK_WEIGHT = 14
 
-def _alpha_str(fn) -> str:
-    """Serialize an AlphaFn as a plain string, polynomial case unparenthesized."""
-    if fn.is_polynomial:
-        return poly_str(fn.num, "alpha")
-    return f"({poly_str(fn.num, 'alpha')})/({poly_str(fn.den, 'alpha')})"
+#: Largest total side count `oracle glue` enumerates: 12 sides are 665,280
+#: configurations and take about 12 s; 14 sides would be 26 times as many.
+MAX_GLUE_SIDES = 12
+
+
+def _refuse(message: str) -> int:
+    """Print one ``error:`` line to stderr and return the failure exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_FAILURE
 
 
 def _print_json(payload) -> None:
@@ -108,13 +115,10 @@ def cmd_euler_xi(args) -> int:
     else:
         needed = 3 * args.g + 3 * args.s - 3
         if needed > MAX_EDGE_TRUNCATION:
-            print(
-                f"error: the maps route for xi({args.g},{args.s}) needs map "
-                f"counts through n={needed}, beyond the supported bound "
-                f"{MAX_EDGE_TRUNCATION}",
-                file=sys.stderr,
+            return _refuse(
+                f"the maps route for xi({args.g},{args.s}) needs map counts "
+                f"through n={needed}, beyond the supported bound {MAX_EDGE_TRUNCATION}"
             )
-            return EXIT_FAILURE
         poly = xi_from_maps(args.g, args.s, map_count_table(needed))
     if args.format == "json":
         _print_json(
@@ -138,8 +142,7 @@ def cmd_euler_chi(args) -> int:
         value = chi_complex(args.g, args.s)
     else:
         if args.m is None:
-            print("error: --variant fixed requires --m", file=sys.stderr)
-            return EXIT_FAILURE
+            return _refuse("--variant fixed requires --m")
         value = chi_fixed_curves(args.g, args.s, args.m, separating=args.separating)
     if args.format == "json":
         payload: dict[str, object] = {
@@ -173,6 +176,8 @@ def _parse_shape(text: str) -> Partition:
 
 
 def cmd_jack(args) -> int:
+    if args.shape.weight > MAX_JACK_WEIGHT:
+        return _refuse(f"jack solves shapes of weight at most {MAX_JACK_WEIGHT}")
     rec = jack(args.shape)
     ordered = sorted(
         rec.expansion.terms.items(), key=lambda t: t[0].parts, reverse=True
@@ -182,28 +187,28 @@ def cmd_jack(args) -> int:
             {
                 "shape": list(rec.shape.parts),
                 "expansion": {
-                    "[" + ",".join(str(p) for p in mu.parts) + "]": _alpha_str(c)
+                    "[" + ",".join(str(p) for p in mu.parts) + "]": poly_str(c, "alpha")
                     for mu, c in ordered
                 },
-                "norm": _alpha_str(rec.norm),
-                "principal": [_alpha_str(c) for c in rec.principal.coeffs],
-                "p2coeff": _alpha_str(rec.p2coeff),
+                "norm": poly_str(rec.norm, "alpha"),
+                "principal": [poly_str(c, "alpha") for c in rec.principal.coeffs],
+                "p2coeff": poly_str(rec.p2coeff, "alpha"),
             }
         )
     else:
         def bracket(parts) -> str:
             return "[" + ",".join(str(p) for p in parts) + "]"
 
-        terms = " + ".join(f"({_alpha_str(c)}) p_{bracket(mu.parts)}" for mu, c in ordered)
+        terms = " + ".join(f"({poly_str(c, 'alpha')}) p_{bracket(mu.parts)}" for mu, c in ordered)
         principal = " + ".join(
-            f"({_alpha_str(c)}) " + ("x" if k == 1 else f"x^{k}")
+            f"({poly_str(c, 'alpha')}) " + ("x" if k == 1 else f"x^{k}")
             for k, c in enumerate(rec.principal.coeffs)
             if c
         )
         print(f"J_{bracket(rec.shape.parts)} = {terms}")
-        print(f"norm      = {_alpha_str(rec.norm)}")
+        print(f"norm      = {poly_str(rec.norm, 'alpha')}")
         print(f"principal = {principal}")
-        print(f"p2coeff   = {_alpha_str(rec.p2coeff)}")
+        print(f"p2coeff   = {poly_str(rec.p2coeff, 'alpha')}")
     return 0
 
 
@@ -223,6 +228,8 @@ def _parse_sides(text: str) -> tuple[int, ...]:
 
 
 def cmd_oracle_glue(args) -> int:
+    if sum(args.sides) > MAX_GLUE_SIDES:
+        return _refuse(f"oracle glue enumerates at most {MAX_GLUE_SIDES} sides in total")
     census = glue_census(*args.sides, collect_patterns=args.patterns)
     classes = [
         {
@@ -273,11 +280,7 @@ def cmd_oracle_glue(args) -> int:
 
 def cmd_oracle_rooted(args) -> int:
     if args.edges > DEFAULT_BOUND:
-        print(
-            f"error: oracle rooted enumerates at most {DEFAULT_BOUND} edges",
-            file=sys.stderr,
-        )
-        return EXIT_FAILURE
+        return _refuse(f"oracle rooted enumerates at most {DEFAULT_BOUND} edges")
     if args.surface == "orientable":
         counts = rooted_orientable_counts(args.edges)
     else:
@@ -419,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shape",
         type=_parse_shape,
         required=True,
-        help="comma-separated partition, e.g. 2,1",
+        help=f"comma-separated partition of weight at most {MAX_JACK_WEIGHT}, e.g. 2,1",
     )
     jackp.set_defaults(run=cmd_jack)
 
@@ -430,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--sides",
         type=_parse_sides,
         required=True,
-        help="comma-separated polygon side counts, e.g. 4 or 4,2",
+        help=f"comma-separated polygon side counts, at most {MAX_GLUE_SIDES} in "
+        "total, e.g. 4 or 4,2",
     )
     glue.add_argument(
         "--patterns", action="store_true", help="list boundary words (valence >= 3)"
@@ -469,8 +473,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.run(args)
     except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return _refuse(str(exc))
 
 
 if __name__ == "__main__":

@@ -208,11 +208,7 @@ def xi_from_maps(g: int, s: int, table: MapCountTable) -> UniPoly:
     b_from_gamma = UniPoly(INV_GAMMA, (Fraction(-1), Fraction(1)))  # b = 1/gamma - 1
     total = UniPoly.zero(INV_GAMMA)
     for key, poly in table.entries.items():
-        if key.j != s:
-            continue
-        if any(k < 2 and ik for k, ik in enumerate(key.i)):  # i_1 or i_2 nonzero
-            continue
-        if key.vertex_count != key.n - g - s + 1:
+        if not key.enters_lambda(g, s):
             continue
         sign = -1 if (key.n - s) % 2 else 1
         scale = Fraction(sign * math.factorial(s), 2 * key.n)

@@ -500,19 +500,9 @@ def _locally_orientable_counts(n: int) -> dict[MapKey, int]:
 # ---------------------------------------------------------------------------
 
 
-def _lambda_sum(counts: dict[MapKey, int], g: int, s: int, n: int) -> int:
+def _lambda_sum(counts: dict[MapKey, int], g: int, s: int) -> int:
     """s! times the number of counted maps meeting the valence/Euler filters."""
-    total = 0
-    for key, value in counts.items():
-        if key.j != s:
-            continue
-        if len(key.i) > 0 and key.i[0]:
-            continue
-        if len(key.i) > 1 and key.i[1]:
-            continue
-        if key.vertex_count != n - g - s + 1:
-            continue
-        total += value
+    total = sum(value for key, value in counts.items() if key.enters_lambda(g, s))
     return math.factorial(s) * total
 
 
@@ -537,8 +527,8 @@ def lambda_from_census(g: int, s: int, bound: int = DEFAULT_BOUND) -> LambdaTrip
     lam_o = Fraction(0)
     for n in range(g + s, top + 1):
         sign = Fraction((-1) ** (n - s), 2 * n)
-        lam += sign * _lambda_sum(rooted_locally_orientable_counts(n, bound), g, s, n)
-        lam_o += sign * _lambda_sum(rooted_orientable_counts(n, bound), g, s, n)
+        lam += sign * _lambda_sum(rooted_locally_orientable_counts(n, bound), g, s)
+        lam_o += sign * _lambda_sum(rooted_orientable_counts(n, bound), g, s)
     triple = LambdaTriple(total=lam, orientable=lam_o, nonorientable=lam - lam_o)
     algebraic = lambda_values(g, s)
     if triple != algebraic:

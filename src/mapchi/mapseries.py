@@ -79,6 +79,14 @@ class MapKey(NamedTuple):
     def euler_characteristic(self) -> int:
         return self.vertex_count - self.n + self.j
 
+    def enters_lambda(self, g: int, s: int) -> bool:
+        """Whether the maps of this key are counted by lambda^s_g(n).
+
+        They have s faces, no vertex of valence 1 or 2, and Euler
+        characteristic 1 - g, that is n - g - s + 1 vertices.
+        """
+        return self.j == s and not any(self.i[:2]) and self.euler_characteristic == 1 - g
+
 
 @dataclass(frozen=True)
 class MapCountTable:
@@ -143,14 +151,14 @@ def _partition_sum_level(m: int) -> PowerSumExpr:
 
     sums: dict[tuple[Partition, int], UniPoly] = {}
     for rec, content, factors in contributions:
-        scale = rec.p2coeff.num * Fraction(content_lcm, content)
+        scale = rec.p2coeff * Fraction(content_lcm, content)
         scale = scale * hook_product((common - factors).elements())
         for j, pj in enumerate(rec.principal.coeffs):
             if not pj:
                 continue
-            weight = scale * pj.num
+            weight = scale * pj
             for mu, c in rec.expansion.terms.items():
-                sums[mu, j] = sums.get((mu, j), 0) + weight * c.num
+                sums[mu, j] = sums.get((mu, j), 0) + weight * c
 
     den = hook_product(common.elements()) * content_lcm
     terms: dict[Partition, list[AlphaFn]] = {}

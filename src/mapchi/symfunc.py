@@ -155,7 +155,7 @@ def inner_product(f: PowerSumExpr, g: PowerSumExpr):
     for mu, cf in f.terms.items():
         cg = g.terms.get(mu)
         if cg is not None:
-            total = total + cf * cg * z_of(mu) * AlphaFn.alpha(mu.length)
+            total = total + cf * cg * UniPoly.monomial(ALPHA, mu.length, z_of(mu))
     return total
 
 
@@ -243,19 +243,22 @@ def expand_in_variables(expr: PowerSumExpr, num_vars: int) -> dict[Partition, ob
 class JackRecord:
     """A computed Jack function together with its derived statistics.
 
-    expansion: power-sum expansion with `AlphaFn` coefficients.
+    Every value is a polynomial in alpha with integer coefficients
+    (Knop-Sahi), stored as a `UniPoly` in alpha.
+
+    expansion: power-sum expansion with alpha-polynomial coefficients.
     norm:      <J, J> under the alpha inner product.
     principal: the one-row principal specialization, i.e. the polynomial in
-               x obtained by sending every p_k to x.
+               x over alpha-polynomials obtained by sending every p_k to x.
     p2coeff:   the coefficient of p_(2,...,2); zero for odd weight, where no
                such partition exists.
     """
 
     shape: Partition
     expansion: PowerSumExpr
-    norm: AlphaFn
+    norm: UniPoly
     principal: UniPoly
-    p2coeff: AlphaFn
+    p2coeff: UniPoly
 
 
 _jack_cache: dict[Partition, JackRecord] = {}
@@ -266,8 +269,10 @@ def jack(shape) -> JackRecord:
 
     >>> jack((1,)).expansion == PowerSumExpr.basis((1,))
     True
-    >>> jack((2,)).norm == AlphaFn.alpha(2) * 2 + AlphaFn.alpha(3) * 2
-    True
+    >>> print(jack((2,)).norm)
+    2alpha^2+2alpha^3
+    >>> print(jack((2,)).principal.coeffs[1])
+    alpha
     """
     theta = shape if isinstance(shape, Partition) else Partition(shape)
     rec = _jack_cache.get(theta)
@@ -278,26 +283,18 @@ def jack(shape) -> JackRecord:
 
 def _solve_jack(theta: Partition) -> JackRecord:
     n = theta.weight
-    if n == 0:
-        return JackRecord(
-            shape=theta,
-            expansion=PowerSumExpr.one(),
-            norm=AlphaFn.one(),
-            principal=UniPoly.one("x"),
-            p2coeff=AlphaFn.one(),
-        )
     level = _level(n)
     psums: dict[Partition, UniPoly] = {}
     for mu, v in _monomial_coefficients(theta, level).items():
         for rho, c in level.inverse[mu].items():
             psums[rho] = psums.get(rho, 0) + v * c
-    expansion = PowerSumExpr({rho: AlphaFn(c) for rho, c in psums.items() if c})
+    expansion = PowerSumExpr(psums)
     # An odd weight has no pure-2 partition, so the lookup misses there.
-    p2coeff = expansion.terms.get(Partition((2,) * (n // 2)), AlphaFn.zero())
+    p2coeff = expansion.terms.get(Partition((2,) * (n // 2)), UniPoly.zero(ALPHA))
     return JackRecord(
         shape=theta,
         expansion=expansion,
-        norm=AlphaFn(hook_product(jack_norm_factors(theta))),
+        norm=hook_product(jack_norm_factors(theta)),
         principal=_principal_specialization(theta),
         p2coeff=p2coeff,
     )
@@ -403,7 +400,7 @@ def _principal_specialization(theta: Partition) -> UniPoly:
                 (coeffs[k - 1] if k else 0) + (coeffs[k] * shift if k < len(coeffs) else 0)
                 for k in range(len(coeffs) + 1)
             ]
-    return UniPoly("x", [AlphaFn(c) for c in coeffs])
+    return UniPoly("x", coeffs)
 
 
 # -- the Laplace-Beltrami operator, one weight at a time ----------------------
@@ -562,7 +559,7 @@ def cauchy_check(n: int, num_vars: int) -> CauchyReport:
     for theta in partitions_of(n):
         rec = jack(theta)
         mono = expand_in_variables(rec.expansion, num_vars)
-        inv_norm = rec.norm.inv()
+        inv_norm = AlphaFn(1, rec.norm)
         for mu, cx in mono.items():
             for nu, cy in mono.items():
                 key = (mu, nu)

@@ -246,10 +246,10 @@ def _monomial_orbit_size(mu: Partition, num_vars: int) -> int:
 
 
 def _check_jack_conditions(max_edges: int) -> str:
-    one = AlphaFn.one()
+    one = UniPoly.one(arith.ALPHA)
     hand = {
         (1,): {(1,): one},
-        (2,): {(1, 1): one, (2,): AlphaFn.alpha()},
+        (2,): {(1, 1): one, (2,): UniPoly.gen(arith.ALPHA)},
         (1, 1): {(1, 1): one, (2,): -one},
     }
     for shape, coeffs in hand.items():
@@ -284,7 +284,7 @@ def _check_jack_conditions(max_edges: int) -> str:
             for num_vars in range(1, 5):
                 viamono = sum(
                     (c * _monomial_orbit_size(mu, num_vars) for mu, c in mono.items()),
-                    AlphaFn.zero(),
+                    UniPoly.zero(arith.ALPHA),
                 )
                 _require(
                     rec.principal.eval(Fraction(num_vars)) == viamono,
@@ -300,8 +300,8 @@ def _check_jack_conditions(max_edges: int) -> str:
                 # The same orthogonality again, numerically at alpha = 1.
                 numeric = sum(
                     (
-                        c.eval_at(Fraction(1))
-                        * other.expansion.terms[mu].eval_at(Fraction(1))
+                        c.eval(1)
+                        * other.expansion.terms[mu].eval(1)
                         * z_of(mu)
                         for mu, c in rec.expansion.terms.items()
                         if mu in other.expansion.terms

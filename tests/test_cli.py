@@ -144,6 +144,18 @@ def test_jack_json(capsys):
     assert payload["p2coeff"] == "alpha"
 
 
+def test_jack_weight_zero_json(capsys):
+    code, out, _ = run_cli(capsys, "--format", "json", "jack", "--shape", "")
+    assert code == 0
+    assert json.loads(out) == {
+        "shape": [],
+        "expansion": {"[]": "1"},
+        "norm": "1",
+        "principal": ["1"],
+        "p2coeff": "1",
+    }
+
+
 def test_jack_pretty(capsys):
     code, out, _ = run_cli(capsys, "jack", "--shape", "2,1")
     assert code == 0
@@ -223,7 +235,9 @@ def _enumeration_started(*args, **kwargs):
         ["oracle", "rooted", "--edges", "5"],
         ["oracle", "rooted", "--edges", "4", "--surface", "all"],
         ["oracle", "glue", "--sides", "3"],
+        ["oracle", "glue", "--sides", "14"],
         ["jack", "--shape", "0"],
+        ["jack", "--shape", "15"],
         ["euler", "xi", "--g", "0", "--s", "1"],
     ],
     ids=" ".join,
@@ -232,6 +246,7 @@ def test_bad_arguments_exit_2_with_one_error_line(capsys, monkeypatch, argv):
     """Malformed or oversized arguments are refused before any enumeration."""
     monkeypatch.setattr(maporacle, "_orientable_counts", _enumeration_started)
     monkeypatch.setattr(maporacle, "_locally_orientable_counts", _enumeration_started)
+    monkeypatch.setattr(maporacle, "_evaluate_gluing", _enumeration_started)
     monkeypatch.setattr(symfunc, "_solve_jack", _enumeration_started)
     try:
         code = main(argv)

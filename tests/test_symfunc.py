@@ -148,8 +148,11 @@ def gram_schmidt_jack_oracle(n: int) -> dict[Partition, PowerSumExpr]:
                 f = matrix[r][col]
                 matrix[r] = [a - f * b for a, b in zip(matrix[r], matrix[col])]
                 inverse[r] = [a - f * b for a, b in zip(inverse[r], inverse[col])]
+    # AlphaFn coefficients, since the projections divide by inner products.
     monomials = {
-        order[i]: psum({order[j].parts: inverse[i][j] for j in range(size) if inverse[i][j]})
+        order[i]: psum(
+            {order[j].parts: AlphaFn(inverse[i][j]) for j in range(size) if inverse[i][j]}
+        )
         for i in range(size)
     }
     out: dict[Partition, PowerSumExpr] = {}
@@ -175,11 +178,18 @@ def test_jack_matches_gram_schmidt_oracle():
 
 
 def test_jack_coefficients_are_integer_alpha_polynomials():
-    for n in range(1, 7):
+    for n in range(9):
         for shape in partitions_of(n):
-            for c in jack(shape).expansion.terms.values():
-                assert c.is_polynomial
-                assert all(v.denominator == 1 for v in c.num.coeffs)
+            rec = jack(shape)
+            values = [
+                *rec.expansion.terms.values(),
+                rec.norm,
+                rec.p2coeff,
+                *rec.principal.coeffs,
+            ]
+            for c in values:
+                assert isinstance(c, UniPoly) and c.var == ALPHA, (shape, c)
+                assert all(Fraction(v).denominator == 1 for v in c.coeffs), (shape, c)
 
 
 def test_jack_principal_specializations():
@@ -191,7 +201,7 @@ def test_jack_principal_specializations():
         for shape in partitions_of(n):
             rec = jack(shape)
             direct = sum(
-                (c * x ** mu.length for mu, c in rec.expansion.terms.items()),
+                (UniPoly.monomial("x", mu.length, c) for mu, c in rec.expansion.terms.items()),
                 UniPoly("x", ()),
             )
             assert rec.principal == direct
