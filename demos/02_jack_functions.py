@@ -47,7 +47,9 @@ off_diagonal = [
 print(f"  {len(off_diagonal)} pairings, all zero: {all(v == 0 for v in off_diagonal)}")
 
 # The Cauchy kernel reproduces the same structure from the product side:
-# prod (1 - x_i y_j)^(-1/alpha) expands as sum_theta J J / <J, J>.
+# prod (1 - x_i y_j)^(-1/alpha) expands as sum_theta J J / <J, J>.  Degree d
+# is checked in d+d variables, which carry every degree-d monomial, so it
+# holds in 3+3 variables as well.
 for degree in range(4):
-    report = cauchy_check(degree, 3)
+    report = cauchy_check(degree)
     print(f"Cauchy identity, degree {degree} in 3+3 variables: ok={report.ok}")

@@ -483,13 +483,6 @@ class AlphaFn:
 
     # -- substitution and output ----------------------------------------
 
-    def eval_at(self, value: Fraction) -> Fraction:
-        """Evaluate at a rational alpha."""
-        dv = self.den.eval(value)
-        if not dv:
-            raise ZeroDivisionError(f"pole at alpha={value}")
-        return self.num.eval(value) / dv
-
     def substitute(self, sub: UniPoly) -> UniPoly:
         """Substitute a polynomial for alpha; requires a trivial denominator."""
         return self.as_alpha_poly().compose(sub)

@@ -29,7 +29,6 @@ from .eulerchar import (
     xi_from_maps,
 )
 from .maporacle import (
-    DEFAULT_BOUND,
     glue_census,
     lambda_from_census,
     rooted_locally_orientable_counts,
@@ -201,7 +200,7 @@ def cmd_jack(args) -> int:
 
         terms = " + ".join(f"({poly_str(c, 'alpha')}) p_{bracket(mu.parts)}" for mu, c in ordered)
         principal = " + ".join(
-            f"({poly_str(c, 'alpha')}) " + ("x" if k == 1 else f"x^{k}")
+            f"({poly_str(c, 'alpha')})" + ("" if k == 0 else " x" if k == 1 else f" x^{k}")
             for k, c in enumerate(rec.principal.coeffs)
             if c
         )
@@ -279,8 +278,6 @@ def cmd_oracle_glue(args) -> int:
 
 
 def cmd_oracle_rooted(args) -> int:
-    if args.edges > DEFAULT_BOUND:
-        return _refuse(f"oracle rooted enumerates at most {DEFAULT_BOUND} edges")
     if args.surface == "orientable":
         counts = rooted_orientable_counts(args.edges)
     else:

@@ -24,14 +24,17 @@ evaluating one at a rational gamma means evaluating at 1/gamma.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
 from .arith import AlphaFn, TruncatedSeries, UniPoly, bernoulli
-from .mapseries import MapCountTable
+from .mapseries import MapCountTable, MapKey
 
 INV_GAMMA = "1/gamma"
+
+T = TypeVar("T")
 
 
 class RouteMismatchError(RuntimeError):
@@ -187,15 +190,27 @@ def xi_closed(g: int, s: int) -> UniPoly:
 # ---------------------------------------------------------------------------
 
 
+def lambda_sum(counts: Mapping[MapKey, T], g: int, s: int, zero: T) -> T:
+    """s! sum_n ((-1)^{n-s} / (2n)) lambda^s_g(n), the map sum behind Lambda and xi.
+
+    lambda^s_g(n) adds the counts with n edges that `MapKey.enters_lambda`
+    admits; they may be integers or polynomials, and `zero` is the empty sum.
+    """
+    total = zero
+    for key, count in counts.items():
+        if key.enters_lambda(g, s):
+            sign = -1 if (key.n - s) % 2 else 1
+            total = total + count * Fraction(sign * math.factorial(s), 2 * key.n)
+    return total
+
+
 def xi_from_maps(g: int, s: int, table: MapCountTable) -> UniPoly:
     """xi^s_g summed from refined map counts with b = 1/gamma - 1.
 
-    xi^s_g = s! sum_{n=g+s}^{3g+3s-3} ((-1)^{n-s} / (2n)) *
-             sum over keys (i, s, n) with i_1 = i_2 = 0 and
-             sum_k i_k = n - g - s + 1  of  m(i, s, n).
-
-    The result is asserted equal to `xi_closed`; requires the table to
-    reach n = 3g+3s-3.
+    xi^s_g is `lambda_sum` over the b-polynomials of the table, with
+    b = 1/gamma - 1 substituted afterwards (the sum is linear).  The result
+    is asserted equal to `xi_closed`; requires the table to reach
+    n = 3g+3s-3.
     """
     if g < 1 or s < 1:
         raise ValueError("xi is defined here for g >= 1 and s >= 1")
@@ -206,13 +221,7 @@ def xi_from_maps(g: int, s: int, table: MapCountTable) -> UniPoly:
             f"table reaches n={table.max_n}: insufficient truncation"
         )
     b_from_gamma = UniPoly(INV_GAMMA, (Fraction(-1), Fraction(1)))  # b = 1/gamma - 1
-    total = UniPoly.zero(INV_GAMMA)
-    for key, poly in table.entries.items():
-        if not key.enters_lambda(g, s):
-            continue
-        sign = -1 if (key.n - s) % 2 else 1
-        scale = Fraction(sign * math.factorial(s), 2 * key.n)
-        total = total + poly.compose(b_from_gamma) * scale
+    total = lambda_sum(table.entries, g, s, UniPoly.zero("b")).compose(b_from_gamma)
     closed = xi_closed(g, s)
     if total != closed:
         raise RouteMismatchError(

@@ -21,7 +21,10 @@ Two unrelated combinatorial models cross-check the algebraic map series:
 
 Normalizations from labeled censuses down to rooted counts are derived
 once, validated against forced small cases, and asserted integral
-everywhere else.
+everywhere else.  Each model enumerates up to a fixed edge count,
+`MAX_ORIENTABLE_EDGES` (4) for the permutations and
+`MAX_LOCALLY_ORIENTABLE_EDGES` (3) for the matchings; larger requests
+raise `TruncationError` before any enumeration starts.
 """
 
 from __future__ import annotations
@@ -32,10 +35,23 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
-from .eulerchar import LambdaTriple, TruncationError, lambda_values, RouteMismatchError
+from .eulerchar import (
+    LambdaTriple,
+    RouteMismatchError,
+    TruncationError,
+    lambda_sum,
+    lambda_values,
+)
 from .mapseries import MapKey
+from .partitions import Partition, vertex_distribution_of
 
-DEFAULT_BOUND = 3
+#: Largest edge count of the permutation census: it visits all (2n)!
+#: permutations, 40,320 at n = 4 (about 0.4 s); n = 5 would be 3,628,800.
+MAX_ORIENTABLE_EDGES = 4
+
+#: Largest edge count of the matching census: it visits all (4n-1)!!
+#: matchings, 10,395 at n = 3; n = 4 would be 2,027,025.
+MAX_LOCALLY_ORIENTABLE_EDGES = 3
 
 
 class NormalizationError(RuntimeError):
@@ -339,15 +355,34 @@ def double_cover_lift_check(*sides: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_bound(n: int, bound: int) -> None:
+def _check_edges(n: int, limit: int, model: str) -> None:
     if n < 1:
         raise ValueError("edge count must be positive")
-    if n > bound:
+    if n > limit:
         raise TruncationError(
-            f"edge count {n} exceeds the enumeration bound {bound}; pass a "
-            "larger bound= to rooted_orientable_counts or "
-            "rooted_locally_orientable_counts to accept the cost"
+            f"the {model} oracle enumerates at most {limit} edges, asked for {n}"
         )
+
+
+def _rooted(
+    raw: dict[tuple[tuple[int, ...], int], int], divisor: int, n: int, model: str
+) -> dict[MapKey, int]:
+    """Rooted counts from a labeled census keyed by (valences, faces), in
+    (distribution, faces) order; every class must divide by `divisor`."""
+    classes = {
+        (vertex_distribution_of(Partition(valences)), faces): count
+        for (valences, faces), count in raw.items()
+    }
+    counts: dict[MapKey, int] = {}
+    for (dist, faces), count in sorted(classes.items()):
+        rooted, rest = divmod(count, divisor)
+        if rest:
+            raise NormalizationError(
+                f"{model} census class {dist}, j={faces} has size {count}, "
+                f"not divisible by {divisor}"
+            )
+        counts[MapKey(dist, faces, n).validate()] = rooted
+    return counts
 
 
 def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
@@ -365,7 +400,7 @@ def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
     return lengths
 
 
-def rooted_orientable_counts(n: int, bound: int = DEFAULT_BOUND) -> dict[MapKey, int]:
+def rooted_orientable_counts(n: int) -> dict[MapKey, int]:
     """Rooted orientable maps with n edges, by vertex distribution and faces.
 
     Enumerates all permutations nu of the 2n edge-end labels against the
@@ -374,12 +409,13 @@ def rooted_orientable_counts(n: int, bound: int = DEFAULT_BOUND) -> dict[MapKey,
     (2n-1)!! choices of the pairing, each rooted map is encoded by exactly
     (2n-1)! transitive pairs (label 1 pinned at the root), so with eps0
     frozen the class counts divide by (2n-1)!/(2n-1)!! = 2^{n-1} (n-1)!.
-    Integrality of every quotient is asserted.
+    Integrality of every quotient is asserted.  At most
+    `MAX_ORIENTABLE_EDGES` edges.
 
     >>> rooted_orientable_counts(1)
     {MapKey(i=(0, 1), j=2, n=1): 1, MapKey(i=(2,), j=1, n=1): 1}
     """
-    _check_bound(n, bound)
+    _check_edges(n, MAX_ORIENTABLE_EDGES, "permutation")
     return dict(_orientable_counts(n))
 
 
@@ -394,29 +430,14 @@ def _orientable_counts(n: int) -> dict[MapKey, int]:
             dsu.union(x, x ^ 1)
         if dsu.count != 1:
             continue
-        valences = sorted(_cycle_lengths(nu), reverse=True)
-        dist = [0] * valences[0]
-        for v in valences:
-            dist[v - 1] += 1
+        valences = tuple(sorted(_cycle_lengths(nu), reverse=True))
         faces = len(_cycle_lengths(tuple(nu[x ^ 1] for x in range(labels))))
-        key = (tuple(dist), faces)
+        key = (valences, faces)
         raw[key] = raw.get(key, 0) + 1
-    divisor = 2 ** (n - 1) * math.factorial(n - 1)
-    counts: dict[MapKey, int] = {}
-    for (dist, faces), count in sorted(raw.items()):
-        rooted = Fraction(count, divisor)
-        if rooted.denominator != 1:
-            raise NormalizationError(
-                f"orientable census class {dist}, j={faces} has size {count}, "
-                f"not divisible by {divisor}"
-            )
-        counts[MapKey(dist, faces, n).validate()] = int(rooted)
-    return counts
+    return _rooted(raw, 2 ** (n - 1) * math.factorial(n - 1), n, "permutation")
 
 
-def rooted_locally_orientable_counts(
-    n: int, bound: int = DEFAULT_BOUND
-) -> dict[MapKey, int]:
+def rooted_locally_orientable_counts(n: int) -> dict[MapKey, int]:
     """Rooted maps on all surfaces with n edges, by vertex distribution and faces.
 
     Each edge contributes four flags 4e..4e+3; the fixed matchings
@@ -430,12 +451,13 @@ def rooted_locally_orientable_counts(
     number of flag relabelings fixing the root flag: calibrated against
     the three 1-edge rooted maps, where the divisor is 1 and the census
     must reproduce the totals {(i=(2),j=1): 1, (i=(0,1),j=1): 1,
-    (i=(0,1),j=2): 1} exactly; asserted integral for larger n.
+    (i=(0,1),j=2): 1} exactly; asserted integral for larger n.  At most
+    `MAX_LOCALLY_ORIENTABLE_EDGES` edges.
 
     >>> rooted_locally_orientable_counts(2)[MapKey((0, 0, 0, 1), 1, 2)]
     5
     """
-    _check_bound(n, bound)
+    _check_edges(n, MAX_LOCALLY_ORIENTABLE_EDGES, "matching")
     return dict(_locally_orientable_counts(n))
 
 
@@ -465,23 +487,10 @@ def _locally_orientable_counts(n: int) -> dict[MapKey, int]:
         orbit_sizes = sorted(verts.class_sizes().values(), reverse=True)
         if any(size % 2 for size in orbit_sizes):
             raise NormalizationError("odd vertex orbit in matching model")
-        valences = [size // 2 for size in orbit_sizes]
-        dist = [0] * valences[0]
-        for v in valences:
-            dist[v - 1] += 1
-        faces = facedsu.count
-        key = (tuple(dist), faces)
+        valences = tuple(size // 2 for size in orbit_sizes)
+        key = (valences, facedsu.count)
         raw[key] = raw.get(key, 0) + 1
-    divisor = 4 ** (n - 1) * math.factorial(n - 1)
-    counts: dict[MapKey, int] = {}
-    for (dist, faces), count in sorted(raw.items()):
-        rooted = Fraction(count, divisor)
-        if rooted.denominator != 1:
-            raise NormalizationError(
-                f"locally orientable census class {dist}, j={faces} has size "
-                f"{count}, not divisible by {divisor}"
-            )
-        counts[MapKey(dist, faces, n).validate()] = int(rooted)
+    counts = _rooted(raw, 4 ** (n - 1) * math.factorial(n - 1), n, "matching")
     if n == 1:
         expected = {
             MapKey((2,), 1, 1): 1,
@@ -500,35 +509,28 @@ def _locally_orientable_counts(n: int) -> dict[MapKey, int]:
 # ---------------------------------------------------------------------------
 
 
-def _lambda_sum(counts: dict[MapKey, int], g: int, s: int) -> int:
-    """s! times the number of counted maps meeting the valence/Euler filters."""
-    total = sum(value for key, value in counts.items() if key.enters_lambda(g, s))
-    return math.factorial(s) * total
-
-
-def lambda_from_census(g: int, s: int, bound: int = DEFAULT_BOUND) -> LambdaTriple:
+def lambda_from_census(g: int, s: int) -> LambdaTriple:
     """(Lambda, Lambda^O, Lambda^N) assembled from the rooted-map oracles.
 
-    Lambda^s_g = sum_{n=g+s}^{3g+3s-3} ((-1)^{n-s} / (2n)) * lambda^s_g(n)
-    with lambda^s_g(n) = s! * (number of rooted maps with n edges, s faces,
-    all vertex valences >= 3 and Euler characteristic 1-g); Lambda^O uses
-    orientable counts only.  Compared against the closed forms; any
-    disagreement raises.
+    `eulerchar.lambda_sum` over the rooted counts with n = g+s .. 3g+3s-3
+    edges, on all surfaces for Lambda and orientable only for Lambda^O.
+    Compared against the closed forms; any disagreement raises.  Both
+    censuses must reach n = 3g+3s-3, which only (g, s) = (1, 1) does.
     """
     if g < 1 or s < 1:
         raise ValueError("need g >= 1 and s >= 1")
     top = 3 * g + 3 * s - 3
-    if top > bound:
+    reach = min(MAX_ORIENTABLE_EDGES, MAX_LOCALLY_ORIENTABLE_EDGES)
+    if top > reach:
         raise TruncationError(
             f"Lambda({g},{s}) needs rooted censuses through n={top}, "
-            f"bound is {bound}"
+            f"the two censuses together reach n={reach}"
         )
-    lam = Fraction(0)
-    lam_o = Fraction(0)
-    for n in range(g + s, top + 1):
-        sign = Fraction((-1) ** (n - s), 2 * n)
-        lam += sign * _lambda_sum(rooted_locally_orientable_counts(n, bound), g, s)
-        lam_o += sign * _lambda_sum(rooted_orientable_counts(n, bound), g, s)
+    edges = range(g + s, top + 1)
+    allsurf = {k: c for n in edges for k, c in rooted_locally_orientable_counts(n).items()}
+    orientable = {k: c for n in edges for k, c in rooted_orientable_counts(n).items()}
+    lam = lambda_sum(allsurf, g, s, Fraction(0))
+    lam_o = lambda_sum(orientable, g, s, Fraction(0))
     triple = LambdaTriple(total=lam, orientable=lam_o, nonorientable=lam - lam_o)
     algebraic = lambda_values(g, s)
     if triple != algebraic:

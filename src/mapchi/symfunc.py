@@ -196,6 +196,14 @@ def _psum_monomial_dict(parts: tuple[int, ...], nvars: int) -> dict[tuple[int, .
     return state
 
 
+def _monomial_row(mu: Partition) -> dict[Partition, int]:
+    """p_mu as {exponent partition: coefficient}, in the |mu| variables it needs."""
+    return {
+        Partition(tuple(e for e in expo if e)): cnt
+        for expo, cnt in _psum_monomial_dict(mu.parts, mu.weight).items()
+    }
+
+
 @lru_cache(maxsize=None)
 def power_to_monomial(n: int) -> dict[tuple[Partition, Partition], Fraction]:
     """Transition table M with p_lam = sum_mu M[lam, mu] * m_mu over weight n.
@@ -209,27 +217,22 @@ def power_to_monomial(n: int) -> dict[tuple[Partition, Partition], Fraction]:
     >>> t[(Partition((1, 1)), Partition((2,)))]
     Fraction(1, 1)
     """
-    table: dict[tuple[Partition, Partition], Fraction] = {}
-    nvars = max(n, 1)
-    for lam in partitions_of(n):
-        mono = _psum_monomial_dict(lam.parts, nvars)
-        for expo, cnt in mono.items():
-            mu = Partition(tuple(e for e in expo if e))
-            table[(lam, mu)] = Fraction(cnt)
-    return table
+    return {
+        (lam, mu): Fraction(cnt)
+        for lam in partitions_of(n)
+        for mu, cnt in _monomial_row(lam).items()
+    }
 
 
-def expand_in_variables(expr: PowerSumExpr, num_vars: int) -> dict[Partition, object]:
-    """Monomial coefficients of a power-sum expression in finitely many variables.
+def expand_in_variables(expr: PowerSumExpr) -> dict[Partition, object]:
+    """Monomial coefficients of a power-sum expression.
 
     Returns {exponent partition: coefficient} for the distinguished sorted
-    monomial of each orbit; partitions longer than num_vars do not appear.
+    monomial of each orbit, with zero coefficients dropped.
     """
     out: dict[Partition, object] = {}
     for mu, c in expr.terms.items():
-        mono = _psum_monomial_dict(mu.parts, num_vars)
-        for expo, cnt in mono.items():
-            key = Partition(tuple(e for e in expo if e))
+        for key, cnt in _monomial_row(mu).items():
             out[key] = out.get(key, 0) + c * cnt
     return {k: v for k, v in out.items() if v}
 
@@ -515,20 +518,20 @@ class CauchyReport:
 
     ok: bool
     degree: int
-    num_vars: int
     mismatch: tuple[Partition, Partition, str, str] | None = None
 
 
-def cauchy_check(n: int, num_vars: int) -> CauchyReport:
+def cauchy_check(n: int) -> CauchyReport:
     """Verify the degree-n component of the Cauchy identity for Jack functions,
 
         prod_{i,j} (1 - x_i y_j)^(-1/alpha)
             = sum_theta J_theta(x; alpha) J_theta(y; alpha) / <J_theta, J_theta>.
 
-    Both sides are expanded in the monomial basis of num_vars x-variables and
-    num_vars y-variables over `AlphaFn` and compared coefficient by
-    coefficient.  The product side is the reproducing kernel of the inner
-    product; its bigraded degree-(n, n) component is
+    Both sides are expanded in the monomial basis of n x-variables and
+    n y-variables over `AlphaFn` and compared coefficient by coefficient;
+    n variables carry every degree-n monomial, so the comparison is exact
+    for any number of variables.  The product side is the reproducing
+    kernel of the inner product; its bigraded degree-(n, n) component is
 
         sum over partitions rho of n of  p_rho(x) p_rho(y) / (z_rho * alpha**length(rho)),
 
@@ -537,20 +540,15 @@ def cauchy_check(n: int, num_vars: int) -> CauchyReport:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if num_vars < 1:
-        raise ValueError("need at least one variable")
 
     # Kernel side: sum over rho of p_rho(x) p_rho(y) / (z_rho alpha^l(rho)),
     # expanded into monomials in x and y separately.
     kernel: dict[tuple[Partition, Partition], AlphaFn] = {}
     for rho in partitions_of(n):
         weight = AlphaFn.alpha(-rho.length) / z_of(rho)
-        mono = _psum_monomial_dict(rho.parts, num_vars)
-        entries = [
-            (Partition(tuple(e for e in expo if e)), cnt) for expo, cnt in mono.items()
-        ]
-        for mu, cx in entries:
-            for nu, cy in entries:
+        mono = _monomial_row(rho)
+        for mu, cx in mono.items():
+            for nu, cy in mono.items():
                 key = (mu, nu)
                 kernel[key] = kernel.get(key, AlphaFn.zero()) + weight * (cx * cy)
 
@@ -558,7 +556,7 @@ def cauchy_check(n: int, num_vars: int) -> CauchyReport:
     jackside: dict[tuple[Partition, Partition], AlphaFn] = {}
     for theta in partitions_of(n):
         rec = jack(theta)
-        mono = expand_in_variables(rec.expansion, num_vars)
+        mono = expand_in_variables(rec.expansion)
         inv_norm = AlphaFn(1, rec.norm)
         for mu, cx in mono.items():
             for nu, cy in mono.items():
@@ -573,7 +571,6 @@ def cauchy_check(n: int, num_vars: int) -> CauchyReport:
             return CauchyReport(
                 ok=False,
                 degree=n,
-                num_vars=num_vars,
                 mismatch=(key[0], key[1], repr(lhs), repr(rhs)),
             )
-    return CauchyReport(ok=True, degree=n, num_vars=num_vars)
+    return CauchyReport(ok=True, degree=n)

@@ -37,6 +37,8 @@ from .eulerchar import (
     xi_from_maps,
 )
 from .maporacle import (
+    MAX_LOCALLY_ORIENTABLE_EDGES,
+    MAX_ORIENTABLE_EDGES,
     double_cover_lift_check,
     glue_census,
     lambda_from_census,
@@ -235,14 +237,14 @@ def _check_partitions(max_edges: int) -> str:
     return f"counts, order and statistics agree through n={len(known) - 1}"
 
 
-def _monomial_orbit_size(mu: Partition, num_vars: int) -> int:
-    """Number of distinct monomials with exponent multiset mu in num_vars variables."""
-    if mu.length > num_vars:
+def _monomial_orbit_size(mu: Partition, nvars: int) -> int:
+    """Number of distinct monomials with exponent multiset mu in nvars variables."""
+    if mu.length > nvars:
         return 0
-    denom = math.factorial(num_vars - mu.length)
+    denom = math.factorial(nvars - mu.length)
     for mult in mu.multiplicities().values():
         denom *= math.factorial(mult)
-    return math.factorial(num_vars) // denom
+    return math.factorial(nvars) // denom
 
 
 def _check_jack_conditions(max_edges: int) -> str:
@@ -263,7 +265,7 @@ def _check_jack_conditions(max_edges: int) -> str:
         shapes = partitions_of(weight)
         records = [jack(theta) for theta in shapes]
         for idx, rec in enumerate(records):
-            mono = expand_in_variables(rec.expansion, weight)
+            mono = expand_in_variables(rec.expansion)
             for mu in mono:
                 _require(
                     mu.rlex_le(rec.shape),
@@ -281,15 +283,15 @@ def _check_jack_conditions(max_edges: int) -> str:
             _require(bool(rec.norm), f"J_{rec.shape.parts} has zero norm")
             # Principal specialization p_k -> x against the monomial
             # expansion: at x = N both evaluate J at N equal variables.
-            for num_vars in range(1, 5):
+            for nvars in range(1, 5):
                 viamono = sum(
-                    (c * _monomial_orbit_size(mu, num_vars) for mu, c in mono.items()),
+                    (c * _monomial_orbit_size(mu, nvars) for mu, c in mono.items()),
                     UniPoly.zero(arith.ALPHA),
                 )
                 _require(
-                    rec.principal.eval(Fraction(num_vars)) == viamono,
+                    rec.principal.eval(Fraction(nvars)) == viamono,
                     f"principal specialization of J_{rec.shape.parts} wrong at "
-                    f"N={num_vars}",
+                    f"N={nvars}",
                 )
             for other in records[:idx]:
                 pairing = inner_product(rec.expansion, other.expansion)
@@ -324,7 +326,7 @@ def _check_jack_conditions(max_edges: int) -> str:
 
 def _check_cauchy_kernel(max_edges: int) -> str:
     for degree in range(5):
-        report = cauchy_check(degree, 4)
+        report = cauchy_check(degree)
         if not report.ok:
             mu, nu, lhs, rhs = report.mismatch
             raise CheckFailure(
@@ -335,7 +337,7 @@ def _check_cauchy_kernel(max_edges: int) -> str:
 
 
 def _check_reference_counts(max_edges: int) -> str:
-    limit = min(max_edges, 3)
+    limit = min(max_edges, max(key.n for key in REFERENCE_COUNTS))
     table = map_count_table(limit)
     expected = {k: v for k, v in REFERENCE_COUNTS.items() if k.n <= limit}
     got = {key: poly.coeffs for key, poly in table.entries.items() if key.n <= limit}
@@ -433,29 +435,24 @@ def _check_polygon_gluings(max_edges: int) -> str:
 
 
 def _check_oracle_agreement(max_edges: int) -> str:
-    limit = min(max_edges, 3)
-    table = map_count_table(limit)
-    rows = 0
-    for n in range(1, limit + 1):
-        orientable = rooted_orientable_counts(n)
-        allsurf = rooted_locally_orientable_counts(n)
-        level = {key: poly for key, poly in table.entries.items() if key.n == n}
-        for key in sorted(set(level) | set(orientable) | set(allsurf)):
-            poly = level.get(key)
-            b0 = int(poly.eval(Fraction(0))) if poly else 0
-            b1 = int(poly.eval(Fraction(1))) if poly else 0
+    table = map_count_table(min(max_edges, MAX_EDGE_TRUNCATION))
+    found = []
+    for b, census, model, limit in (
+        (0, rooted_orientable_counts, "permutation", MAX_ORIENTABLE_EDGES),
+        (1, rooted_locally_orientable_counts, "matching", MAX_LOCALLY_ORIENTABLE_EDGES),
+    ):
+        reach = min(max_edges, limit)
+        counts = {key: c for n in range(1, reach + 1) for key, c in census(n).items()}
+        rows = sorted({key for key in table.entries if key.n <= reach} | set(counts))
+        for key in rows:
+            got = table.entries[key].eval(Fraction(b)) if key in table.entries else 0
             _require(
-                b0 == orientable.get(key, 0),
-                f"b=0 disagrees with the permutation oracle at {key}: "
-                f"{b0} vs {orientable.get(key, 0)}",
+                got == counts.get(key, 0),
+                f"b={b} disagrees with the {model} oracle at {key}: "
+                f"{got} vs {counts.get(key, 0)}",
             )
-            _require(
-                b1 == allsurf.get(key, 0),
-                f"b=1 disagrees with the matching oracle at {key}: "
-                f"{b1} vs {allsurf.get(key, 0)}",
-            )
-            rows += 1
-    return f"both rooted-map oracles agree on {rows} rows through n={limit}"
+        found.append(f"b={b} agrees with the {model} oracle on {len(rows)} rows through n={reach}")
+    return ", ".join(found)
 
 
 def _check_census_lambda(max_edges: int) -> str:

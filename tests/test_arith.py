@@ -187,7 +187,6 @@ def test_alpha_power_laws():
     assert AlphaFn.alpha(-2) * AlphaFn.alpha(3) == alpha
     assert AlphaFn.alpha(0) == 1
     assert alpha ** (-2) == AlphaFn.alpha(-2)
-    assert AlphaFn.alpha(-1).eval_at(Fraction(1, 2)) == 2
 
 
 def test_alpha_fn_coerces_alpha_polynomials():

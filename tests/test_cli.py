@@ -156,6 +156,13 @@ def test_jack_weight_zero_json(capsys):
     }
 
 
+def test_jack_weight_zero_pretty(capsys):
+    """The constant term of the principal specialization prints without x."""
+    code, out, _ = run_cli(capsys, "jack", "--shape", "")
+    assert code == 0
+    assert out.splitlines()[2] == "principal = (1)"
+
+
 def test_jack_pretty(capsys):
     code, out, _ = run_cli(capsys, "jack", "--shape", "2,1")
     assert code == 0
@@ -180,6 +187,31 @@ def test_oracle_rooted_totals(capsys):
     code, out, _ = run_cli(capsys, "oracle", "rooted", "--edges", "2", "--surface", "all")
     assert code == 0
     assert out.strip().splitlines()[-1] == "total: 24"
+
+
+def test_oracle_rooted_orientable_reaches_four_edges(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "rooted", "--edges", "4")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "total: 706"
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["--edges", "5"], "the permutation oracle enumerates at most 4 edges, asked for 5"),
+        (
+            ["--edges", "4", "--surface", "all"],
+            "the matching oracle enumerates at most 3 edges, asked for 4",
+        ),
+    ],
+)
+def test_oracle_rooted_refusal_names_the_limit(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(maporacle, "_orientable_counts", _enumeration_started)
+    monkeypatch.setattr(maporacle, "_locally_orientable_counts", _enumeration_started)
+    code, out, err = run_cli(capsys, "oracle", "rooted", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_oracle_lambda_json(capsys):

@@ -93,7 +93,7 @@ def test_rooted_locally_orientable_one_edge():
 
 
 def test_rooted_totals():
-    for n, expected in ((1, 2), (2, 10), (3, 74)):
+    for n, expected in ((1, 2), (2, 10), (3, 74), (4, 706)):
         assert sum(rooted_orientable_counts(n).values()) == expected
     for n, expected in ((1, 3), (2, 24), (3, 297)):
         assert sum(rooted_locally_orientable_counts(n).values()) == expected
@@ -115,9 +115,15 @@ def test_oracles_match_series_specializations():
 
 
 def test_rooted_counts_respect_enumeration_bound():
-    with pytest.raises(TruncationError, match="larger bound="):
-        rooted_orientable_counts(4)
-    with pytest.raises(TruncationError, match="larger bound="):
+    with pytest.raises(
+        TruncationError,
+        match="the permutation oracle enumerates at most 4 edges, asked for 5",
+    ):
+        rooted_orientable_counts(5)
+    with pytest.raises(
+        TruncationError,
+        match="the matching oracle enumerates at most 3 edges, asked for 4",
+    ):
         rooted_locally_orientable_counts(4)
     with pytest.raises(ValueError):
         rooted_orientable_counts(0)
