@@ -1,11 +1,12 @@
 """Exact Euler characteristics of moduli of real and complex curves.
 
 Everything is computed in exact rational arithmetic.  The core pipeline
-expands a Jack-polynomial generating series into counts of rooted maps on
-surfaces, graded by a parameter b, and assembles from them the parametrized
-Euler characteristics xi^s_g(gamma) together with their classical
-specializations.  Independent closed-form and brute-force enumeration
-routes cross-check every number the package produces.
+counts rooted maps on surfaces, graded by a parameter b, with the b-deformed
+Tutte recursion (checked against a Jack-polynomial generating series), and
+assembles from them the parametrized Euler characteristics xi^s_g(gamma)
+together with their classical specializations.  Independent closed-form and
+brute-force enumeration routes cross-check every number the package
+produces.
 """
 
 from __future__ import annotations

@@ -453,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-edges",
         type=int,
         default=3,
-        help="series truncation used by the map-count checks (default: 3)",
+        help="series truncation used by the map-count checks, at most "
+        f"{MAX_EDGE_TRUNCATION} (default: 3)",
     )
     verify.set_defaults(run=cmd_verify_all)
 

@@ -1,8 +1,19 @@
-"""The parametrized map series and the refined map-count polynomials.
+"""The refined map-count polynomials, and the Jack series that cross-checks them.
 
-The generating series for rooted maps on all surfaces, with a parameter
-interpolating between orientable (b = 0) and locally orientable (b = 1)
-enumeration, is assembled from Jack symmetric functions:
+The refined map numbers m(i, j, n) count rooted maps with n edges, j faces
+and vertex distribution i (vertices of any valence >= 1) as polynomials in
+a nonorientability parameter b: b = 0 selects orientable surfaces, b = 1
+counts maps on all surfaces.  `map_count_table` reads them off the joint
+cumulants kappa_mu of the b-deformed Gaussian ensemble (`btutte`), mu being
+the vertex-valence partition:
+
+    m(i, j, n) = [N^j] 2n kappa_mu / (z_mu (1 + b)^(l(mu) - 1)).
+
+Both divisions are exact, and every coefficient must come out an integer;
+any remainder raises `ExtractionError`.
+
+The same numbers also come from the generating series assembled from Jack
+symmetric functions:
 
     S(z) = sum over partitions theta of even weight 2m of
            z^m * J_theta(y; alpha) * J_theta(1_x; alpha)
@@ -13,13 +24,12 @@ enumeration, is assembled from Jack symmetric functions:
 The z^n coefficient of M is a linear combination of power sums p_mu(y)
 whose coefficients are polynomials in x over rational functions of alpha.
 Reading mu as the vertex-valence multiset, the x-degree as the face count
-j, and substituting alpha = b + 1 yields the refined map numbers
-m(i, j, n) as polynomials in b: the coefficient count of rooted maps with
-n edges, j faces and vertex distribution i, graded by a nonorientability
-statistic.  Vertices of a map here may have any valence >= 1.
-
-alpha stays symbolic through the logarithm and the Euler operator;
-b enters only at extraction, after all rational-function cancellation.
+j, and substituting alpha = b + 1 yields m(i, j, n) again.  alpha stays
+symbolic through the logarithm and the Euler operator; b enters only at
+extraction, after all rational-function cancellation.  This route solves
+every Jack function up to weight 2n, so it stops at
+`JACK_ROUTE_MAX_EDGES`; the verification suite compares it with the
+recursion row for row.
 """
 
 from __future__ import annotations
@@ -31,23 +41,30 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
+from . import btutte
 from .arith import AlphaFn, TruncatedSeries, UniPoly
 from .partitions import (
     Partition,
     partition_from_distribution,
     partitions_of,
     vertex_distribution_of,
+    z_of,
 )
 from .symfunc import PowerSumExpr, hook_product, jack, jack_norm_factors
 
-#: Largest supported truncation.  The 5-edge table (Jack weight 10) takes
-#: about 25 s on 2 vCPUs, most of it in the S(z) assembly; 6 edges has never
-#: been measured.
-MAX_EDGE_TRUNCATION = 5
+#: Largest supported truncation of `map_count_table`.  The recursion builds
+#: the 10-edge table (6454 rows) in about 2 s on 2 vCPUs; each further edge
+#: costs about three times as much.
+MAX_EDGE_TRUNCATION = 10
+
+#: Largest truncation of the Jack route (`jack_partition_sum`, `map_series`).
+#: At 5 edges it solves every Jack function of weight 10 and takes about
+#: 20 s on 2 vCPUs, most of it in the S(z) assembly.
+JACK_ROUTE_MAX_EDGES = 5
 
 
 class ExtractionError(RuntimeError):
-    """A map-series coefficient failed polynomiality or integrality checks."""
+    """A map count failed a polynomiality, divisibility or integrality check."""
 
 
 class MapKey(NamedTuple):
@@ -106,6 +123,14 @@ class MapCountTable:
         )
 
 
+def check_truncation(max_n: int, bound: int = MAX_EDGE_TRUNCATION) -> None:
+    """Raise ValueError unless 1 <= max_n <= bound."""
+    if max_n < 1:
+        raise ValueError(f"truncation {max_n} is below 1")
+    if max_n > bound:
+        raise ValueError(f"truncation {max_n} exceeds supported bound {bound}")
+
+
 def jack_partition_sum(max_n: int) -> TruncatedSeries:
     """The Jack-function partition sum S(z), truncated at z**max_n.
 
@@ -117,12 +142,7 @@ def jack_partition_sum(max_n: int) -> TruncatedSeries:
     a polynomial in x over AlphaFn.  Odd-weight shapes contribute nothing
     since no pure-2 partition exists there.
     """
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
-    if max_n > MAX_EDGE_TRUNCATION:
-        raise ValueError(
-            f"truncation {max_n} exceeds supported bound {MAX_EDGE_TRUNCATION}"
-        )
+    check_truncation(max_n, JACK_ROUTE_MAX_EDGES)
     coeffs: list[object] = [PowerSumExpr.one()]
     for m in range(1, max_n + 1):
         coeffs.append(_partition_sum_level(m))
@@ -237,10 +257,63 @@ def extract_map_counts(series: TruncatedSeries) -> MapCountTable:
     return MapCountTable(entries=entries, max_n=series.max_order)
 
 
+def counts_from_cumulant(mu: Partition, kappa: btutte.Poly) -> dict[int, UniPoly]:
+    """The rows [N^j] 2n kappa / (z_mu (1 + b)^(l - 1)) of one valence partition.
+
+    kappa is the joint cumulant of mu as a {(N-power, b-power): int} dict.
+    Returns the nonzero b-polynomials keyed by face count j; a remainder in
+    either division raises `ExtractionError`.
+    """
+    n, z = mu.weight // 2, z_of(mu)
+    by_face: dict[int, list[int]] = {}
+    for (j, d), c in kappa.items():
+        row = by_face.setdefault(j, [])
+        row.extend([0] * (d + 1 - len(row)))
+        row[d] = c
+    rows = {}
+    for j, coeffs in by_face.items():
+        for _ in range(mu.length - 1):
+            coeffs, remainder = _divide_by_one_plus_b(coeffs)
+            if remainder:
+                raise ExtractionError(
+                    f"kappa at mu={mu.parts}, N^{j} is not divisible by "
+                    f"(1+b)^{mu.length - 1}"
+                )
+        if any(2 * n * c % z for c in coeffs):
+            raise ExtractionError(
+                f"non-integer b-coefficient at n={n}, mu={mu.parts}, j={j}: "
+                f"2n * {coeffs} / {z}"
+            )
+        poly = UniPoly("b", [Fraction(2 * n * c // z) for c in coeffs])
+        if poly:
+            rows[j] = poly
+    return rows
+
+
+def _divide_by_one_plus_b(coeffs: list[int]) -> tuple[list[int], int]:
+    """Quotient and remainder of a b-polynomial (coefficients by degree) by 1 + b."""
+    quotient = []
+    carry = 0
+    for c in reversed(coeffs[1:]):
+        carry = c - carry
+        quotient.append(carry)
+    quotient.reverse()
+    return quotient, (coeffs[0] if coeffs else 0) - carry
+
+
 @lru_cache(maxsize=None)
 def map_count_table(max_n: int) -> MapCountTable:
-    """The full extraction pipeline, cached per truncation.  Treat as immutable."""
-    return extract_map_counts(map_series(max_n))
+    """Every refined count through max_n edges, from the b-Tutte recursion.
+
+    Cached per truncation.  Treat as immutable.
+    """
+    check_truncation(max_n)
+    entries: dict[MapKey, UniPoly] = {}
+    for n in range(1, max_n + 1):
+        for mu in partitions_of(2 * n):
+            for j, poly in counts_from_cumulant(mu, btutte.cumulant(mu.parts)).items():
+                entries[MapKey(vertex_distribution_of(mu), j, n).validate()] = poly
+    return MapCountTable(entries=entries, max_n=max_n)
 
 
 def specialize_counts(table: MapCountTable, b_value: Fraction) -> dict[MapKey, Fraction]:

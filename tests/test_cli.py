@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from mapchi import arith, maporacle, symfunc
+from mapchi import arith, btutte, maporacle, symfunc
 from mapchi.cli import main
 
 
@@ -74,7 +74,7 @@ def test_euler_xi_routes_print_same_coefficients(capsys):
 
 
 def test_euler_xi_maps_route_rejects_deep_requests(capsys):
-    code, _, err = run_cli(capsys, "euler", "xi", "--g", "2", "--s", "1", "--route", "maps")
+    code, _, err = run_cli(capsys, "euler", "xi", "--g", "3", "--s", "2", "--route", "maps")
     assert code == 2
     assert "beyond the supported bound" in err
 
@@ -263,7 +263,9 @@ def _enumeration_started(*args, **kwargs):
         ["maps", "table", "--b", "1/0"],
         ["maps", "table", "--b", "x"],
         ["maps", "table", "--max-edges", "0"],
-        ["maps", "table", "--max-edges", "6"],
+        ["maps", "table", "--max-edges", "11"],
+        ["verify-all", "--max-edges", "0"],
+        ["verify-all", "--max-edges", "11"],
         ["oracle", "rooted", "--edges", "5"],
         ["oracle", "rooted", "--edges", "4", "--surface", "all"],
         ["oracle", "glue", "--sides", "3"],
@@ -280,6 +282,7 @@ def test_bad_arguments_exit_2_with_one_error_line(capsys, monkeypatch, argv):
     monkeypatch.setattr(maporacle, "_locally_orientable_counts", _enumeration_started)
     monkeypatch.setattr(maporacle, "_evaluate_gluing", _enumeration_started)
     monkeypatch.setattr(symfunc, "_solve_jack", _enumeration_started)
+    monkeypatch.setattr(btutte, "cumulant", _enumeration_started)
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse refuses values its types reject

@@ -5,6 +5,7 @@ from __future__ import annotations
 import doctest
 
 import mapchi.arith
+import mapchi.btutte
 import mapchi.eulerchar
 import mapchi.maporacle
 import mapchi.mapseries
@@ -15,6 +16,7 @@ MODULES = (
     mapchi.arith,
     mapchi.partitions,
     mapchi.symfunc,
+    mapchi.btutte,
     mapchi.mapseries,
     mapchi.eulerchar,
     mapchi.maporacle,

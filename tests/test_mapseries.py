@@ -11,6 +11,7 @@ from mapchi.mapseries import (
     ExtractionError,
     MapCountTable,
     MapKey,
+    counts_from_cumulant,
     extract_map_counts,
     jack_partition_sum,
     map_count_table,
@@ -18,8 +19,10 @@ from mapchi.mapseries import (
     nonneg_report,
     specialize_counts,
 )
+from mapchi.partitions import Partition
 from mapchi.symfunc import PowerSumExpr
-from mapchi.verify import REFERENCE_COUNTS
+from mapchi.verify import REFERENCE_COUNTS, ROOTED_TOTALS_ORIENTABLE
+
 
 def test_series_first_coefficient():
     """z^1 coefficient of S(z) is (x/(2 alpha)) p_11 + (x(x + alpha - 1)/(2 alpha)) p_2."""
@@ -45,6 +48,29 @@ def test_map_counts_match_known_table():
     table = map_count_table(3)
     assert table.entries == {
         key: UniPoly("b", coeffs) for key, coeffs in REFERENCE_COUNTS.items()
+    }
+
+
+def test_recursion_equals_jack_route():
+    assert map_count_table(3).entries == extract_map_counts(map_series(3)).entries
+
+
+def test_orientable_totals_through_eight_edges():
+    by_b0 = specialize_counts(map_count_table(8), Fraction(0))
+    for n in range(1, 9):
+        total = sum(v for k, v in by_b0.items() if k.n == n)
+        assert total == ROOTED_TOTALS_ORIENTABLE[n]
+
+
+def test_cumulant_division_remainders_raise():
+    # (1, 1) needs one factor 1 + b, which N alone does not have.
+    with pytest.raises(ExtractionError, match="not divisible"):
+        counts_from_cumulant(Partition((1, 1)), {(1, 0): 1})
+    # (2, 2): 2n = 4 times (1 + b) / (1 + b) = 1, over z = 8.
+    with pytest.raises(ExtractionError, match="non-integer"):
+        counts_from_cumulant(Partition((2, 2)), {(1, 0): 1, (1, 1): 1})
+    assert counts_from_cumulant(Partition((1, 1)), {(1, 0): 1, (1, 1): 1}) == {
+        1: UniPoly("b", (1,))
     }
 
 
@@ -134,3 +160,7 @@ def test_truncation_guards():
         jack_partition_sum(0)
     with pytest.raises(ValueError):
         jack_partition_sum(6)
+    with pytest.raises(ValueError):
+        map_count_table(0)
+    with pytest.raises(ValueError):
+        map_count_table(11)
