@@ -37,8 +37,9 @@ for sides in ((2,), (4,), (2, 2)):
     print(f"\nDouble-cover lifting checked on {len(sides)} polygon(s) "
           f"{list(sides)}: {checked} nonorientable gluings")
 
-# Rooted maps by direct enumeration.  Totals 2, 10, 74 (orientable) and
-# 3, 24, 297 (all surfaces) are the classical sequences.
+# Rooted maps by direct enumeration, each generated once in canonical order
+# from the root.  Totals 2, 10, 74 (orientable) and 3, 24, 297 (all
+# surfaces) are the classical sequences.
 print("\nRooted maps with 2 edges, all surfaces:")
 counts = rooted_locally_orientable_counts(2)
 for key in sorted(counts, key=lambda k: (k.j, k.i)):

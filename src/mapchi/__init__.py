@@ -41,7 +41,6 @@ from .eulerchar import (
 )
 from .maporacle import (
     GlueCensus,
-    NormalizationError,
     double_cover_lift_check,
     glue_census,
     lambda_from_census,
@@ -88,7 +87,6 @@ __all__ = [
     "MapCountTable",
     "MapKey",
     "NonnegativityViolation",
-    "NormalizationError",
     "ParityError",
     "Partition",
     "PowerSumExpr",

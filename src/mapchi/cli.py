@@ -49,6 +49,15 @@ MAX_JACK_WEIGHT = 14
 #: configurations and take about 12 s; 14 sides would be 26 times as many.
 MAX_GLUE_SIDES = 12
 
+#: Largest g and s the `euler` commands accept: g = 599, s = 600 takes about
+#: 2 s, almost all of it the Bernoulli recurrence to B_600, whose cost grows
+#: about like the cube of the index (g = 1000 takes about 9 s).
+MAX_EULER_INDEX = 600
+
+#: Largest t-order g + s - 1 to which `euler xi --route logw` expands log W:
+#: order 36 takes about 2 s, order 59 about 13 s.
+MAX_LOGW_ORDER = 36
+
 
 def _refuse(message: str) -> int:
     """Print one ``error:`` line to stderr and return the failure exit code."""
@@ -107,9 +116,17 @@ def cmd_maps_table(args) -> int:
 
 
 def cmd_euler_xi(args) -> int:
+    if args.g < 1 or args.s < 1:
+        return _refuse("xi is defined here for g >= 1 and s >= 1")
+    if max(args.g, args.s) > MAX_EULER_INDEX:
+        return _refuse(f"euler accepts g and s of at most {MAX_EULER_INDEX}")
     if args.route == "closed":
         poly = xi_closed(args.g, args.s)
     elif args.route == "logw":
+        if args.g + args.s - 1 > MAX_LOGW_ORDER:
+            return _refuse(
+                f"the logw route expands log W to order g+s-1 of at most {MAX_LOGW_ORDER}"
+            )
         poly = xi_from_logW(args.g, args.s)
     else:
         needed = 3 * args.g + 3 * args.s - 3
@@ -135,6 +152,8 @@ def cmd_euler_xi(args) -> int:
 
 
 def cmd_euler_chi(args) -> int:
+    if max(args.g, args.s) > MAX_EULER_INDEX:
+        return _refuse(f"euler accepts g and s of at most {MAX_EULER_INDEX}")
     if args.variant == "real":
         value = chi_real(args.g, args.s)
     elif args.variant == "complex":
@@ -393,19 +412,20 @@ def build_parser() -> argparse.ArgumentParser:
     euler = sub.add_parser("euler", help="Euler characteristics")
     euler_sub = euler.add_subparsers(dest="subcommand", required=True)
     xi = euler_sub.add_parser("xi", help="the parametrized xi^s_g, in 1/gamma")
-    xi.add_argument("--g", type=int, required=True)
-    xi.add_argument("--s", type=int, required=True)
+    xi.add_argument("--g", type=int, required=True, help=f"at most {MAX_EULER_INDEX}")
+    xi.add_argument("--s", type=int, required=True, help=f"at most {MAX_EULER_INDEX}")
     xi.add_argument(
         "--route",
         choices=("closed", "logw", "maps"),
         default="closed",
-        help="which of the three equal computations to run (default: closed)",
+        help="which of the three equal computations to run (default: closed); "
+        f"logw needs g+s-1 <= {MAX_LOGW_ORDER}",
     )
     xi.set_defaults(run=cmd_euler_xi)
     chi = euler_sub.add_parser("chi", help="classical specializations")
     chi.add_argument("--variant", choices=("real", "complex", "fixed"), required=True)
-    chi.add_argument("--g", type=int, required=True)
-    chi.add_argument("--s", type=int, required=True)
+    chi.add_argument("--g", type=int, required=True, help=f"at most {MAX_EULER_INDEX}")
+    chi.add_argument("--s", type=int, required=True, help=f"at most {MAX_EULER_INDEX}")
     chi.add_argument("--m", type=int, default=None, help="fixed-curve count")
     chi.add_argument(
         "--separating",

@@ -11,29 +11,33 @@ Two unrelated combinatorial models cross-check the algebraic map series:
   F = s polygons.
 
 * encoded rooted maps: an orientable rooted map with n edges is a
-  permutation nu on 2n edge-end labels together with the fixed involution
-  eps0 = (0 1)(2 3)...; vertices are cycles of nu, faces are cycles of
-  nu o eps0, and connectedness is transitivity of the generated group.
-  A locally orientable rooted map is a triple of perfect matchings on 4n
-  flags (four per edge): two fixed matchings carry the edge structure and
-  the third ranges over all (4n-1)!! candidates; vertices and faces are
-  orbits of pairs of matchings.
+  permutation sigma on 2n darts together with the fixed involution
+  alpha = (0 1)(2 3)...; vertices are cycles of sigma and faces are cycles
+  of sigma o alpha.  A rooted map on any surface is a triple of perfect
+  matchings on 4n flags (four per edge): two fixed matchings carry the edge
+  structure and the third glues the edges; vertices and faces are orbits
+  of pairs of matchings.
 
-Normalizations from labeled censuses down to rooted counts are derived
-once, validated against forced small cases, and asserted integral
-everywhere else.  Each model enumerates up to a fixed edge count,
-`MAX_ORIENTABLE_EDGES` (4) for the permutations and
-`MAX_LOCALLY_ORIENTABLE_EDGES` (3) for the matchings; larger requests
-raise `TruncationError` before any enumeration starts.
+Each rooted-map census generates every rooted map exactly once, in the
+canonical order from the root (Walsh 1983, "Generating nonisomorphic maps
+without storing them"): the root gets label 0, and the next unset image is
+either an already-labelled element or the first element of a new edge,
+which takes the next free labels.  A generated structure is the canonical
+labelling of its own rooted map, so no labelling is visited twice, no count
+is divided, and connectedness holds by construction.  The search never
+closes a map before it has n edges, so it has no dead ends and its leaves
+are exactly the rooted maps.  Each model enumerates up to a fixed edge
+count, `MAX_ORIENTABLE_EDGES` (6) for the permutations and
+`MAX_LOCALLY_ORIENTABLE_EDGES` (5) for the matchings; larger requests raise
+`TruncationError` before any enumeration starts.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 
 from .eulerchar import (
     LambdaTriple,
@@ -45,17 +49,13 @@ from .eulerchar import (
 from .mapseries import MapKey
 from .partitions import Partition, vertex_distribution_of
 
-#: Largest edge count of the permutation census: it visits all (2n)!
-#: permutations, 40,320 at n = 4 (about 0.4 s); n = 5 would be 3,628,800.
-MAX_ORIENTABLE_EDGES = 4
+#: Largest edge count of the permutation census: 110,410 rooted maps at
+#: n = 6 (about 0.7 s); n = 7 would be 1,708,394.
+MAX_ORIENTABLE_EDGES = 6
 
-#: Largest edge count of the matching census: it visits all (4n-1)!!
-#: matchings, 10,395 at n = 3; n = 4 would be 2,027,025.
-MAX_LOCALLY_ORIENTABLE_EDGES = 3
-
-
-class NormalizationError(RuntimeError):
-    """A labeled census did not divide evenly into rooted counts."""
+#: Largest edge count of the matching census: 100,278 rooted maps at n = 5
+#: (about 0.7 s); n = 6 would be 2,450,304.
+MAX_LOCALLY_ORIENTABLE_EDGES = 5
 
 
 # ---------------------------------------------------------------------------
@@ -364,28 +364,20 @@ def _check_edges(n: int, limit: int, model: str) -> None:
         )
 
 
-def _rooted(
-    raw: dict[tuple[tuple[int, ...], int], int], divisor: int, n: int, model: str
-) -> dict[MapKey, int]:
-    """Rooted counts from a labeled census keyed by (valences, faces), in
-    (distribution, faces) order; every class must divide by `divisor`."""
+def _by_map_key(raw: dict[tuple[tuple[int, ...], int], int], n: int) -> dict[MapKey, int]:
+    """A census keyed by (valences, faces), rekeyed by `MapKey` in
+    (distribution, faces) order."""
     classes = {
         (vertex_distribution_of(Partition(valences)), faces): count
         for (valences, faces), count in raw.items()
     }
-    counts: dict[MapKey, int] = {}
-    for (dist, faces), count in sorted(classes.items()):
-        rooted, rest = divmod(count, divisor)
-        if rest:
-            raise NormalizationError(
-                f"{model} census class {dist}, j={faces} has size {count}, "
-                f"not divisible by {divisor}"
-            )
-        counts[MapKey(dist, faces, n).validate()] = rooted
-    return counts
+    return {
+        MapKey(dist, faces, n).validate(): count
+        for (dist, faces), count in sorted(classes.items())
+    }
 
 
-def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
+def _cycle_lengths(perm: list[int]) -> list[int]:
     seen = [False] * len(perm)
     lengths = []
     for x in range(len(perm)):
@@ -400,17 +392,38 @@ def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
     return lengths
 
 
+def _orbit_sizes(m3: list[int], fixed: int) -> list[int]:
+    """Orbit sizes of the group generated by x -> x xor `fixed` and `m3`.
+
+    Both generators are fixed-point-free involutions, so every orbit is a
+    cycle that alternates them and has even size.
+    """
+    seen = [False] * len(m3)
+    sizes = []
+    for x in range(len(m3)):
+        if seen[x]:
+            continue
+        size = 0
+        while not seen[x]:
+            y = x ^ fixed
+            seen[x] = seen[y] = True
+            x = m3[y]
+            size += 2
+        sizes.append(size)
+    return sizes
+
+
 def rooted_orientable_counts(n: int) -> dict[MapKey, int]:
     """Rooted orientable maps with n edges, by vertex distribution and faces.
 
-    Enumerates all permutations nu of the 2n edge-end labels against the
-    fixed pairing eps0(x) = x xor 1, keeping transitive pairs.  The labeled
-    census relates to rooted counts through the relabeling group: over all
-    (2n-1)!! choices of the pairing, each rooted map is encoded by exactly
-    (2n-1)! transitive pairs (label 1 pinned at the root), so with eps0
-    frozen the class counts divide by (2n-1)!/(2n-1)!! = 2^{n-1} (n-1)!.
-    Integrality of every quotient is asserted.  At most
-    `MAX_ORIENTABLE_EDGES` edges.
+    A map is a rotation sigma on 2n darts against the edge involution
+    alpha(x) = x xor 1 (edge k has darts 2k and 2k+1); vertices are cycles
+    of sigma and faces are cycles of sigma o alpha.  The root dart is 0 and
+    sigma is built in label order: sigma(d) is either a labelled dart that
+    is nobody's image yet, or the first dart of a new edge, which takes the
+    next two labels.  This is the canonical labelling of exactly one rooted
+    map, so each rooted map is generated once and nothing is divided.  At
+    most `MAX_ORIENTABLE_EDGES` edges.
 
     >>> rooted_orientable_counts(1)
     {MapKey(i=(0, 1), j=2, n=1): 1, MapKey(i=(2,), j=1, n=1): 1}
@@ -421,37 +434,49 @@ def rooted_orientable_counts(n: int) -> dict[MapKey, int]:
 
 @lru_cache(maxsize=None)
 def _orientable_counts(n: int) -> dict[MapKey, int]:
+    darts = 2 * n
+    sigma = [0] * darts
+    unreached = [False] * darts  # labelled darts that are no dart's sigma-image
+    unreached[0] = unreached[1] = True
     raw: dict[tuple[tuple[int, ...], int], int] = {}
-    labels = 2 * n
-    for nu in permutations(range(labels)):
-        dsu = _DSU(labels)
-        for x in range(labels):
-            dsu.union(x, nu[x])
-            dsu.union(x, x ^ 1)
-        if dsu.count != 1:
-            continue
-        valences = tuple(sorted(_cycle_lengths(nu), reverse=True))
-        faces = len(_cycle_lengths(tuple(nu[x ^ 1] for x in range(labels))))
-        key = (valences, faces)
-        raw[key] = raw.get(key, 0) + 1
-    return _rooted(raw, 2 ** (n - 1) * math.factorial(n - 1), n, "permutation")
+
+    def extend(d: int, labelled: int) -> None:
+        # Darts below d have their image; labelled - d darts are unreached.
+        if d == labelled:
+            valences = tuple(sorted(_cycle_lengths(sigma), reverse=True))
+            faces = len(_cycle_lengths([sigma[x ^ 1] for x in range(darts)]))
+            raw[valences, faces] = raw.get((valences, faces), 0) + 1
+            return
+        if labelled < darts:
+            sigma[d] = labelled
+            unreached[labelled + 1] = True
+            extend(d + 1, labelled + 2)
+            unreached[labelled + 1] = False
+        # Taking the last unreached dart closes the map: only with n edges.
+        if labelled == darts or labelled - d > 1:
+            for e in range(labelled):
+                if unreached[e]:
+                    unreached[e] = False
+                    sigma[d] = e
+                    extend(d + 1, labelled)
+                    unreached[e] = True
+
+    extend(0, 2)
+    return _by_map_key(raw, n)
 
 
 def rooted_locally_orientable_counts(n: int) -> dict[MapKey, int]:
     """Rooted maps on all surfaces with n edges, by vertex distribution and faces.
 
-    Each edge contributes four flags 4e..4e+3; the fixed matchings
+    Each edge k contributes four flags 4k..4k+3; the fixed matchings
     m1(x) = x xor 1 (same side) and m2(x) = x xor 2 (same end) carry the
-    edge structure, while the third matching ranges over all (4n-1)!!
-    pairings of the flags.  Vertices are orbits of <m2, m3> (valence =
-    orbit size / 2), faces are orbits of <m1, m3>, and connectedness is
-    transitivity of all three.
-
-    The rooted normalization divides the census by 4^{n-1} (n-1)!, the
-    number of flag relabelings fixing the root flag: calibrated against
-    the three 1-edge rooted maps, where the divisor is 1 and the census
-    must reproduce the totals {(i=(2),j=1): 1, (i=(0,1),j=1): 1,
-    (i=(0,1),j=2): 1} exactly; asserted integral for larger n.  At most
+    edge structure, and a third matching m3 glues the edges.  Vertices are
+    orbits of <m2, m3> (valence = orbit size / 2) and faces are orbits of
+    <m1, m3>.  The root flag is 0 and m3 is built in label order: the next
+    flag d with m3(d) unset is matched either to a later labelled flag with
+    m3 unset, or to flag 4k of a new edge k, whose four flags take the next
+    labels.  This is the canonical labelling of exactly one rooted map, so
+    each rooted map is generated once and nothing is divided.  At most
     `MAX_LOCALLY_ORIENTABLE_EDGES` edges.
 
     >>> rooted_locally_orientable_counts(2)[MapKey((0, 0, 0, 1), 1, 2)]
@@ -464,44 +489,34 @@ def rooted_locally_orientable_counts(n: int) -> dict[MapKey, int]:
 @lru_cache(maxsize=None)
 def _locally_orientable_counts(n: int) -> dict[MapKey, int]:
     flags = 4 * n
+    m3 = [-1] * flags
     raw: dict[tuple[tuple[int, ...], int], int] = {}
-    for matching in _matchings(tuple(range(flags))):
-        m3 = [0] * flags
-        for a, b in matching:
-            m3[a] = b
-            m3[b] = a
-        conn = _DSU(flags)
-        for x in range(flags):
-            conn.union(x, x ^ 1)
-            conn.union(x, x ^ 2)
-            conn.union(x, m3[x])
-        if conn.count != 1:
-            continue
-        verts = _DSU(flags)
-        facedsu = _DSU(flags)
-        for x in range(flags):
-            verts.union(x, x ^ 2)
-            verts.union(x, m3[x])
-            facedsu.union(x, x ^ 1)
-            facedsu.union(x, m3[x])
-        orbit_sizes = sorted(verts.class_sizes().values(), reverse=True)
-        if any(size % 2 for size in orbit_sizes):
-            raise NormalizationError("odd vertex orbit in matching model")
-        valences = tuple(size // 2 for size in orbit_sizes)
-        key = (valences, facedsu.count)
-        raw[key] = raw.get(key, 0) + 1
-    counts = _rooted(raw, 4 ** (n - 1) * math.factorial(n - 1), n, "matching")
-    if n == 1:
-        expected = {
-            MapKey((2,), 1, 1): 1,
-            MapKey((0, 1), 1, 1): 1,
-            MapKey((0, 1), 2, 1): 1,
-        }
-        if counts != expected:
-            raise NormalizationError(
-                f"calibration against the 1-edge rooted maps failed: {counts}"
-            )
-    return counts
+
+    def extend(d: int, labelled: int, unmatched: int) -> None:
+        # Flags below d are matched; `unmatched` labelled flags are not.
+        while d < labelled and m3[d] >= 0:
+            d += 1
+        if d == labelled:
+            vertices = _orbit_sizes(m3, 2)
+            valences = tuple(sorted((size // 2 for size in vertices), reverse=True))
+            faces = len(_orbit_sizes(m3, 1))
+            raw[valences, faces] = raw.get((valences, faces), 0) + 1
+            return
+        if labelled < flags:
+            m3[d], m3[labelled] = labelled, d
+            extend(d + 1, labelled + 4, unmatched + 2)
+            m3[labelled] = -1
+        # Matching the last two unmatched flags closes the map: only with n edges.
+        if labelled == flags or unmatched > 2:
+            for e in range(d + 1, labelled):
+                if m3[e] < 0:
+                    m3[d], m3[e] = e, d
+                    extend(d + 1, labelled, unmatched - 2)
+                    m3[e] = -1
+        m3[d] = -1
+
+    extend(0, 4, 4)
+    return _by_map_key(raw, n)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from mapchi import arith, btutte, maporacle, symfunc
+from mapchi import arith, btutte, cli, maporacle, symfunc
 from mapchi.cli import main
 
 
@@ -77,6 +77,20 @@ def test_euler_xi_maps_route_rejects_deep_requests(capsys):
     code, _, err = run_cli(capsys, "euler", "xi", "--g", "3", "--s", "2", "--route", "maps")
     assert code == 2
     assert "beyond the supported bound" in err
+
+
+@pytest.mark.parametrize("route", ["closed", "logw", "maps"])
+@pytest.mark.parametrize(("g", "s"), [("0", "1"), ("1", "0")])
+def test_euler_xi_routes_refuse_small_indices_alike(capsys, route, g, s):
+    code, out, err = run_cli(capsys, "euler", "xi", "--g", g, "--s", s, "--route", route)
+    assert code == 2
+    assert out == ""
+    assert err == "error: xi is defined here for g >= 1 and s >= 1\n"
+
+
+def test_euler_index_limit_is_inclusive(capsys):
+    code, out, _ = run_cli(capsys, "euler", "chi", "--variant", "real", "--g", "0", "--s", "600")
+    assert code == 0 and out.strip() == "0"
 
 
 def test_euler_chi_variants(capsys):
@@ -198,10 +212,10 @@ def test_oracle_rooted_orientable_reaches_four_edges(capsys):
 @pytest.mark.parametrize(
     ("argv", "message"),
     [
-        (["--edges", "5"], "the permutation oracle enumerates at most 4 edges, asked for 5"),
+        (["--edges", "7"], "the permutation oracle enumerates at most 6 edges, asked for 7"),
         (
-            ["--edges", "4", "--surface", "all"],
-            "the matching oracle enumerates at most 3 edges, asked for 4",
+            ["--edges", "6", "--surface", "all"],
+            "the matching oracle enumerates at most 5 edges, asked for 6",
         ),
     ],
 )
@@ -266,13 +280,22 @@ def _enumeration_started(*args, **kwargs):
         ["maps", "table", "--max-edges", "11"],
         ["verify-all", "--max-edges", "0"],
         ["verify-all", "--max-edges", "11"],
-        ["oracle", "rooted", "--edges", "5"],
-        ["oracle", "rooted", "--edges", "4", "--surface", "all"],
+        ["oracle", "rooted", "--edges", "7"],
+        ["oracle", "rooted", "--edges", "6", "--surface", "all"],
         ["oracle", "glue", "--sides", "3"],
         ["oracle", "glue", "--sides", "14"],
         ["jack", "--shape", "0"],
         ["jack", "--shape", "15"],
         ["euler", "xi", "--g", "0", "--s", "1"],
+        ["euler", "xi", "--g", "0", "--s", "1", "--route", "maps"],
+        ["euler", "xi", "--g", "1", "--s", "0", "--route", "maps"],
+        ["euler", "xi", "--g", "601", "--s", "1"],
+        ["euler", "xi", "--g", "1", "--s", "601"],
+        ["euler", "xi", "--g", "1", "--s", "37", "--route", "logw"],
+        ["euler", "xi", "--g", "37", "--s", "1", "--route", "logw"],
+        ["euler", "chi", "--variant", "real", "--g", "601", "--s", "1"],
+        ["euler", "chi", "--variant", "complex", "--g", "1", "--s", "601"],
+        ["euler", "chi", "--variant", "fixed", "--g", "601", "--s", "1", "--m", "0"],
     ],
     ids=" ".join,
 )
@@ -283,6 +306,15 @@ def test_bad_arguments_exit_2_with_one_error_line(capsys, monkeypatch, argv):
     monkeypatch.setattr(maporacle, "_evaluate_gluing", _enumeration_started)
     monkeypatch.setattr(symfunc, "_solve_jack", _enumeration_started)
     monkeypatch.setattr(btutte, "cumulant", _enumeration_started)
+    for worker in (
+        "xi_closed",
+        "xi_from_logW",
+        "xi_from_maps",
+        "chi_real",
+        "chi_complex",
+        "chi_fixed_curves",
+    ):
+        monkeypatch.setattr(cli, worker, _enumeration_started)
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse refuses values its types reject

@@ -85,6 +85,8 @@ def test_rooted_orientable_one_edge():
 
 
 def test_rooted_locally_orientable_one_edge():
+    """The three 1-edge rooted maps: a loop on the sphere, a twisted loop on
+    the projective plane and an isthmus, each exactly once."""
     assert rooted_locally_orientable_counts(1) == {
         MapKey((2,), 1, 1): 1,
         MapKey((0, 1), 1, 1): 1,
@@ -93,9 +95,9 @@ def test_rooted_locally_orientable_one_edge():
 
 
 def test_rooted_totals():
-    for n, expected in ((1, 2), (2, 10), (3, 74), (4, 706)):
+    for n, expected in ((1, 2), (2, 10), (3, 74), (4, 706), (5, 8162)):
         assert sum(rooted_orientable_counts(n).values()) == expected
-    for n, expected in ((1, 3), (2, 24), (3, 297)):
+    for n, expected in ((1, 3), (2, 24), (3, 297), (4, 4896)):
         assert sum(rooted_locally_orientable_counts(n).values()) == expected
 
 
@@ -117,14 +119,14 @@ def test_oracles_match_series_specializations():
 def test_rooted_counts_respect_enumeration_bound():
     with pytest.raises(
         TruncationError,
-        match="the permutation oracle enumerates at most 4 edges, asked for 5",
+        match="the permutation oracle enumerates at most 6 edges, asked for 7",
     ):
-        rooted_orientable_counts(5)
+        rooted_orientable_counts(7)
     with pytest.raises(
         TruncationError,
-        match="the matching oracle enumerates at most 3 edges, asked for 4",
+        match="the matching oracle enumerates at most 5 edges, asked for 6",
     ):
-        rooted_locally_orientable_counts(4)
+        rooted_locally_orientable_counts(6)
     with pytest.raises(ValueError):
         rooted_orientable_counts(0)
 
