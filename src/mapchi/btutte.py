@@ -29,6 +29,11 @@ from collections import Counter
 from functools import lru_cache
 from itertools import product
 
+#: Largest supported truncation of `mapseries.map_count_table`.  The
+#: recursion builds the 10-edge table (6454 rows) in about 2 s on 2 vCPUs;
+#: each further edge costs about three times as much.
+MAX_EDGE_TRUNCATION = 10
+
 #: A polynomial in N and b, as {(N-power, b-power): integer coefficient}.
 Poly = dict[tuple[int, int], int]
 

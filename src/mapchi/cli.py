@@ -8,36 +8,20 @@ enumerators, and ``verify-all`` runs the self-verification suite.
 Data formats are byte-deterministic: rows are emitted in a fixed sort
 order, rationals as ``p/q`` strings, polynomials as JSON arrays of
 coefficient strings indexed by degree.
+
+Each command handler imports the layer it runs when it runs, so a command
+pays for importing only the modules it uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import logging
 import sys
 from fractions import Fraction
 
-from . import __version__
-from .arith import poly_str
-from .eulerchar import (
-    chi_complex,
-    chi_fixed_curves,
-    chi_real,
-    xi_closed,
-    xi_from_logW,
-    xi_from_maps,
-)
-from .maporacle import (
-    glue_census,
-    lambda_from_census,
-    rooted_locally_orientable_counts,
-    rooted_orientable_counts,
-)
-from .mapseries import MAX_EDGE_TRUNCATION, map_count_table
+from . import EXIT_FAILURE, __version__
+from .btutte import MAX_EDGE_TRUNCATION
 from .partitions import Partition
-from .symfunc import jack
-from .verify import EXIT_FAILURE, CheckResult, run_verify
 
 FORMATS = ("pretty", "json", "csv")
 
@@ -66,6 +50,8 @@ def _refuse(message: str) -> int:
 
 
 def _print_json(payload) -> None:
+    import json
+
     print(json.dumps(payload, indent=2))
 
 
@@ -82,6 +68,9 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def cmd_maps_table(args) -> int:
+    from .arith import poly_str
+    from .mapseries import map_count_table
+
     table = map_count_table(args.max_edges)
     rows = []
     for key in table.keys_sorted():
@@ -116,6 +105,9 @@ def cmd_maps_table(args) -> int:
 
 
 def cmd_euler_xi(args) -> int:
+    from .arith import poly_str
+    from .eulerchar import xi_closed, xi_from_logW, xi_from_maps
+
     if args.g < 1 or args.s < 1:
         return _refuse("xi is defined here for g >= 1 and s >= 1")
     if max(args.g, args.s) > MAX_EULER_INDEX:
@@ -135,6 +127,8 @@ def cmd_euler_xi(args) -> int:
                 f"the maps route for xi({args.g},{args.s}) needs map counts "
                 f"through n={needed}, beyond the supported bound {MAX_EDGE_TRUNCATION}"
             )
+        from .mapseries import map_count_table
+
         poly = xi_from_maps(args.g, args.s, map_count_table(needed))
     if args.format == "json":
         _print_json(
@@ -152,6 +146,10 @@ def cmd_euler_xi(args) -> int:
 
 
 def cmd_euler_chi(args) -> int:
+    from .eulerchar import chi_complex, chi_fixed_curves, chi_real
+
+    if args.variant != "fixed" and (args.m is not None or args.separating):
+        return _refuse("--m and --separating apply only to --variant fixed")
     if max(args.g, args.s) > MAX_EULER_INDEX:
         return _refuse(f"euler accepts g and s of at most {MAX_EULER_INDEX}")
     if args.variant == "real":
@@ -194,6 +192,9 @@ def _parse_shape(text: str) -> Partition:
 
 
 def cmd_jack(args) -> int:
+    from .arith import poly_str
+    from .symfunc import jack
+
     if args.shape.weight > MAX_JACK_WEIGHT:
         return _refuse(f"jack solves shapes of weight at most {MAX_JACK_WEIGHT}")
     rec = jack(args.shape)
@@ -246,6 +247,8 @@ def _parse_sides(text: str) -> tuple[int, ...]:
 
 
 def cmd_oracle_glue(args) -> int:
+    from .maporacle import glue_census
+
     if sum(args.sides) > MAX_GLUE_SIDES:
         return _refuse(f"oracle glue enumerates at most {MAX_GLUE_SIDES} sides in total")
     census = glue_census(*args.sides, collect_patterns=args.patterns)
@@ -297,6 +300,8 @@ def cmd_oracle_glue(args) -> int:
 
 
 def cmd_oracle_rooted(args) -> int:
+    from .maporacle import rooted_locally_orientable_counts, rooted_orientable_counts
+
     if args.surface == "orientable":
         counts = rooted_orientable_counts(args.edges)
     else:
@@ -323,6 +328,8 @@ def cmd_oracle_rooted(args) -> int:
 
 
 def cmd_oracle_lambda(args) -> int:
+    from .maporacle import lambda_from_census
+
     triple = lambda_from_census(args.g, args.s)
     if args.format == "json":
         _print_json(
@@ -347,6 +354,8 @@ def cmd_oracle_lambda(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    from .verify import CheckResult, run_verify
+
     def report_line(result: CheckResult) -> None:
         tag = {"pass": "PASS", "fail": "FAIL", "skip": "SKIP"}[result.status]
         if result.status == "pass" and args.verbosity == 0:
@@ -382,13 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="count",
         default=0,
         dest="verbosity",
-        help="print timings and extra detail",
+        help="verify-all only: print every check's detail, and its time to stderr",
     )
     parser.add_argument(
         "--format",
         choices=FORMATS,
         default="pretty",
-        help="output format (default: pretty)",
+        help="output format (default: pretty); csv only for maps table",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -483,11 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbosity else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
+    if args.format == "csv" and args.run is not cmd_maps_table:
+        return _refuse("--format csv is available only for maps table")
     try:
         return args.run(args)
     except (ValueError, RuntimeError) as exc:

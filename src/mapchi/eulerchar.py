@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, TypeVar
+from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
 from .arith import AlphaFn, TruncatedSeries, UniPoly, bernoulli
-from .mapseries import MapCountTable, MapKey
+
+if TYPE_CHECKING:
+    from .mapseries import MapCountTable, MapKey
 
 INV_GAMMA = "1/gamma"
 
@@ -278,8 +279,7 @@ def lambda_values(g: int, s: int) -> LambdaTriple:
     return LambdaTriple(total=lam, orientable=lam_o, nonorientable=lam - lam_o)
 
 
-@dataclass(frozen=True)
-class ChiValue:
+class ChiValue(NamedTuple):
     """An Euler characteristic with its defining indices."""
 
     value: Fraction

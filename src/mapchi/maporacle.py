@@ -34,10 +34,10 @@ count, `MAX_ORIENTABLE_EDGES` (6) for the permutations and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .eulerchar import (
     LambdaTriple,
@@ -139,8 +139,7 @@ def _matchings(items: tuple[int, ...]):
             yield ((first, partner),) + tail
 
 
-@dataclass(frozen=True)
-class GlueOutcome:
+class GlueOutcome(NamedTuple):
     vertices: int
     chi: int
     orientable: bool
@@ -221,17 +220,21 @@ def _pattern_word(sides: tuple[int, ...], pairs, twists) -> str:
     return " | ".join(words)
 
 
-@dataclass
 class GlueCensus:
-    """Exhaustive census of the gluings of a fixed polygon collection."""
+    """Exhaustive census of the gluings of a fixed polygon collection.
 
-    sides: tuple[int, ...]
-    edge_count: int
-    raw_count: int = 0
-    connected_count: int = 0
-    by_chi: dict[tuple[int, bool], int] = field(default_factory=dict)
-    by_chi_filtered: dict[tuple[int, bool], int] = field(default_factory=dict)
-    patterns_filtered: dict[tuple[int, bool], list[str]] = field(default_factory=dict)
+    The counts and the (chi, orientable)-keyed tallies start empty and are
+    filled by `glue_census`.
+    """
+
+    def __init__(self, sides: tuple[int, ...], edge_count: int):
+        self.sides = sides
+        self.edge_count = edge_count
+        self.raw_count = 0
+        self.connected_count = 0
+        self.by_chi: dict[tuple[int, bool], int] = {}
+        self.by_chi_filtered: dict[tuple[int, bool], int] = {}
+        self.patterns_filtered: dict[tuple[int, bool], list[str]] = {}
 
     def lambda_nonorientable(self, genus: int) -> int:
         """Connected nonorientable gluings of Euler characteristic 1 - genus,

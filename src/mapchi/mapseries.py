@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -50,12 +49,7 @@ from .partitions import (
     vertex_distribution_of,
     z_of,
 )
-from .symfunc import PowerSumExpr, hook_product, jack, jack_norm_factors
-
-#: Largest supported truncation of `map_count_table`.  The recursion builds
-#: the 10-edge table (6454 rows) in about 2 s on 2 vCPUs; each further edge
-#: costs about three times as much.
-MAX_EDGE_TRUNCATION = 10
+from .btutte import MAX_EDGE_TRUNCATION
 
 #: Largest truncation of the Jack route (`jack_partition_sum`, `map_series`).
 #: At 5 edges it solves every Jack function of weight 10 and takes about
@@ -105,12 +99,12 @@ class MapKey(NamedTuple):
         return self.j == s and not any(self.i[:2]) and self.euler_characteristic == 1 - g
 
 
-@dataclass(frozen=True)
 class MapCountTable:
     """Refined map-count polynomials in b for every key with n <= max_n."""
 
-    entries: dict[MapKey, UniPoly]
-    max_n: int
+    def __init__(self, entries: dict[MapKey, UniPoly], max_n: int):
+        self.entries = entries
+        self.max_n = max_n
 
     def __getitem__(self, key: MapKey) -> UniPoly:
         return self.entries[key]
@@ -142,6 +136,8 @@ def jack_partition_sum(max_n: int) -> TruncatedSeries:
     a polynomial in x over AlphaFn.  Odd-weight shapes contribute nothing
     since no pure-2 partition exists there.
     """
+    from .symfunc import PowerSumExpr
+
     check_truncation(max_n, JACK_ROUTE_MAX_EDGES)
     coeffs: list[object] = [PowerSumExpr.one()]
     for m in range(1, max_n + 1):
@@ -157,6 +153,8 @@ def _partition_sum_level(m: int) -> PowerSumExpr:
     the polynomial (D / norm) * p2coeff * principal * expansion, and only
     the final coefficients are reduced, once each, as AlphaFn(sum, D).
     """
+    from .symfunc import PowerSumExpr, hook_product, jack, jack_norm_factors
+
     contributions = []
     common: Counter[tuple[int, int]] = Counter()
     content_lcm = 1
@@ -217,6 +215,8 @@ def extract_map_counts(series: TruncatedSeries) -> MapCountTable:
     diagnostics, since it would contradict the framework.  Zero polynomials
     are omitted.
     """
+    from .symfunc import PowerSumExpr
+
     b_plus_one = UniPoly("b", (Fraction(1), Fraction(1)))
     entries: dict[MapKey, UniPoly] = {}
     for n in range(1, series.max_order + 1):
@@ -321,8 +321,9 @@ def specialize_counts(table: MapCountTable, b_value: Fraction) -> dict[MapKey, F
     return {key: Fraction(poly.eval(Fraction(b_value))) for key, poly in table.entries.items()}
 
 
-@dataclass(frozen=True)
-class NonnegativityViolation:
+class NonnegativityViolation(NamedTuple):
+    """The first negative b-coefficient of one table entry."""
+
     key: MapKey
     poly: UniPoly
     degree: int

@@ -25,7 +25,6 @@ per shape, and the operator once per weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -242,8 +241,7 @@ def expand_in_variables(expr: PowerSumExpr) -> dict[Partition, object]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JackRecord:
+class JackRecord(NamedTuple):
     """A computed Jack function together with its derived statistics.
 
     Every value is a polynomial in alpha with integer coefficients
@@ -512,8 +510,7 @@ def _level(n: int) -> _Level:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CauchyReport:
+class CauchyReport(NamedTuple):
     """Outcome of comparing both sides of the alpha-deformed Cauchy identity."""
 
     ok: bool

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from mapchi import arith, btutte, cli, maporacle, symfunc
+from mapchi import arith, btutte, eulerchar, maporacle, symfunc
 from mapchi.cli import main
 
 
@@ -296,11 +296,24 @@ def _enumeration_started(*args, **kwargs):
         ["euler", "chi", "--variant", "real", "--g", "601", "--s", "1"],
         ["euler", "chi", "--variant", "complex", "--g", "1", "--s", "601"],
         ["euler", "chi", "--variant", "fixed", "--g", "601", "--s", "1", "--m", "0"],
+        ["euler", "chi", "--variant", "real", "--g", "1", "--s", "1", "--m", "2"],
+        ["euler", "chi", "--variant", "complex", "--g", "1", "--s", "1", "--separating"],
+        ["--format", "csv", "jack", "--shape", "2"],
+        ["--format", "csv", "euler", "xi", "--g", "1", "--s", "1"],
+        ["--format", "csv", "euler", "chi", "--variant", "real", "--g", "1", "--s", "1"],
+        ["--format", "csv", "oracle", "glue", "--sides", "4"],
+        ["--format", "csv", "oracle", "rooted", "--edges", "2"],
+        ["--format", "csv", "oracle", "lambda", "--g", "1", "--s", "1"],
+        ["--format", "csv", "verify-all"],
     ],
     ids=" ".join,
 )
 def test_bad_arguments_exit_2_with_one_error_line(capsys, monkeypatch, argv):
-    """Malformed or oversized arguments are refused before any enumeration."""
+    """Malformed or oversized arguments are refused before any enumeration.
+
+    The handlers look their workers up in the worker's module when they run,
+    so patching the module attribute is enough to catch a call.
+    """
     monkeypatch.setattr(maporacle, "_orientable_counts", _enumeration_started)
     monkeypatch.setattr(maporacle, "_locally_orientable_counts", _enumeration_started)
     monkeypatch.setattr(maporacle, "_evaluate_gluing", _enumeration_started)
@@ -314,7 +327,7 @@ def test_bad_arguments_exit_2_with_one_error_line(capsys, monkeypatch, argv):
         "chi_complex",
         "chi_fixed_curves",
     ):
-        monkeypatch.setattr(cli, worker, _enumeration_started)
+        monkeypatch.setattr(eulerchar, worker, _enumeration_started)
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse refuses values its types reject

@@ -21,7 +21,7 @@ from mapchi.mapseries import (
 )
 from mapchi.partitions import Partition
 from mapchi.symfunc import PowerSumExpr
-from mapchi.verify import REFERENCE_COUNTS, ROOTED_TOTALS_ORIENTABLE
+from mapchi.verify import REFERENCE_COUNTS, ROOTED_TOTALS_ALL, ROOTED_TOTALS_ORIENTABLE
 
 
 def test_series_first_coefficient():
@@ -60,6 +60,12 @@ def test_orientable_totals_through_eight_edges():
     for n in range(1, 9):
         total = sum(v for k, v in by_b0.items() if k.n == n)
         assert total == ROOTED_TOTALS_ORIENTABLE[n]
+
+
+def test_all_surface_totals_through_six_edges():
+    by_b1 = specialize_counts(map_count_table(6), Fraction(1))
+    totals = {n: sum(v for k, v in by_b1.items() if k.n == n) for n in range(1, 7)}
+    assert totals == ROOTED_TOTALS_ALL
 
 
 def test_cumulant_division_remainders_raise():
