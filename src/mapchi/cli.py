@@ -10,16 +10,20 @@ order, rationals as ``p/q`` strings, polynomials as JSON arrays of
 coefficient strings indexed by degree.
 
 Each command handler imports the layer it runs when it runs, so a command
-pays for importing only the modules it uses.
+pays for importing only the modules it uses.  One table, `COMMANDS`, states
+every command with its options; a small parser reads it for parsing,
+``-h``/``--help`` and every refusal, which is one ``error:`` line on stderr
+with exit code 2.  Options are matched exactly, never by prefix.
 """
 
 from __future__ import annotations
 
-import argparse
+import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
-from . import EXIT_FAILURE, __version__
+from . import EXIT_FAILURE, EXIT_OK, __version__
 from .btutte import MAX_EDGE_TRUNCATION
 from .partitions import Partition
 
@@ -37,10 +41,6 @@ MAX_GLUE_SIDES = 12
 #: 2 s, almost all of it the Bernoulli recurrence to B_600, whose cost grows
 #: about like the cube of the index (g = 1000 takes about 9 s).
 MAX_EULER_INDEX = 600
-
-#: Largest t-order g + s - 1 to which `euler xi --route logw` expands log W:
-#: order 36 takes about 2 s, order 59 about 13 s.
-MAX_LOGW_ORDER = 36
 
 
 def _refuse(message: str) -> int:
@@ -64,7 +64,7 @@ def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+        raise ValueError(f"not a rational number: {text!r}") from None
 
 
 def cmd_maps_table(args) -> int:
@@ -115,10 +115,6 @@ def cmd_euler_xi(args) -> int:
     if args.route == "closed":
         poly = xi_closed(args.g, args.s)
     elif args.route == "logw":
-        if args.g + args.s - 1 > MAX_LOGW_ORDER:
-            return _refuse(
-                f"the logw route expands log W to order g+s-1 of at most {MAX_LOGW_ORDER}"
-            )
         poly = xi_from_logW(args.g, args.s)
     else:
         needed = 3 * args.g + 3 * args.s - 3
@@ -188,7 +184,7 @@ def _parse_shape(text: str) -> Partition:
     try:
         return Partition(tuple(int(p) for p in text.split(",")))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad shape {text!r}: {exc}") from None
+        raise ValueError(f"bad shape {text!r}: {exc}") from None
 
 
 def cmd_jack(args) -> int:
@@ -240,9 +236,9 @@ def _parse_sides(text: str) -> tuple[int, ...]:
     try:
         sides = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad side list {text!r}") from None
+        raise ValueError(f"bad side list {text!r}") from None
     if not sides or any(s < 1 for s in sides):
-        raise argparse.ArgumentTypeError("side counts must be positive")
+        raise ValueError("side counts must be positive")
     return sides
 
 
@@ -374,130 +370,304 @@ def cmd_verify_all(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Command table and parser
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mapchi",
-        description="Exact Euler characteristics of moduli of real and complex "
-        "curves via map enumeration.",
-    )
-    parser.add_argument("--version", action="version", version=f"mapchi {__version__}")
-    parser.add_argument(
-        "-v",
-        "--verbose",
-        action="count",
-        default=0,
-        dest="verbosity",
-        help="verify-all only: print every check's detail, and its time to stderr",
-    )
-    parser.add_argument(
-        "--format",
-        choices=FORMATS,
-        default="pretty",
-        help="output format (default: pretty); csv only for maps table",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
 
-    maps = sub.add_parser("maps", help="refined map-count polynomials")
-    maps_sub = maps.add_subparsers(dest="subcommand", required=True)
-    table = maps_sub.add_parser("table", help="print the table of counts in b")
-    table.add_argument(
-        "--max-edges",
-        type=int,
-        default=3,
-        help=f"series truncation, at most {MAX_EDGE_TRUNCATION} (default: 3)",
-    )
-    table.add_argument(
-        "--b",
-        type=_parse_rational,
-        default=None,
-        help="specialize b to this rational (0 orientable, 1 all surfaces)",
-    )
-    table.set_defaults(run=cmd_maps_table)
 
-    euler = sub.add_parser("euler", help="Euler characteristics")
-    euler_sub = euler.add_subparsers(dest="subcommand", required=True)
-    xi = euler_sub.add_parser("xi", help="the parametrized xi^s_g, in 1/gamma")
-    xi.add_argument("--g", type=int, required=True, help=f"at most {MAX_EULER_INDEX}")
-    xi.add_argument("--s", type=int, required=True, help=f"at most {MAX_EULER_INDEX}")
-    xi.add_argument(
-        "--route",
-        choices=("closed", "logw", "maps"),
-        default="closed",
-        help="which of the three equal computations to run (default: closed); "
-        f"logw needs g+s-1 <= {MAX_LOGW_ORDER}",
-    )
-    xi.set_defaults(run=cmd_euler_xi)
-    chi = euler_sub.add_parser("chi", help="classical specializations")
-    chi.add_argument("--variant", choices=("real", "complex", "fixed"), required=True)
-    chi.add_argument("--g", type=int, required=True, help=f"at most {MAX_EULER_INDEX}")
-    chi.add_argument("--s", type=int, required=True, help=f"at most {MAX_EULER_INDEX}")
-    chi.add_argument("--m", type=int, default=None, help="fixed-curve count")
-    chi.add_argument(
-        "--separating",
-        action="store_true",
-        help="fixed curves separate the quotient (variant fixed only)",
-    )
-    chi.set_defaults(run=cmd_euler_chi)
+#: The default of an option that must be given.
+REQUIRED = object()
 
-    jackp = sub.add_parser("jack", help="a Jack function with its statistics")
-    jackp.add_argument(
-        "--shape",
-        type=_parse_shape,
-        required=True,
-        help=f"comma-separated partition of weight at most {MAX_JACK_WEIGHT}, e.g. 2,1",
-    )
-    jackp.set_defaults(run=cmd_jack)
+PRETTY_JSON = ("pretty", "json")
 
-    oracle = sub.add_parser("oracle", help="brute-force enumerators")
-    oracle_sub = oracle.add_subparsers(dest="subcommand", required=True)
-    glue = oracle_sub.add_parser("glue", help="polygon-gluing census")
-    glue.add_argument(
-        "--sides",
-        type=_parse_sides,
-        required=True,
-        help=f"comma-separated polygon side counts, at most {MAX_GLUE_SIDES} in "
-        "total, e.g. 4 or 4,2",
-    )
-    glue.add_argument(
-        "--patterns", action="store_true", help="list boundary words (valence >= 3)"
-    )
-    glue.set_defaults(run=cmd_oracle_glue)
-    rooted = oracle_sub.add_parser("rooted", help="rooted-map counts by enumeration")
-    rooted.add_argument("--edges", type=int, required=True)
-    rooted.add_argument(
-        "--surface", choices=("orientable", "all"), default="orientable"
-    )
-    rooted.set_defaults(run=cmd_oracle_rooted)
-    lam = oracle_sub.add_parser("lambda", help="Lambda values from the censuses")
-    lam.add_argument("--g", type=int, required=True)
-    lam.add_argument("--s", type=int, required=True)
-    lam.set_defaults(run=cmd_oracle_lambda)
+#: Help text of each two-word command's first word.
+GROUPS = {
+    "maps": "refined map-count polynomials",
+    "euler": "Euler characteristics",
+    "oracle": "brute-force enumerators",
+}
 
-    verify = sub.add_parser("verify-all", help="run the self-verification suite")
-    verify.add_argument(
-        "--max-edges",
-        type=int,
-        default=3,
-        help="series truncation used by the map-count checks, at most "
-        f"{MAX_EDGE_TRUNCATION} (default: 3)",
-    )
-    verify.set_defaults(run=cmd_verify_all)
+#: Every command: (handler, help, accepted formats, options).  An option is
+#: (flag, converter, default, help): a tuple converter lists the accepted
+#: words, converter None makes a switch (True when given), and the
+#: default REQUIRED makes the option required.  The handler reads each
+#: option as the attribute named after its flag (``--max-edges`` is
+#: ``args.max_edges``), next to ``args.format`` and ``args.verbosity``.
+COMMANDS = {
+    "maps table": (
+        cmd_maps_table,
+        "print the table of counts in b",
+        FORMATS,
+        (
+            ("--max-edges", _parse_int, 3,
+             f"series truncation, at most {MAX_EDGE_TRUNCATION} (default: 3)"),
+            ("--b", _parse_rational, None,
+             "specialize b to this rational (0 orientable, 1 all surfaces)"),
+        ),
+    ),
+    "euler xi": (
+        cmd_euler_xi,
+        "the parametrized xi^s_g, in 1/gamma",
+        PRETTY_JSON,
+        (
+            ("--g", _parse_int, REQUIRED, f"at most {MAX_EULER_INDEX}"),
+            ("--s", _parse_int, REQUIRED, f"at most {MAX_EULER_INDEX}"),
+            ("--route", ("closed", "logw", "maps"), "closed",
+             "which of the three equal computations to run (default: closed)"),
+        ),
+    ),
+    "euler chi": (
+        cmd_euler_chi,
+        "classical specializations",
+        PRETTY_JSON,
+        (
+            ("--variant", ("real", "complex", "fixed"), REQUIRED, "which moduli space"),
+            ("--g", _parse_int, REQUIRED, f"at most {MAX_EULER_INDEX}"),
+            ("--s", _parse_int, REQUIRED, f"at most {MAX_EULER_INDEX}"),
+            ("--m", _parse_int, None, "fixed-curve count (variant fixed only)"),
+            ("--separating", None, False,
+             "fixed curves separate the quotient (variant fixed only)"),
+        ),
+    ),
+    "jack": (
+        cmd_jack,
+        "a Jack function with its statistics",
+        PRETTY_JSON,
+        (
+            ("--shape", _parse_shape, REQUIRED,
+             f"comma-separated partition of weight at most {MAX_JACK_WEIGHT}, e.g. 2,1"),
+        ),
+    ),
+    "oracle glue": (
+        cmd_oracle_glue,
+        "polygon-gluing census",
+        PRETTY_JSON,
+        (
+            ("--sides", _parse_sides, REQUIRED,
+             f"comma-separated polygon side counts, at most {MAX_GLUE_SIDES} in total, "
+             "e.g. 4 or 4,2"),
+            ("--patterns", None, False, "list boundary words (valence >= 3)"),
+        ),
+    ),
+    "oracle rooted": (
+        cmd_oracle_rooted,
+        "rooted-map counts by enumeration",
+        PRETTY_JSON,
+        (
+            ("--edges", _parse_int, REQUIRED, "number of edges"),
+            ("--surface", ("orientable", "all"), "orientable",
+             "orientable maps or maps on all surfaces (default: orientable)"),
+        ),
+    ),
+    "oracle lambda": (
+        cmd_oracle_lambda,
+        "Lambda values from the censuses",
+        PRETTY_JSON,
+        (
+            ("--g", _parse_int, REQUIRED, "genus"),
+            ("--s", _parse_int, REQUIRED, "number of marked points"),
+        ),
+    ),
+    "verify-all": (
+        cmd_verify_all,
+        "run the self-verification suite",
+        ("pretty",),
+        (
+            ("--max-edges", _parse_int, 3,
+             "series truncation used by the map-count checks, at most "
+             f"{MAX_EDGE_TRUNCATION} (default: 3)"),
+        ),
+    ),
+}
 
-    return parser
+#: The options taken before the command, for the top-level help.
+GLOBAL_OPTIONS = (
+    ("-h, --help", "show this help and exit"),
+    ("--version", "print the version and exit"),
+    ("-v, --verbose", "verify-all only: print every check's detail, and its time to stderr"),
+    (
+        f"--format {{{','.join(FORMATS)}}}",
+        "output format (default: pretty); csv only for maps table, pretty only for verify-all",
+    ),
+)
+
+
+def _spec(option) -> str:
+    """An option as the help shows it: ``--g G``, ``--route {a,b}``, ``--patterns``."""
+    flag, convert, _, _ = option
+    if convert is None:
+        return flag
+    if isinstance(convert, tuple):
+        return f"{flag} {{{','.join(convert)}}}"
+    return f"{flag} {flag[2:].upper().replace('-', '_')}"
+
+
+def _rows(title: str, rows) -> list[str]:
+    width = max(len(left) for left, _ in rows) + 2
+    return ["", f"{title}:", *(f"  {left:<{width}}{text}".rstrip() for left, text in rows)]
+
+
+def _help(name: str) -> str:
+    """The ``-h`` text of the top level (name ''), a command group or a command."""
+    if name in COMMANDS:
+        _, text, formats, options = COMMANDS[name]
+        usage = [_spec(o) if o[2] is REQUIRED else f"[{_spec(o)}]" for o in options]
+        lines = [
+            f"usage: mapchi [global options] {name} [-h] {' '.join(usage)}",
+            "",
+            f"{text}; formats: {', '.join(formats)}",
+            *_rows("options", [GLOBAL_OPTIONS[0], *((_spec(o), o[3]) for o in options)]),
+        ]
+    else:
+        prefix = f"{name} " if name else ""
+        commands = [(c[len(prefix):], COMMANDS[c][1]) for c in COMMANDS if c.startswith(prefix)]
+        if name:
+            head = [f"usage: mapchi [global options] {name} COMMAND [options]", "", GROUPS[name]]
+            options = [GLOBAL_OPTIONS[0]]
+        else:
+            head = [
+                "usage: mapchi [global options] COMMAND [options]",
+                "",
+                "Exact Euler characteristics of moduli of real and complex curves via "
+                "map enumeration.",
+            ]
+            options = list(GLOBAL_OPTIONS)
+        lines = [*head, *_rows("commands", commands), *_rows("options", options)]
+    return "\n".join(lines)
+
+
+def _choices(prefix: str) -> str:
+    """The words that may follow `prefix` ('' or a group and a space)."""
+    words = dict.fromkeys(c[len(prefix):].split(" ")[0] for c in COMMANDS if c.startswith(prefix))
+    return ", ".join(words)
+
+
+def _split(token: str) -> tuple[str, str | None]:
+    """``--opt=value`` as (``--opt``, ``value``); a token without ``=`` has value None."""
+    flag, eq, inline = token.partition("=")
+    return flag, (inline if eq else None)
+
+
+def _value(flag: str, inline: str | None, tokens: list[str]) -> str:
+    """An option's value: after ``=`` in its own token, else the next token."""
+    if inline is not None:
+        return inline
+    if not tokens or tokens[0].startswith("--"):
+        raise ValueError(f"option {flag} needs a value")
+    return tokens.pop(0)
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _convert(flag: str, convert, text: str):
+    if isinstance(convert, tuple):
+        if text not in convert:
+            raise ValueError(
+                f"option {flag}: invalid choice {text!r} (choose from {', '.join(convert)})"
+            )
+        return text
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ValueError(f"option {flag}: {exc}") from None
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace | str:
+    """Read a command line against `COMMANDS`.
+
+    Returns the arguments, with the handler as ``run``, or the text that
+    ``--version`` or ``-h``/``--help`` prints.  Raises ValueError, with the
+    message `main` prints, for anything the table does not accept.
+    """
+    tokens = list(argv)
+    values: dict[str, object] = {"format": "pretty", "verbosity": 0}
+    while tokens and tokens[0].startswith("-"):
+        token = tokens.pop(0)
+        if token in ("-h", "--help"):
+            return _help("")
+        if token == "--version":
+            return f"mapchi {__version__}"
+        flag, inline = _split(token)
+        if token == "--verbose" or set(token[1:]) == {"v"}:
+            values["verbosity"] += 1 if token == "--verbose" else len(token) - 1
+        elif flag == "--format":
+            values["format"] = _convert(flag, FORMATS, _value(flag, inline, tokens))
+        else:
+            raise ValueError(
+                f"unknown option {flag}; before the command mapchi takes only "
+                "-h, --version, -v and --format"
+            )
+
+    if not tokens:
+        raise ValueError(f"no command given (choose from {_choices('')})")
+    name = group = tokens.pop(0)
+    prefix = f"{group} " if group in GROUPS else ""
+    if prefix:
+        if tokens[:1] in (["-h"], ["--help"]):
+            return _help(group)
+        if not tokens:
+            raise ValueError(f"{group} needs a command (choose from {_choices(prefix)})")
+        name = prefix + tokens.pop(0)
+    if name not in COMMANDS:
+        raise ValueError(f"unknown command {name!r} (choose from {_choices(prefix)})")
+    run, _, formats, options = COMMANDS[name]
+    if "-h" in tokens or "--help" in tokens:
+        return _help(name)
+
+    by_flag = {option[0]: option for option in options}
+    for flag, _, default, _ in options:
+        values[_dest(flag)] = default
+    while tokens:
+        token = tokens.pop(0)
+        if not token.startswith("-"):
+            raise ValueError(f"unexpected argument {token!r}")
+        flag, inline = _split(token)
+        if flag not in by_flag:
+            raise ValueError(f"{name} has no option {flag} (it takes {', '.join(by_flag)})")
+        convert = by_flag[flag][1]
+        if convert is None:
+            if inline is not None:
+                raise ValueError(f"option {flag} takes no value")
+            values[_dest(flag)] = True
+        else:
+            values[_dest(flag)] = _convert(flag, convert, _value(flag, inline, tokens))
+    missing = [flag for flag in by_flag if values[_dest(flag)] is REQUIRED]
+    if missing:
+        raise ValueError(f"{name} requires {', '.join(missing)}")
+    if values["format"] not in formats:
+        raise ValueError(
+            f"{name} does not print --format {values['format']} "
+            f"(it prints {', '.join(formats)})"
+        )
+    return SimpleNamespace(run=run, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.format == "csv" and args.run is not cmd_maps_table:
-        return _refuse("--format csv is available only for maps table")
+    """Run one ``mapchi`` command line and return its exit code."""
     try:
-        return args.run(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            print(args)
+            code = EXIT_OK
+        else:
+            code = args.run(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the exit-time flush
+        return code
     except (ValueError, RuntimeError) as exc:
         return _refuse(str(exc))
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at the null device so
+        # the interpreter's final flush cannot fail again, and exit quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

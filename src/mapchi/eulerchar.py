@@ -7,9 +7,9 @@ side, gamma = 1/2 the real (fixed-point-free involution) side.  Routes:
 
 * `xi_closed`   -- explicit Bernoulli-number closed forms (one branch for
                    even g, one for odd g);
-* `xi_from_logW`-- coefficient extraction from a formal t-series whose
-                   coefficients are polynomials in x over rational
-                   functions of alpha = 1/gamma;
+* `xi_from_logW`-- one coefficient of a formal t-series, log W, whose
+                   coefficients are polynomials in x over Laurent
+                   polynomials in alpha = 1/gamma;
 * `xi_from_maps`-- an alternating sum over refined map counts with
                    b = 1/gamma - 1.
 
@@ -28,7 +28,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
-from .arith import AlphaFn, TruncatedSeries, UniPoly, bernoulli
+from .arith import ALPHA, AlphaFn, TruncatedSeries, UniPoly, bernoulli
 
 if TYPE_CHECKING:
     from .mapseries import MapCountTable, MapKey
@@ -62,21 +62,15 @@ def eval_at_gamma(poly: UniPoly, gamma: Fraction) -> Fraction:
     return Fraction(poly.eval(Fraction(1) / Fraction(gamma)))
 
 
-def _alpha_to_gamma_poly(fn: AlphaFn) -> UniPoly:
-    """Rewrite a polynomial AlphaFn as a polynomial in 1/gamma (same values)."""
-    return UniPoly(INV_GAMMA, fn.as_alpha_poly().coeffs)
-
-
 # ---------------------------------------------------------------------------
 # Route 1: the formal t-series
 # ---------------------------------------------------------------------------
 
 
-def logW_series(max_delta: int) -> TruncatedSeries:
-    """The formal expansion of log W as a t-series through order max_delta.
+def _logW_coefficient(delta: int, s: int) -> dict[int, Fraction]:
+    """[x^s t^delta] log W as a Laurent polynomial {alpha power: coefficient}.
 
-    The coefficient of t^delta is a polynomial in x whose coefficients are
-    Laurent-style rational functions of alpha (= 1/gamma):
+    log W is the formal t-series (alpha = 1/gamma)
 
         log W = -(x/alpha) * sum_{k>=1} B_{2k} t^{2k-1} / (2k (2k-1))
               + sum_{delta>=1} t^delta / (delta (delta+1)) *
@@ -85,64 +79,77 @@ def logW_series(max_delta: int) -> TruncatedSeries:
                   - sum_{m=1}^{r+1} C(r+1, m) (B_{r+1-m} / (r+1))
                        x^m alpha^{r-m} (-1)^{delta-m} ].
 
-    This is a definition of the formal object; no limits are involved.
+    Every term is a monomial in alpha, so one coefficient is a finite sum of
+    them: only the tail (at s = 1), the head with r = s and the inner terms
+    with m = s contribute.  Zero coefficients are dropped; s must be at
+    least 1 (the x^0 coefficient is zero).
+    """
+    terms: dict[int, Fraction] = {}
+
+    def add(power: int, value: Fraction) -> None:
+        terms[power] = terms.get(power, 0) + value
+
+    if s == 1 and delta % 2:
+        add(-1, -bernoulli(delta + 1) / (delta * (delta + 1)))
+    for r in range(max(1, s - 1), delta + 2):
+        br = bernoulli(delta + 1 - r)
+        if not br:
+            continue
+        weight = Fraction(math.comb(delta + 1, r), delta * (delta + 1)) * br
+        if r == s:
+            add(delta - r, -weight if (delta + 1 - r) % 2 else weight)
+        bm = bernoulli(r + 1 - s)
+        if bm:
+            sign = -1 if (delta - s) % 2 else 1
+            add(r - s, -sign * weight * math.comb(r + 1, s) * bm / (r + 1))
+    return {power: c for power, c in terms.items() if c}
+
+
+def _dense(terms: dict[int, Fraction], shift: int) -> list[Fraction]:
+    """The coefficient list of sum_p terms[p] alpha^(p + shift); no p + shift < 0."""
+    coeffs = [Fraction(0)] * (max(terms, default=-shift) + shift + 1)
+    for power, c in terms.items():
+        coeffs[power + shift] = c
+    return coeffs
+
+
+def logW_series(max_delta: int) -> TruncatedSeries:
+    """The formal expansion of log W as a t-series through order max_delta.
+
+    The coefficient of t^delta is a polynomial in x (of degree delta + 2)
+    whose coefficients are Laurent polynomials in alpha (= 1/gamma), held as
+    `AlphaFn` values; `_logW_coefficient` states the series and computes
+    each of them.  This is a definition of the formal object; no limits are
+    involved.
     """
     if max_delta < 1:
         raise ValueError("max_delta must be at least 1")
-    x_zero = UniPoly.zero("x")
-    coeffs: list[UniPoly] = [x_zero for _ in range(max_delta + 1)]
-
-    # Odd-order tail driven by the even Bernoulli numbers.
-    for k in range(1, max_delta // 2 + 2):
-        delta = 2 * k - 1
-        if delta > max_delta:
-            break
-        scalar = AlphaFn.alpha(-1) * Fraction(-bernoulli(2 * k), 2 * k * (2 * k - 1))
-        coeffs[delta] = coeffs[delta] + UniPoly("x", (AlphaFn.zero(), scalar))
-
-    # Double sum over delta and r.
+    coeffs = [UniPoly.zero("x")]
     for delta in range(1, max_delta + 1):
-        outer = Fraction(1, delta * (delta + 1))
-        poly = UniPoly.zero("x")
-        for r in range(1, delta + 2):
-            br = bernoulli(delta + 1 - r)
-            if not br:
-                continue
-            binom = math.comb(delta + 1, r)
-            head = AlphaFn.alpha(delta - r) * Fraction((-1) ** (delta + 1 - r))
-            term = UniPoly.monomial("x", r, head)
-            for m in range(1, r + 2):
-                bm = bernoulli(r + 1 - m)
-                if not bm:
-                    continue
-                sign = -1 if (delta - m) % 2 else 1
-                inner = (
-                    AlphaFn.alpha(r - m)
-                    * Fraction(math.comb(r + 1, m) * sign * bm.numerator,
-                               (r + 1) * bm.denominator)
-                )
-                term = term - UniPoly.monomial("x", m, inner)
-            poly = poly + term * (outer * binom * br)
-        coeffs[delta] = coeffs[delta] + poly
-
+        xcoeffs = [AlphaFn.zero()]
+        for s in range(1, delta + 3):
+            terms = _logW_coefficient(delta, s)
+            shift = -min([0, *terms])
+            num = UniPoly(ALPHA, _dense(terms, shift))
+            xcoeffs.append(AlphaFn(num, UniPoly.monomial(ALPHA, shift)))
+        coeffs.append(UniPoly("x", xcoeffs))
     return TruncatedSeries("t", coeffs, max_delta)
 
 
 def xi_from_logW(g: int, s: int) -> UniPoly:
-    """xi^s_g extracted as s! (-1)^s [x^s t^{g+s-1}] alpha * log W."""
+    """xi^s_g extracted as s! (-1)^s [x^s t^{g+s-1}] alpha * log W.
+
+    Only that one coefficient of the series is computed.
+    """
     if g < 1 or s < 1:
         raise ValueError("xi is defined here for g >= 1 and s >= 1")
-    order = g + s - 1
-    tcoeff = logW_series(order).coefficient(order)
-    xcoeff = tcoeff.coeff(s)
-    if not isinstance(xcoeff, AlphaFn):
-        xcoeff = AlphaFn(xcoeff)
-    value = xcoeff * AlphaFn.alpha() * Fraction((-1) ** s * math.factorial(s))
-    if not value.is_polynomial:
+    terms = _logW_coefficient(g + s - 1, s)
+    if min(terms, default=0) < -1:
         raise RouteMismatchError(
-            f"xi({g},{s}) extraction left a nontrivial denominator: {value!r}"
+            f"xi({g},{s}) extraction left a negative power of 1/gamma: {terms!r}"
         )
-    return _alpha_to_gamma_poly(value)
+    scale = (-1) ** s * math.factorial(s)
+    return UniPoly(INV_GAMMA, [c * scale for c in _dense(terms, 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mapchi import arith, btutte, eulerchar, maporacle, symfunc
+from mapchi import EXIT_FAILURE, arith, btutte, eulerchar, maporacle, symfunc
 from mapchi.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -291,8 +297,8 @@ def _enumeration_started(*args, **kwargs):
         ["euler", "xi", "--g", "1", "--s", "0", "--route", "maps"],
         ["euler", "xi", "--g", "601", "--s", "1"],
         ["euler", "xi", "--g", "1", "--s", "601"],
-        ["euler", "xi", "--g", "1", "--s", "37", "--route", "logw"],
-        ["euler", "xi", "--g", "37", "--s", "1", "--route", "logw"],
+        ["euler", "xi", "--g", "601", "--s", "1", "--route", "logw"],
+        ["euler", "xi", "--g", "1", "--s", "601", "--route", "logw"],
         ["euler", "chi", "--variant", "real", "--g", "601", "--s", "1"],
         ["euler", "chi", "--variant", "complex", "--g", "1", "--s", "601"],
         ["euler", "chi", "--variant", "fixed", "--g", "601", "--s", "1", "--m", "0"],
@@ -305,6 +311,21 @@ def _enumeration_started(*args, **kwargs):
         ["--format", "csv", "oracle", "rooted", "--edges", "2"],
         ["--format", "csv", "oracle", "lambda", "--g", "1", "--s", "1"],
         ["--format", "csv", "verify-all"],
+        ["--format", "json", "verify-all"],
+        ["--format", "xml", "jack", "--shape", "2"],
+        ["euler", "xi", "--g", "x", "--s", "1"],
+        ["euler", "xi", "--s", "1"],
+        ["euler", "xi", "--g", "1", "--s"],
+        ["euler", "xi", "--g", "1", "--s", "1", "--bogus"],
+        ["euler", "xi", "--g", "1", "--s", "1", "extra"],
+        ["euler", "chi", "--variant", "real", "--g", "1", "--s", "1", "--separating=yes"],
+        ["euler", "xi", "--g", "1", "--s", "1", "--route", "series"],
+        ["maps", "table", "--max", "2"],
+        ["maps", "table", "--format", "json"],
+        ["--bogus", "maps", "table"],
+        ["foo"],
+        ["euler"],
+        ["euler", "psi"],
     ],
     ids=" ".join,
 )
@@ -328,19 +349,74 @@ def test_bad_arguments_exit_2_with_one_error_line(capsys, monkeypatch, argv):
         "chi_fixed_curves",
     ):
         monkeypatch.setattr(eulerchar, worker, _enumeration_started)
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse refuses values its types reject
-        code = exc.code
-    err = capsys.readouterr().err
+    code = main(argv)
+    captured = capsys.readouterr()
     assert code == 2
-    assert "error:" in err
-    assert "Traceback" not in err
-    assert "raise the bound" not in err
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and captured.err.endswith("\n")
+    assert "raise the bound" not in captured.err
+
+
+@pytest.mark.parametrize(
+    ("level", "names"),
+    [
+        (
+            [],
+            [
+                "--help",
+                "--version",
+                "--verbose",
+                "--format",
+                "maps table",
+                "euler xi",
+                "euler chi",
+                "jack",
+                "oracle glue",
+                "oracle rooted",
+                "oracle lambda",
+                "verify-all",
+            ],
+        ),
+        (["euler"], ["--help", "xi", "chi"]),
+        (["euler", "xi"], ["--help", "--g", "--s", "--route"]),
+    ],
+    ids=["mapchi", "mapchi euler", "mapchi euler xi"],
+)
+def test_help_names_every_option_of_its_level(capsys, level, names):
+    code, out, err = run_cli(capsys, *level, "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: mapchi ")
+    for name in names:
+        assert name in out
 
 
 def test_version_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--version"])
-    assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("mapchi ")
+    code, out, _ = run_cli(capsys, "--version")
+    assert code == 0
+    assert out.startswith("mapchi ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-all", "--max-edges", "1"], ["maps", "table", "--max-edges", "6"]],
+    ids=" ".join,
+)
+def test_closed_stdout_ends_without_traceback(argv):
+    """A reader that goes away (``mapchi ... | head -1``) leaves no traceback.
+
+    The pipe is closed before the command writes anything, so its first
+    flush fails whatever the output size.
+    """
+    launch = "import sys; from mapchi.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", launch, *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_FAILURE
+    assert err == b""

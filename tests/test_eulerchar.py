@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 
+from mapchi import eulerchar
 from mapchi.arith import AlphaFn, UniPoly, bernoulli
 from mapchi.eulerchar import (
+    INV_GAMMA,
     LambdaTriple,
     ParityError,
+    RouteMismatchError,
     TruncationError,
     chi_complex,
     chi_fixed_curves,
@@ -83,6 +87,22 @@ def test_xi_routes_agree():
     for g in range(1, 6):
         for s in range(1, 4):
             assert xi_from_logW(g, s) == xi_closed(g, s)
+
+
+def test_xi_from_logW_is_one_coefficient_of_the_series():
+    """The one-coefficient route equals s! (-1)^s [x^s t^{g+s-1}] alpha * log W."""
+    for g in range(1, 7):
+        for s in range(1, 5):
+            order = g + s - 1
+            coeff = logW_series(order).coefficient(order).coeff(s)
+            value = coeff * AlphaFn.alpha() * ((-1) ** s * math.factorial(s))
+            assert xi_from_logW(g, s) == UniPoly(INV_GAMMA, value.as_alpha_poly().coeffs)
+
+
+def test_xi_from_logW_refuses_a_leftover_negative_power(monkeypatch):
+    monkeypatch.setattr(eulerchar, "_logW_coefficient", lambda delta, s: {-2: Fraction(1)})
+    with pytest.raises(RouteMismatchError, match="negative power"):
+        xi_from_logW(1, 1)
 
 
 def test_xi_from_maps_matches_closed_form():

@@ -20,10 +20,7 @@ GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
 def run_in_process(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # --version exits through argparse
-            code = exc.code
+        code = main(argv)
     assert code == 0, argv
     return out.getvalue()
 

@@ -57,6 +57,9 @@ def _modules_after(statements: str) -> set[str]:
 
 
 NEVER_ON_IMPORT = {
+    "argparse",
+    "gettext",
+    "locale",
     "dataclasses",
     "inspect",
     "logging",
@@ -83,3 +86,12 @@ def test_maps_table_loads_neither_jack_layer_nor_dataclasses():
     )
     assert "mapchi.mapseries" in loaded
     assert not {"mapchi.symfunc", "dataclasses"} & loaded
+
+
+def test_euler_xi_logw_loads_no_argument_parser():
+    loaded = _modules_after(
+        "from mapchi.cli import main\n"
+        "assert main(['euler', 'xi', '--g', '3', '--s', '2', '--route', 'logw']) == 0"
+    )
+    assert "mapchi.eulerchar" in loaded
+    assert not {"argparse", "gettext", "locale"} & loaded
