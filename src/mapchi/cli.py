@@ -60,7 +60,17 @@ def _print_json(payload) -> None:
 # ---------------------------------------------------------------------------
 
 
+#: The longest rational accepted on the command line.
+MAX_RATIONAL_CHARS = 100
+
+
 def _parse_rational(text: str) -> Fraction:
+    # Fraction builds the whole integer of an exponent like 1e30000000
+    # before anything could check its size, so refuse those first.
+    if len(text) > MAX_RATIONAL_CHARS:
+        raise ValueError(f"rationals are at most {MAX_RATIONAL_CHARS} characters, got {len(text)}")
+    if "e" in text.lower():
+        raise ValueError(f"exponent notation is not accepted: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

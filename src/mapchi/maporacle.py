@@ -64,11 +64,10 @@ MAX_LOCALLY_ORIENTABLE_EDGES = 5
 
 
 class _DSU:
-    __slots__ = ("parent", "count")
+    __slots__ = ("parent",)
 
     def __init__(self, n: int):
         self.parent = list(range(n))
-        self.count = n
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -83,7 +82,6 @@ class _DSU:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
-            self.count -= 1
 
     def class_sizes(self) -> dict[int, int]:
         sizes: dict[int, int] = {}
@@ -171,7 +169,6 @@ def _evaluate_gluing(
     owner, start, end = layout
     total_corners = sum(sides)
     corners = _DSU(total_corners)
-    polys = _DSU(len(sides))
     orient = _ParityDSU(len(sides))
     orientable = True
     for (a, b), twist in zip(pairs, twists):
@@ -181,7 +178,6 @@ def _evaluate_gluing(
         else:
             corners.union(start[a], end[b])
             corners.union(end[a], start[b])
-        polys.union(owner[a], owner[b])
         if not orient.union(owner[a], owner[b], 1 if twist else 0):
             orientable = False
     sizes = corners.class_sizes()
@@ -192,7 +188,9 @@ def _evaluate_gluing(
         vertices=vertices,
         chi=chi,
         orientable=orientable,
-        connected=polys.count == 1,
+        # orient joins the two polygons of every pair, so it also tracks
+        # which polygons the gluing connects.
+        connected=len({orient.find(p)[0] for p in range(len(sides))}) == 1,
         min_valence=min(sizes.values()),
     )
 

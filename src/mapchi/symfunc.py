@@ -21,10 +21,19 @@ recursion only divides them exactly by eigenvalue differences linear in
 alpha, so no rational function and no gcd appears.  The norm and the
 principal specialization are Stanley's hook products.  Records are cached
 per shape, and the operator once per weight.
+
+Both tables the recursion reads are closed combinatorial rules (Stanley
+1989, Adv. Math. 77, "Some combinatorial properties of Jack symmetric
+functions", section 3).  The operator's off-diagonal entry A[nu, mu] sums
+p - q over the ways one pair of parts (u, v) of mu becomes (p, q) with
+p > u and p + q = u + v; it is an integer, free of alpha.  The expansion
+[m_nu] p_mu counts the groupings of the parts of mu into blocks whose
+sums are the parts of nu, times prod_j m_j(nu)!.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -164,43 +173,32 @@ def inner_product(f: PowerSumExpr, g: PowerSumExpr):
 
 
 @lru_cache(maxsize=None)
-def _psum_monomial_dict(parts: tuple[int, ...], nvars: int) -> dict[tuple[int, ...], int]:
-    """Coefficient of each sorted monomial in p_parts expanded in nvars variables.
-
-    Keys are weakly decreasing exponent vectors of length nvars.  Multiplying
-    by p_k uses the pullback rule: the coefficient of x^f in P*p_k is the sum
-    over variable positions j of the coefficient of x^{f - k e_j} in P.
-    """
-    state: dict[tuple[int, ...], int] = {(0,) * nvars: 1}
-    for k in parts:
-        support: set[tuple[int, ...]] = set()
-        for expo in state:
-            for j in range(nvars):
-                lifted = list(expo)
-                lifted[j] += k
-                lifted.sort(reverse=True)
-                support.add(tuple(lifted))
-        new: dict[tuple[int, ...], int] = {}
-        for f in support:
-            total = 0
-            for j in range(nvars):
-                if f[j] >= k:
-                    e = list(f)
-                    e[j] -= k
-                    e.sort(reverse=True)
-                    total += state.get(tuple(e), 0)
-            if total:
-                new[f] = total
-        state = new
-    return state
-
-
 def _monomial_row(mu: Partition) -> dict[Partition, int]:
-    """p_mu as {exponent partition: coefficient}, in the |mu| variables it needs."""
-    return {
-        Partition(tuple(e for e in expo if e)): cnt
-        for expo, cnt in _psum_monomial_dict(mu.parts, mu.weight).items()
-    }
+    """p_mu in the monomial basis, {nu: [m_nu] p_mu}.
+
+    [m_nu] p_mu counts the ways to group the parts of mu into blocks whose
+    sums are the parts of nu, times prod_j m_j(nu)! for placing the blocks
+    on variables with equal exponents (Stanley 1989, Adv. Math. 77, section
+    3).  The grouping is counted part by part: each part joins one of the
+    blocks so far or opens a new one, tallied by the sorted block sums.
+    """
+    ways: dict[tuple[int, ...], int] = {(): 1}
+    for k in mu.parts:
+        grown: dict[tuple[int, ...], int] = {}
+        for sums, count in ways.items():
+            blocks = sums + (0,)  # the last block is a new, empty one
+            for i in range(len(blocks)):
+                key = blocks[:i] + (blocks[i] + k,) + blocks[i + 1 :]
+                key = tuple(sorted(filter(None, key), reverse=True))
+                grown[key] = grown.get(key, 0) + count
+        ways = grown
+    row: dict[Partition, int] = {}
+    for sums, count in ways.items():
+        nu = Partition(sums)
+        for m in nu.multiplicities().values():
+            count *= math.factorial(m)
+        row[nu] = count
+    return row
 
 
 @lru_cache(maxsize=None)
@@ -415,93 +413,51 @@ class _Level(NamedTuple):
     inverse[mu]: m_mu in the power-sum basis, {rho: coefficient}.
     """
 
-    column: dict[Partition, list[tuple[Partition, UniPoly]]]
+    column: dict[Partition, list[tuple[Partition, int]]]
     inverse: dict[Partition, dict[Partition, Fraction]]
-
-
-def _cut_and_join(rho: Partition) -> dict[Partition, UniPoly]:
-    """Delta p_rho in the power-sum basis, with alpha-polynomial coefficients.
-
-        Delta = 1/2 sum_{i,j} (alpha i j p_{i+j} d_i d_j + (i+j) p_i p_j d_{i+j})
-                + (alpha - 1)/2 sum_i i (i-1) p_i d_i
-
-    The first sum joins two parts of rho, the second cuts one part in two.
-    Its eigenvalue on J_mu is e_mu.
-    """
-    mult = rho.multiplicities()
-    out: dict[Partition, UniPoly] = {}
-
-    def add(removed, added, value) -> None:
-        parts = list(rho.parts)
-        for p in removed:
-            parts.remove(p)
-        key = Partition(sorted(parts + list(added), reverse=True))
-        out[key] = out.get(key, 0) + value
-
-    for i in mult:
-        for j in mult:
-            pairs = mult[i] * (mult[j] - 1) if i == j else mult[i] * mult[j]
-            if pairs:
-                add((i, j), (i + j,), UniPoly(ALPHA, (Fraction(0), Fraction(i * j * pairs, 2))))
-    for k, m_k in mult.items():
-        for i in range(1, k):
-            add((k,), (i, k - i), UniPoly(ALPHA, (Fraction(k * m_k, 2),)))
-    diagonal = Fraction(sum(k * (k - 1) * m_k for k, m_k in mult.items()), 2)
-    add((), (), UniPoly(ALPHA, (-diagonal, diagonal)))
-    return out
 
 
 @lru_cache(maxsize=None)
 def _level(n: int) -> _Level:
-    """Conjugate Delta into the monomial basis: A = M^-1 P M.
+    """The weight-n operator in the monomial basis, and the inverse of M.
 
-    M is the power-sum to monomial table, triangular in reverse-lex order, so
-    its inverse comes from back-substitution.  The result must again be
-    triangular with the eigenvalues e_mu on its diagonal; anything else
-    raises `JackSystemError`.
+    The operator follows Stanley's rule (Stanley 1989, Adv. Math. 77,
+    section 3).  For each pair of parts u >= v of mu, taken by position,
+    and each p in u+1 .. u+v, let q = u + v - p and let nu be mu with
+    (u, v) replaced by (p, q); then A[nu, mu] gains p - q.  Every entry is
+    an alpha-free integer and nu lies strictly above mu in reverse-lex
+    order.  The diagonal is the eigenvalue e_mu: Stanley's D(alpha) differs
+    from Delta only by a constant on each weight, so the gaps e_theta - e_mu
+    are the same.
+
+    M is the power-sum to monomial table, triangular in reverse-lex order,
+    so its inverse comes from back-substitution over its rows.
     """
     shapes = partitions_of(n)
-    trans = power_to_monomial(n)
-    rows: dict[Partition, list[tuple[Partition, Fraction]]] = {rho: [] for rho in shapes}
-    for (rho, mu), c in trans.items():
-        rows[rho].append((mu, c))
+    column: dict[Partition, list[tuple[Partition, int]]] = {}
+    for mu in shapes:
+        parts = mu.parts
+        entries: dict[Partition, int] = {}
+        for j, v in enumerate(parts):
+            for i, u in enumerate(parts[:j]):
+                rest = parts[:i] + parts[i + 1 : j] + parts[j + 1 :]
+                for p in range(u + 1, u + v + 1):
+                    q = u + v - p
+                    nu = Partition(sorted(filter(None, rest + (p, q)), reverse=True))
+                    entries[nu] = entries.get(nu, 0) + p - q
+        column[mu] = list(entries.items())
 
     # p_rho = M[rho, rho] m_rho + (monomials above rho), solved from the top.
     inverse: dict[Partition, dict[Partition, Fraction]] = {}
     for rho in shapes:
+        row = _monomial_row(rho)
         m_rho = {rho: Fraction(1)}
-        for mu, c in rows[rho]:
+        for mu, c in row.items():
             if mu != rho:
                 for sigma, d in inverse[mu].items():
                     m_rho[sigma] = m_rho.get(sigma, 0) - c * d
-        lead = 1 / trans[rho, rho]
+        lead = Fraction(1, row[rho])
         inverse[rho] = {sigma: d * lead for sigma, d in m_rho.items() if d}
-
-    delta = {rho: _cut_and_join(rho) for rho in shapes}
-    column: dict[Partition, list[tuple[Partition, UniPoly]]] = {mu: [] for mu in shapes}
-    for nu in shapes:
-        image: dict[Partition, UniPoly] = {}
-        for rho, c in inverse[nu].items():
-            for sigma, entry in delta[rho].items():
-                image[sigma] = image.get(sigma, 0) + entry * c
-        mono: dict[Partition, UniPoly] = {}
-        for sigma, coeff in image.items():
-            for mu, c in rows[sigma]:
-                mono[mu] = mono.get(mu, 0) + coeff * c
-        for mu, entry in mono.items():
-            if not entry:
-                continue
-            if mu.parts > nu.parts:
-                raise JackSystemError(
-                    f"weight-{n} operator is not triangular: m_{nu.parts} -> m_{mu.parts}"
-                )
-            if mu != nu:
-                column[mu].append((nu, entry))
-        if mono.get(nu, 0) != _eigenvalue(nu):
-            raise JackSystemError(
-                f"weight-{n} operator has diagonal {mono.get(nu)!r} at {nu.parts}, "
-                f"expected {_eigenvalue(nu)!r}"
-            )
     return _Level(column=column, inverse=inverse)
 
 

@@ -282,6 +282,9 @@ def _enumeration_started(*args, **kwargs):
     [
         ["maps", "table", "--b", "1/0"],
         ["maps", "table", "--b", "x"],
+        ["maps", "table", "--max-edges", "3", "--b", "1e30000000"],
+        ["maps", "table", "--b", "1e-5000"],
+        ["maps", "table", "--b", "1" * 101],
         ["maps", "table", "--max-edges", "0"],
         ["maps", "table", "--max-edges", "11"],
         ["verify-all", "--max-edges", "0"],
@@ -356,6 +359,8 @@ def test_bad_arguments_exit_2_with_one_error_line(capsys, monkeypatch, argv):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ") and captured.err.endswith("\n")
     assert "raise the bound" not in captured.err
+    if "--b" in argv:
+        assert "--b" in captured.err
 
 
 @pytest.mark.parametrize(

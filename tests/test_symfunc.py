@@ -6,13 +6,10 @@ import itertools
 import math
 from fractions import Fraction
 
-import pytest
-
 from mapchi import symfunc
 from mapchi.arith import ALPHA, AlphaFn, UniPoly
 from mapchi.partitions import Partition, partitions_of, z_of
 from mapchi.symfunc import (
-    JackSystemError,
     PowerSumExpr,
     cauchy_check,
     expand_in_variables,
@@ -71,8 +68,7 @@ def monomial_expansion_oracle(parts: tuple[int, ...], nvars: int) -> dict[Partit
 
 
 def test_expand_in_variables_matches_brute_force():
-    shapes = [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (3, 1, 1)]
-    for parts in shapes:
+    for parts in (mu.parts for n in range(7) for mu in partitions_of(n)):
         got = expand_in_variables(PowerSumExpr.basis(parts))
         assert got == monomial_expansion_oracle(parts, sum(parts))
 
@@ -216,27 +212,27 @@ def test_jack_p2_coefficients():
     assert jack((2, 2)).p2coeff == jack((2, 2)).expansion.coefficient((2, 2))
 
 
-def test_corrupted_operator_diagonal_raises(monkeypatch):
-    """A level whose diagonal is not the eigenvalues is refused, not solved.
+def test_operator_weight_four_by_hand():
+    """Stanley's rule at weight 4, worked by hand: A[nu, mu] for nu above mu.
 
-    p_(n) = m_(n), and m_(n) is the only monomial that is 1 at a single
-    variable equal to 1, so adding alpha * p_(n) to every Delta p_rho adds
-    alpha to the (n), (n) diagonal entry of the monomial-basis operator and
-    changes nothing else.
+    Each entry sums p - q over the ways one pair of parts (u, v) of mu
+    becomes (p, q) with p > u, e.g. the six pairs of ones in (1,1,1,1)
+    each merge into (2, 0) with p - q = 2.
     """
-    honest = symfunc._cut_and_join
-
-    def corrupted(rho):
-        out = honest(rho)
-        top = Partition((rho.weight,))
-        out[top] = out.get(top, 0) + UniPoly.gen(ALPHA)
-        return out
-
-    monkeypatch.setattr(symfunc, "_cut_and_join", corrupted)
-    monkeypatch.setattr(symfunc, "_jack_cache", {})
-    symfunc._level.cache_clear()
-    with pytest.raises(JackSystemError, match="diagonal"):
-        jack((3,))
+    got = {
+        (nu.parts, mu.parts): entry
+        for mu, col in symfunc._level(4).column.items()
+        for nu, entry in col
+    }
+    assert got == {
+        ((4,), (3, 1)): 4,
+        ((4,), (2, 2)): 4,
+        ((3, 1), (2, 2)): 2,
+        ((3, 1), (2, 1, 1)): 6,
+        ((2, 2), (2, 1, 1)): 2,
+        ((2, 1, 1), (1, 1, 1, 1)): 12,
+    }
+    assert all(type(entry) is int for entry in got.values())
 
 
 def test_jack_cache_returns_identical_records():
