@@ -76,7 +76,6 @@ _EXPORTS = {
         (
             "ExtractionError",
             "MapCountTable",
-            "MapKey",
             "NonnegativityViolation",
             "extract_map_counts",
             "jack_partition_sum",
@@ -88,7 +87,7 @@ _EXPORTS = {
         "mapseries",
     ),
     **dict.fromkeys(
-        ("Partition", "partitions_of", "vertex_distribution_of", "z_of"),
+        ("MapKey", "Partition", "partitions_of", "vertex_distribution_of", "z_of"),
         "partitions",
     ),
     **dict.fromkeys(

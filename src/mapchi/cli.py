@@ -10,22 +10,21 @@ order, rationals as ``p/q`` strings, polynomials as JSON arrays of
 coefficient strings indexed by degree.
 
 Each command handler imports the layer it runs when it runs, so a command
-pays for importing only the modules it uses.  One table, `COMMANDS`, states
-every command with its options; a small parser reads it for parsing,
-``-h``/``--help`` and every refusal, which is one ``error:`` line on stderr
-with exit code 2.  Options are matched exactly, never by prefix.
+pays for importing only the modules it uses: ``--version`` and the integer
+oracles load neither `fractions` nor an algebra layer.  One table,
+`COMMANDS`, states every command with its options; a small parser reads it
+for parsing, ``-h``/``--help`` and every refusal, which is one ``error:``
+line on stderr with exit code 2.  Options are matched exactly, never by prefix.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import EXIT_FAILURE, EXIT_OK, __version__
 from .btutte import MAX_EDGE_TRUNCATION
-from .partitions import Partition
 
 FORMATS = ("pretty", "json", "csv")
 
@@ -64,7 +63,10 @@ def _print_json(payload) -> None:
 MAX_RATIONAL_CHARS = 100
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(text: str):
+    """`text` as a `fractions.Fraction`."""
+    from fractions import Fraction
+
     # Fraction builds the whole integer of an exponent like 1e30000000
     # before anything could check its size, so refuse those first.
     if len(text) > MAX_RATIONAL_CHARS:
@@ -78,6 +80,8 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def cmd_maps_table(args) -> int:
+    from fractions import Fraction
+
     from .arith import poly_str
     from .mapseries import map_count_table
 
@@ -187,7 +191,10 @@ def cmd_euler_chi(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_shape(text: str) -> Partition:
+def _parse_shape(text: str):
+    """`text` as a `partitions.Partition`."""
+    from .partitions import Partition
+
     text = text.strip()
     if not text:
         return Partition(())

@@ -31,7 +31,8 @@ from typing import TYPE_CHECKING, NamedTuple, TypeVar
 from .arith import ALPHA, AlphaFn, TruncatedSeries, UniPoly, bernoulli
 
 if TYPE_CHECKING:
-    from .mapseries import MapCountTable, MapKey
+    from .mapseries import MapCountTable
+    from .partitions import MapKey
 
 INV_GAMMA = "1/gamma"
 

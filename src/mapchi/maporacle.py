@@ -30,24 +30,22 @@ are exactly the rooted maps.  Each model enumerates up to a fixed edge
 count, `MAX_ORIENTABLE_EDGES` (6) for the permutations and
 `MAX_LOCALLY_ORIENTABLE_EDGES` (5) for the matchings; larger requests raise
 `TruncationError` before any enumeration starts.
+
+The censuses are integer counts, so the rational layers (`eulerchar`,
+`fractions`) load only where they run: in `lambda_from_census`, in
+`double_cover_lift_check` and when a request is refused.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .eulerchar import (
-    LambdaTriple,
-    RouteMismatchError,
-    TruncationError,
-    lambda_sum,
-    lambda_values,
-)
-from .mapseries import MapKey
-from .partitions import Partition, vertex_distribution_of
+from .partitions import MapKey, Partition, vertex_distribution_of
+
+if TYPE_CHECKING:
+    from .eulerchar import LambdaTriple
 
 #: Largest edge count of the permutation census: 110,410 rooted maps at
 #: n = 6 (about 0.7 s); n = 7 would be 1,708,394.
@@ -293,6 +291,8 @@ def double_cover_lift_check(*sides: int) -> int:
     with doubled Euler characteristic.  Returns the number of base gluings
     checked.
     """
+    from .eulerchar import RouteMismatchError
+
     base_sides = tuple(sides)
     s = len(base_sides)
     total = sum(base_sides)
@@ -360,6 +360,8 @@ def _check_edges(n: int, limit: int, model: str) -> None:
     if n < 1:
         raise ValueError("edge count must be positive")
     if n > limit:
+        from .eulerchar import TruncationError
+
         raise TruncationError(
             f"the {model} oracle enumerates at most {limit} edges, asked for {n}"
         )
@@ -533,6 +535,16 @@ def lambda_from_census(g: int, s: int) -> LambdaTriple:
     Compared against the closed forms; any disagreement raises.  Both
     censuses must reach n = 3g+3s-3, which only (g, s) = (1, 1) does.
     """
+    from fractions import Fraction
+
+    from .eulerchar import (
+        LambdaTriple,
+        RouteMismatchError,
+        TruncationError,
+        lambda_sum,
+        lambda_values,
+    )
+
     if g < 1 or s < 1:
         raise ValueError("need g >= 1 and s >= 1")
     top = 3 * g + 3 * s - 3

@@ -5,13 +5,15 @@ and the vertex-valence data of maps.  Throughout the package a partition is
 written with weakly decreasing positive parts, and lists of all partitions
 of n are produced in reverse-lexicographic order: (n) first, (1,...,1) last.
 For partitions of equal weight that order coincides with plain
-lexicographic comparison of the part tuples.
+lexicographic comparison of the part tuples.  `MapKey` indexes a refined
+map count by its vertex distribution, face count and edge count.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 
 class Partition:
@@ -152,3 +154,41 @@ def partition_from_distribution(i: tuple[int, ...]) -> Partition:
             raise ValueError("multiplicities must be nonnegative")
         parts.extend([k] * i[k - 1])
     return Partition(parts)
+
+
+class MapKey(NamedTuple):
+    """Index of a refined map count: vertex distribution, faces, edges."""
+
+    i: tuple[int, ...]
+    j: int
+    n: int
+
+    def validate(self) -> MapKey:
+        if any(k < 0 for k in self.i):
+            raise ValueError(f"negative vertex multiplicity in {self}")
+        if self.i and self.i[-1] == 0:
+            raise ValueError(f"vertex distribution has trailing zeros: {self}")
+        edge_ends = sum(k * ik for k, ik in enumerate(self.i, start=1))
+        if edge_ends != 2 * self.n:
+            raise ValueError(
+                f"vertex valences sum to {edge_ends}, expected {2 * self.n}: {self}"
+            )
+        if not 1 <= self.j <= self.n + 1:
+            raise ValueError(f"face count {self.j} outside 1..{self.n + 1}: {self}")
+        return self
+
+    @property
+    def vertex_count(self) -> int:
+        return sum(self.i)
+
+    @property
+    def euler_characteristic(self) -> int:
+        return self.vertex_count - self.n + self.j
+
+    def enters_lambda(self, g: int, s: int) -> bool:
+        """Whether the maps of this key are counted by lambda^s_g(n).
+
+        They have s faces, no vertex of valence 1 or 2, and Euler
+        characteristic 1 - g, that is n - g - s + 1 vertices.
+        """
+        return self.j == s and not any(self.i[:2]) and self.euler_characteristic == 1 - g

@@ -47,7 +47,6 @@ from .maporacle import (
 from .mapseries import (
     JACK_ROUTE_MAX_EDGES,
     MAX_EDGE_TRUNCATION,
-    MapKey,
     check_truncation,
     extract_map_counts,
     map_count_table,
@@ -55,6 +54,7 @@ from .mapseries import (
     nonneg_report,
 )
 from .partitions import (
+    MapKey,
     Partition,
     partition_from_distribution,
     partitions_of,
@@ -111,23 +111,76 @@ REFERENCE_COUNTS: dict[MapKey, tuple[int, ...]] = {
     MapKey((0, 0, 0, 0, 0, 1), 4, 3): (5,),
 }
 
+
+def rooted_orientable_totals(max_n: int) -> dict[int, int]:
+    """Rooted orientable maps with n edges, keyed by n = 1..max_n.
+
+    The chord-diagram recursion (Arques and Beraud 2000, Discrete Math. 215;
+    OEIS A000698): a(1) = 1 and a(m) = (2m-1)!! - sum_{k=1}^{m-1}
+    (2k-1)!! a(m-k), where n edges give a(n+1).
+    """
+    odd = [1]  # odd[k] = (2k - 1)!!
+    for k in range(1, max_n + 2):
+        odd.append(odd[-1] * (2 * k - 1))
+    a = [0, 1]
+    for m in range(2, max_n + 2):
+        a.append(odd[m] - sum(odd[k] * a[m - k] for k in range(1, m)))
+    return {n: a[n + 1] for n in range(1, max_n + 1)}
+
+
+def harer_zagier_rows(max_n: int) -> dict[MapKey, int]:
+    """The b = 0 coefficients of the one-vertex rows mu = (2n), n <= max_n.
+
+    eps_g(n) counts the gluings of a 2n-gon into an orientable surface of
+    genus g, that is the orientable one-vertex maps with n edges and
+    n + 1 - 2g faces (Harer and Zagier 1986, Invent. Math. 85):
+    (n+1) eps_g(n) = 2(2n-1) eps_g(n-1) + (n-1)(2n-1)(2n-3) eps_{g-1}(n-2),
+    with eps_0(n) the Catalan number.
+    """
+    eps: dict[tuple[int, int], int] = {}
+    rows = {}
+    for n in range(max_n + 1):
+        for g in range(n // 2 + 1):
+            if g == 0:
+                value = math.comb(2 * n, n) // (n + 1)
+            else:
+                value = (
+                    2 * (2 * n - 1) * eps.get((g, n - 1), 0)
+                    + (n - 1) * (2 * n - 1) * (2 * n - 3) * eps[g - 1, n - 2]
+                ) // (n + 1)
+            eps[g, n] = value
+            if n:
+                rows[MapKey((0,) * (2 * n - 1) + (1,), n + 1 - 2 * g, n)] = value
+    return rows
+
+
+def slicing_rows(max_n: int) -> dict[MapKey, Fraction]:
+    """The planar rows whose vertex degrees are all even, n <= max_n.
+
+    Tutte's census of slicings (1962, Canad. J. Math. 14): for valences mu
+    with v = l(mu) vertices, n edges and so j = n + 2 - v faces, the count
+    is 2 n! / (n - v + 2)! prod_d binom(d - 1, d/2)^{m_d} / m_d!, and a
+    sphere row has no b term.
+    """
+    rows = {}
+    for n in range(1, max_n + 1):
+        for half in partitions_of(n):
+            mu = Partition([2 * p for p in half])
+            num = 2 * math.factorial(n)
+            den = math.factorial(n - mu.length + 2)
+            for d, m in mu.multiplicities().items():
+                num *= math.comb(d - 1, d // 2) ** m
+                den *= math.factorial(m)
+            rows[MapKey(vertex_distribution_of(mu), n + 2 - mu.length, n)] = Fraction(num, den)
+    return rows
+
+
 #: Classical numbers of rooted maps with n edges, keyed by n: orientable
-#: (b = 0; OEIS A000698) through the largest truncation, and on all
-#: surfaces (b = 1) through 6 edges.  At n = 6 the matching census of
-#: `maporacle` agreed in a one-off run past its limit (about 20 s on 2
-#: vCPUs); n >= 7 comes from the recursion alone, so it is not recorded.
-ROOTED_TOTALS_ORIENTABLE = {
-    1: 2,
-    2: 10,
-    3: 74,
-    4: 706,
-    5: 8162,
-    6: 110410,
-    7: 1708394,
-    8: 29752066,
-    9: 576037442,
-    10: 12277827850,
-}
+#: (b = 0) by the chord-diagram recursion through the largest truncation,
+#: and on all surfaces (b = 1) through 6 edges.  At n = 6 the matching
+#: census of `maporacle` agreed in a one-off run past its limit (about 20 s
+#: on 2 vCPUs); n >= 7 comes from the recursion alone, so it is not recorded.
+ROOTED_TOTALS_ORIENTABLE = rooted_orientable_totals(MAX_EDGE_TRUNCATION)
 ROOTED_TOTALS_ALL = {1: 3, 2: 24, 3: 297, 4: 4896, 5: 100278, 6: 2450304}
 
 #: Heaviest Jack functions `jack-conditions` checks: weight 10 takes about
@@ -413,9 +466,21 @@ def _check_series_invariants(max_edges: int) -> str:
                 sums_all[n] == total,
                 f"b=1 column sum at n={n} is {sums_all[n]}, expected {total}",
             )
+    one_vertex = harer_zagier_rows(table.max_n)
+    for key, eps in one_vertex.items():
+        got = table.entries[key].coeff(0) if key in table.entries else 0
+        _require(got == eps, f"row {key}: b^0 coefficient {got}, Harer-Zagier {eps}")
+    planar = slicing_rows(table.max_n)
+    for key, count in planar.items():
+        got = table.entries.get(key)
+        _require(
+            got is not None and got == UniPoly("b", [count]),
+            f"row {key}: {got!r}, Tutte's slicings formula {count}",
+        )
     return (
         f"the recursion equals the Jack route row for row through n={reach}; "
-        f"Euler, crosscap, parity and column-sum invariants hold to n={table.max_n}"
+        f"Euler, crosscap, parity and column-sum invariants, {len(one_vertex)} "
+        f"Harer-Zagier rows and {len(planar)} slicing rows hold to n={table.max_n}"
     )
 
 

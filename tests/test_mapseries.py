@@ -21,7 +21,14 @@ from mapchi.mapseries import (
 )
 from mapchi.partitions import Partition
 from mapchi.symfunc import PowerSumExpr
-from mapchi.verify import REFERENCE_COUNTS, ROOTED_TOTALS_ALL, ROOTED_TOTALS_ORIENTABLE
+from mapchi.verify import (
+    REFERENCE_COUNTS,
+    ROOTED_TOTALS_ALL,
+    ROOTED_TOTALS_ORIENTABLE,
+    harer_zagier_rows,
+    rooted_orientable_totals,
+    slicing_rows,
+)
 
 
 def test_series_first_coefficient():
@@ -60,6 +67,31 @@ def test_orientable_totals_through_eight_edges():
     for n in range(1, 9):
         total = sum(v for k, v in by_b0.items() if k.n == n)
         assert total == ROOTED_TOTALS_ORIENTABLE[n]
+
+
+def test_chord_diagram_recursion_gives_rooted_orientable_totals():
+    totals = rooted_orientable_totals(12)
+    assert totals == {**ROOTED_TOTALS_ORIENTABLE, 11: 285764591114, 12: 7213364729026}
+    assert [totals[n] for n in range(1, 7)] == [2, 10, 74, 706, 8162, 110410]
+
+
+def test_closed_forms_match_ten_edge_table():
+    """Harer-Zagier's one-vertex rows at b = 0, Tutte's even-degree planar rows."""
+    table = map_count_table(10)
+    one_vertex = harer_zagier_rows(10)
+    planar = slicing_rows(10)
+    assert (len(one_vertex), len(planar)) == (35, 138)
+    for key, eps in one_vertex.items():
+        assert table[key].coeff(0) == eps
+    for key, count in planar.items():
+        assert table[key] == UniPoly("b", [count])
+    # Spot values: a square glues to one torus, a hexagon to ten tori and
+    # an octagon to 21 genus-2 surfaces; the rooted planar 4-regular maps
+    # with k = 2 vertices number 2 * 3^k (2k)! / (k! (k+2)!) = 9.
+    assert one_vertex[MapKey((0, 0, 0, 1), 1, 2)] == 1
+    assert one_vertex[MapKey((0, 0, 0, 0, 0, 1), 2, 3)] == 10
+    assert one_vertex[MapKey((0,) * 7 + (1,), 1, 4)] == 21
+    assert planar[MapKey((0, 0, 0, 2), 4, 4)] == 9
 
 
 def test_all_surface_totals_through_six_edges():

@@ -56,14 +56,20 @@ def _modules_after(statements: str) -> set[str]:
     return set(proc.stdout.splitlines()[-1].split())
 
 
-NEVER_ON_IMPORT = {
+#: The rational arithmetic: `fractions` loads `decimal` and `numbers`.
+RATIONAL = {"fractions", "decimal", "numbers"}
+
+NEVER_ON_IMPORT = RATIONAL | {
     "argparse",
     "gettext",
     "locale",
     "dataclasses",
     "inspect",
     "logging",
+    "mapchi.arith",
+    "mapchi.partitions",
     "mapchi.symfunc",
+    "mapchi.mapseries",
     "mapchi.maporacle",
     "mapchi.verify",
     "mapchi.eulerchar",
@@ -76,7 +82,34 @@ def test_import_mapchi_loads_no_submodule():
 
 
 def test_import_cli_loads_no_worker_layer():
-    assert not NEVER_ON_IMPORT & _modules_after("import mapchi.cli")
+    loaded = _modules_after("import mapchi.cli")
+    assert not NEVER_ON_IMPORT & loaded
+    assert {m for m in loaded if m.startswith("mapchi")} == {
+        "mapchi",
+        "mapchi.cli",
+        "mapchi.btutte",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--version"],
+        ["oracle", "glue", "--sides", "4,2"],
+        ["oracle", "rooted", "--edges", "3"],
+        ["oracle", "rooted", "--edges", "3", "--surface", "all"],
+    ],
+    ids=" ".join,
+)
+def test_integer_commands_load_no_rational_arithmetic(argv):
+    loaded = _modules_after(f"from mapchi.cli import main\nassert main({argv!r}) == 0")
+    assert not (RATIONAL | {"mapchi.arith", "mapchi.eulerchar", "mapchi.mapseries"}) & loaded
+
+
+def test_mapkey_has_one_home():
+    from mapchi import mapseries, partitions
+
+    assert mapchi.MapKey is partitions.MapKey is mapseries.MapKey
 
 
 def test_maps_table_loads_neither_jack_layer_nor_dataclasses():
