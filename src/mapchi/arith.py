@@ -1,10 +1,17 @@
 """Exact scalars, tagged polynomials, rational functions and truncated series.
 
-All arithmetic in this package is exact.  Scalars are `fractions.Fraction`,
+All arithmetic in this package is exact.  Scalars are `int` where the
+values are integers and `fractions.Fraction` where something divides,
 polynomials are dense coefficient tuples over a single tagged variable,
 rational functions in the parameter alpha are kept in a reduced canonical
 form, and power series are truncated at a fixed order.  There is no
 floating-point mode and no numerical tolerance anywhere.
+
+`fractions` is imported inside the code that divides (`bernoulli`,
+`sum_of_powers_poly`, `poly_divmod`, `poly_gcd`, `AlphaFn` and
+`TruncatedSeries.log`), so integer polynomial arithmetic runs without it.
+Since ``int / int`` is a float, nothing here divides two coefficients with
+``/`` unless one of them is a `Fraction`.
 
 Conventions
 -----------
@@ -13,8 +20,9 @@ Conventions
   distinct tags raises `VariableMixError`; a polynomial is never silently
   reinterpreted in another variable.
 * Anything that is not a `UniPoly` is treated as a scalar from the
-  coefficient ring, so polynomials over `Fraction`, over `AlphaFn`, or over
-  other polynomials all share one implementation.
+  coefficient ring, so polynomials over `int`, over `Fraction`, over
+  `AlphaFn`, or over other polynomials all share one implementation.  The
+  constructors `UniPoly.one`, `gen` and `monomial` build `int` coefficients.
 * `AlphaFn` is the field of rational functions in alpha.  Instances are
   normalized on construction (numerator and denominator coprime, denominator
   monic), so equal values have equal representations and ``==`` is
@@ -24,7 +32,6 @@ Conventions
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 __all__ = [
     "VariableMixError",
@@ -47,7 +54,8 @@ class VariableMixError(ValueError):
 # Bernoulli numbers
 # ---------------------------------------------------------------------------
 
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
+#: B_0, B_1, ... as far as computed; B_0 = 1 is added on the first call.
+_bernoulli_cache: list[Fraction] = []
 
 
 def bernoulli(j: int) -> Fraction:
@@ -64,8 +72,12 @@ def bernoulli(j: int) -> Fraction:
     >>> bernoulli(12)
     Fraction(-691, 2730)
     """
+    from fractions import Fraction
+
     if j < 0:
         raise ValueError("Bernoulli index must be nonnegative")
+    if not _bernoulli_cache:
+        _bernoulli_cache.append(Fraction(1))
     while len(_bernoulli_cache) <= j:
         n = len(_bernoulli_cache)
         acc = Fraction(0)
@@ -85,10 +97,14 @@ class UniPoly:
 
     Trailing zero coefficients are trimmed on construction, so the zero
     polynomial has an empty coefficient tuple and equal polynomials have
-    identical representations.  Coefficients may be any exact ring elements
-    (Fractions, `AlphaFn` values, or other polynomials in a different
+    equal coefficient tuples.  Coefficients may be any exact ring elements
+    (ints, Fractions, `AlphaFn` values, or other polynomials in a different
     variable); binary operations between two `UniPoly` values require equal
-    variable tags.
+    variable tags.  An `int` and a `Fraction` coefficient of the same value
+    compare equal, so polynomials over either are interchangeable.
+
+    >>> UniPoly.gen("b") ** 2 + 1
+    UniPoly('b', [1, 0, 1])
     """
 
     __slots__ = ("var", "coeffs")
@@ -108,16 +124,16 @@ class UniPoly:
 
     @classmethod
     def one(cls, var: str) -> UniPoly:
-        return cls(var, (Fraction(1),))
+        return cls(var, (1,))
 
     @classmethod
     def gen(cls, var: str) -> UniPoly:
         """The polynomial ``var`` itself."""
-        return cls(var, (Fraction(0), Fraction(1)))
+        return cls(var, (0, 1))
 
     @classmethod
-    def monomial(cls, var: str, k: int, value=Fraction(1)) -> UniPoly:
-        return cls(var, (Fraction(0),) * k + (value,))
+    def monomial(cls, var: str, k: int, value=1) -> UniPoly:
+        return cls(var, (0,) * k + (value,))
 
     # -- structure ----------------------------------------------------
 
@@ -289,7 +305,13 @@ def poly_str(p: UniPoly, var: str | None = None) -> str:
 
 
 def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """Quotient and remainder for polynomials with invertible coefficients."""
+    """Quotient and remainder over the rationals; the quotient has `Fraction`s.
+
+    >>> poly_divmod(UniPoly("x", (1, 0, 1)), UniPoly("x", (0, 2)))
+    (UniPoly('x', [Fraction(0, 1), Fraction(1, 2)]), UniPoly('x', [1]))
+    """
+    from fractions import Fraction
+
     if a.var != b.var:
         raise VariableMixError(f"cannot divide {a.var!r} by {b.var!r}")
     if not b:
@@ -299,7 +321,7 @@ def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     if dq < 0:
         return UniPoly.zero(a.var), a
     quot = [Fraction(0)] * (dq + 1)
-    lead = b.coeffs[-1]
+    lead = Fraction(b.coeffs[-1])  # so that top / lead is a Fraction even for two ints
     for i in range(dq, -1, -1):
         top = rem[i + len(b.coeffs) - 1]
         if not top:
@@ -320,6 +342,8 @@ def poly_exact_div(a: UniPoly, b: UniPoly) -> UniPoly:
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic greatest common divisor over the coefficient field."""
+    from fractions import Fraction
+
     while b:
         a, b = b, poly_divmod(a, b)[1]
     if a and a.coeffs[-1] != 1:
@@ -343,6 +367,8 @@ class AlphaFn:
     __slots__ = ("num", "den")
 
     def __init__(self, num=0, den=1):
+        from fractions import Fraction
+
         num = _as_alpha_poly(num)
         den = _as_alpha_poly(den)
         if not den:
@@ -384,6 +410,8 @@ class AlphaFn:
 
     @staticmethod
     def _coerce(value):
+        from fractions import Fraction
+
         if isinstance(value, AlphaFn):
             return value
         if isinstance(value, (int, Fraction)):
@@ -496,6 +524,8 @@ class AlphaFn:
 
 
 def _as_alpha_poly(value) -> UniPoly:
+    from fractions import Fraction
+
     if isinstance(value, UniPoly):
         if value.var != ALPHA:
             raise VariableMixError(f"expected an {ALPHA!r} polynomial, got {value.var!r}")
@@ -592,6 +622,8 @@ class TruncatedSeries:
 
         Requires constant term exactly 1; raises ValueError otherwise.
         """
+        from fractions import Fraction
+
         if not self.coeffs[0] == 1:
             raise ValueError("series logarithm requires constant term 1")
         u = TruncatedSeries(self.var, (0,) + self.coeffs[1:], self.max_order)
@@ -630,9 +662,11 @@ def sum_of_powers_poly(k: int) -> UniPoly:
 
     >>> sum_of_powers_poly(0).coeffs
     (Fraction(0, 1), Fraction(1, 1))
-    >>> sum_of_powers_poly(1).eval(Fraction(10))
+    >>> sum_of_powers_poly(1).eval(10)
     Fraction(55, 1)
     """
+    from fractions import Fraction
+
     if k < 0:
         raise ValueError("power must be nonnegative")
     coeffs = [Fraction(0)] * (k + 2)

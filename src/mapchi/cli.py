@@ -11,7 +11,11 @@ coefficient strings indexed by degree.
 
 Each command handler imports the layer it runs when it runs, so a command
 pays for importing only the modules it uses: ``--version`` and the integer
-oracles load neither `fractions` nor an algebra layer.  One table,
+oracles load neither `fractions` nor an algebra layer, and ``maps table``
+(without ``--b`` or with an integer ``--b``) and ``jack`` compute over
+integers and load no `fractions`.  JSON output comes from a small writer,
+`_json`, that writes what ``json.dumps(payload, indent=2)`` writes, so no
+command loads `json` for output it can write itself.  One table,
 `COMMANDS`, states every command with its options; a small parser reads it
 for parsing, ``-h``/``--help`` and every refusal, which is one ``error:``
 line on stderr with exit code 2.  Options are matched exactly, never by prefix.
@@ -48,10 +52,40 @@ def _refuse(message: str) -> int:
     return EXIT_FAILURE
 
 
-def _print_json(payload) -> None:
+def _json(value, indent: str = "") -> str:
+    """`value` as ``json.dumps(value, indent=2)`` writes it, nested at `indent`.
+
+    Writes str, int, bool, None, list and dict with str keys itself;
+    anything else (a float, a tuple, a non-str key, a string that is not
+    printable ASCII or holds a quote or a backslash) goes to `json`, which
+    is then imported.  JSON text holds no raw newline, so re-indenting that output
+    line by line is exact.
+    """
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    kind = type(value)
+    if kind is str:
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+    elif kind is int:
+        return str(value)
+    elif kind is list or (kind is dict and all(type(k) is str for k in value)):
+        if not value:
+            return "{}" if kind is dict else "[]"
+        inner = indent + "  "
+        if kind is dict:
+            items = [f"{_json(k)}: {_json(v, inner)}" for k, v in value.items()]
+        else:
+            items = [_json(v, inner) for v in value]
+        opening, closing = "{}" if kind is dict else "[]"
+        return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
     import json
 
-    print(json.dumps(payload, indent=2))
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
+def _print_json(payload) -> None:
+    print(_json(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -64,13 +98,23 @@ MAX_RATIONAL_CHARS = 100
 
 
 def _parse_rational(text: str):
-    """`text` as a `fractions.Fraction`."""
+    """`text` as an `int` if it is an ASCII integer literal, else a `fractions.Fraction`.
+
+    Only ``[+-]?[0-9]+`` around optional whitespace takes the `int` route,
+    which needs no `fractions`; it accepts exactly what `Fraction` accepts
+    there, with the same value.
+    """
+    if len(text) > MAX_RATIONAL_CHARS:
+        raise ValueError(f"rationals are at most {MAX_RATIONAL_CHARS} characters, got {len(text)}")
+    stripped = text.strip()
+    digits = stripped[1:] if stripped[:1] in ("+", "-") else stripped
+    if digits.isascii() and digits.isdigit():
+        return int(stripped)
+
     from fractions import Fraction
 
     # Fraction builds the whole integer of an exponent like 1e30000000
     # before anything could check its size, so refuse those first.
-    if len(text) > MAX_RATIONAL_CHARS:
-        raise ValueError(f"rationals are at most {MAX_RATIONAL_CHARS} characters, got {len(text)}")
     if "e" in text.lower():
         raise ValueError(f"exponent notation is not accepted: {text!r}")
     try:
@@ -80,8 +124,6 @@ def _parse_rational(text: str):
 
 
 def cmd_maps_table(args) -> int:
-    from fractions import Fraction
-
     from .arith import poly_str
     from .mapseries import map_count_table
 
@@ -93,7 +135,7 @@ def cmd_maps_table(args) -> int:
         if args.b is None:
             row["poly"] = poly.coeff_strings()
         else:
-            row["count"] = str(Fraction(poly.eval(args.b)))
+            row["count"] = str(poly.eval(args.b))
         rows.append(row)
 
     if args.format == "json":

@@ -10,7 +10,8 @@ the vertex-valence partition:
     m(i, j, n) = [N^j] 2n kappa_mu / (z_mu (1 + b)^(l(mu) - 1)).
 
 Both divisions are exact, and every coefficient must come out an integer;
-any remainder raises `ExtractionError`.
+any remainder raises `ExtractionError`.  The rows are `UniPoly`s in b with
+`int` coefficients, so building the table needs no `fractions`.
 
 The same numbers also come from the generating series assembled from Jack
 symmetric functions:
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -132,7 +132,7 @@ def _partition_sum_level(m: int) -> PowerSumExpr:
 
     sums: dict[tuple[Partition, int], UniPoly] = {}
     for rec, content, factors in contributions:
-        scale = rec.p2coeff * Fraction(content_lcm, content)
+        scale = rec.p2coeff * (content_lcm // content)
         scale = scale * hook_product((common - factors).elements())
         for j, pj in enumerate(rec.principal.coeffs):
             if not pj:
@@ -175,12 +175,15 @@ def extract_map_counts(series: TruncatedSeries) -> MapCountTable:
     For each z^n coefficient, each power sum p_mu(y) and each x-power x^j,
     the scalar must be a polynomial in alpha that becomes an integer
     polynomial in b under alpha = b + 1; any failure aborts with
-    diagnostics, since it would contradict the framework.  Zero polynomials
-    are omitted.
+    diagnostics, since it would contradict the framework.  The rows have
+    `int` coefficients, like `map_count_table`'s.  Zero polynomials are
+    omitted.
     """
+    from fractions import Fraction
+
     from .symfunc import PowerSumExpr
 
-    b_plus_one = UniPoly("b", (Fraction(1), Fraction(1)))
+    b_plus_one = UniPoly("b", (1, 1))
     entries: dict[MapKey, UniPoly] = {}
     for n in range(1, series.max_order + 1):
         expr = series.coefficient(n)
@@ -216,7 +219,7 @@ def extract_map_counts(series: TruncatedSeries) -> MapCountTable:
                             f"j={j}: {bpoly!r}"
                         )
                 key = MapKey(vertex_distribution_of(mu), j, n).validate()
-                entries[key] = bpoly
+                entries[key] = UniPoly("b", [int(c) for c in bpoly.coeffs])
     return MapCountTable(entries=entries, max_n=series.max_order)
 
 
@@ -247,7 +250,7 @@ def counts_from_cumulant(mu: Partition, kappa: btutte.Poly) -> dict[int, UniPoly
                 f"non-integer b-coefficient at n={n}, mu={mu.parts}, j={j}: "
                 f"2n * {coeffs} / {z}"
             )
-        poly = UniPoly("b", [Fraction(2 * n * c // z) for c in coeffs])
+        poly = UniPoly("b", [2 * n * c // z for c in coeffs])
         if poly:
             rows[j] = poly
     return rows
@@ -281,6 +284,8 @@ def map_count_table(max_n: int) -> MapCountTable:
 
 def specialize_counts(table: MapCountTable, b_value: Fraction) -> dict[MapKey, Fraction]:
     """Evaluate every entry at a rational b (0 = orientable, 1 = all surfaces)."""
+    from fractions import Fraction
+
     return {key: Fraction(poly.eval(Fraction(b_value))) for key, poly in table.entries.items()}
 
 
@@ -290,7 +295,7 @@ class NonnegativityViolation(NamedTuple):
     key: MapKey
     poly: UniPoly
     degree: int
-    coefficient: Fraction
+    coefficient: int
 
 
 def nonneg_report(table: MapCountTable) -> list[NonnegativityViolation]:

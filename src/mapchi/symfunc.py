@@ -22,6 +22,14 @@ alpha, so no rational function and no gcd appears.  The norm and the
 principal specialization are Stanley's hook products.  Records are cached
 per shape, and the operator once per weight.
 
+Every coefficient of J_theta is an integer polynomial in alpha, in the
+monomial and in the power-sum basis (Knop and Sahi 1997, Invent. Math.
+128), and so are the norm and the principal specialization.  They are
+stored as `UniPoly`s with `int` coefficients, and solving a record builds
+no `Fraction`: both divisions of the solve, by the eigenvalue gaps and by
+the diagonal of the power-sum to monomial table, are exact divisions over
+the integers, and a remainder raises `JackSystemError`.
+
 Both tables the recursion reads are closed combinatorial rules (Stanley
 1989, Adv. Math. 77, "Some combinatorial properties of Jack symmetric
 functions", section 3).  The operator's off-diagonal entry A[nu, mu] sums
@@ -34,11 +42,10 @@ sums are the parts of nu, times prod_j m_j(nu)!.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import ALPHA, AlphaFn, UniPoly, poly_divmod
+from .arith import ALPHA, AlphaFn, UniPoly
 from .partitions import Partition, partitions_of, z_of
 
 class JackSystemError(RuntimeError):
@@ -53,7 +60,7 @@ class JackSystemError(RuntimeError):
 class PowerSumExpr:
     """A finite linear combination of power sums p_mu.
 
-    Coefficients may be any exact ring elements (Fractions, `AlphaFn`,
+    Coefficients may be any exact ring elements (ints, Fractions, `AlphaFn`,
     polynomials).  Multiplication concatenates partition indices, matching
     p_lam * p_mu = p_{lam union mu}.  Scalars coerce to multiples of the
     empty power sum p_() = 1.
@@ -77,17 +84,22 @@ class PowerSumExpr:
 
     @classmethod
     def one(cls) -> PowerSumExpr:
-        return cls({Partition(): Fraction(1)})
+        return cls({Partition(): 1})
 
     @classmethod
     def basis(cls, mu) -> PowerSumExpr:
-        return cls({Partition(mu) if not isinstance(mu, Partition) else mu: Fraction(1)})
+        return cls({Partition(mu) if not isinstance(mu, Partition) else mu: 1})
 
     @classmethod
     def _coerce(cls, value):
         if isinstance(value, PowerSumExpr):
             return value
-        if isinstance(value, (int, Fraction, AlphaFn, UniPoly)):
+        if isinstance(value, (int, AlphaFn, UniPoly)):
+            return cls({Partition(): value})
+        # A Fraction operand means `fractions` is loaded already.
+        from fractions import Fraction
+
+        if isinstance(value, Fraction):
             return cls({Partition(): value})
         return None
 
@@ -202,20 +214,21 @@ def _monomial_row(mu: Partition) -> dict[Partition, int]:
 
 
 @lru_cache(maxsize=None)
-def power_to_monomial(n: int) -> dict[tuple[Partition, Partition], Fraction]:
+def power_to_monomial(n: int) -> dict[tuple[Partition, Partition], int]:
     """Transition table M with p_lam = sum_mu M[lam, mu] * m_mu over weight n.
 
-    Only nonzero entries are present.  The table is triangular: M[lam, mu]
-    vanishes unless mu is no earlier than lam in reverse-lex order.
+    Only nonzero entries are present, all of them positive integers.  The
+    table is triangular: M[lam, mu] vanishes unless mu is no earlier than
+    lam in reverse-lex order.
 
     >>> t = power_to_monomial(2)
     >>> t[(Partition((1, 1)), Partition((1, 1)))]
-    Fraction(2, 1)
+    2
     >>> t[(Partition((1, 1)), Partition((2,)))]
-    Fraction(1, 1)
+    1
     """
     return {
-        (lam, mu): Fraction(cnt)
+        (lam, mu): cnt
         for lam in partitions_of(n)
         for mu, cnt in _monomial_row(lam).items()
     }
@@ -243,7 +256,8 @@ class JackRecord(NamedTuple):
     """A computed Jack function together with its derived statistics.
 
     Every value is a polynomial in alpha with integer coefficients
-    (Knop-Sahi), stored as a `UniPoly` in alpha.
+    (Knop-Sahi), stored as a `UniPoly` in alpha whose coefficients are
+    `int`s.
 
     expansion: power-sum expansion with alpha-polynomial coefficients.
     norm:      <J, J> under the alpha inner product.
@@ -282,12 +296,8 @@ def jack(shape) -> JackRecord:
 
 def _solve_jack(theta: Partition) -> JackRecord:
     n = theta.weight
-    level = _level(n)
-    psums: dict[Partition, UniPoly] = {}
-    for mu, v in _monomial_coefficients(theta, level).items():
-        for rho, c in level.inverse[mu].items():
-            psums[rho] = psums.get(rho, 0) + v * c
-    expansion = PowerSumExpr(psums)
+    monomial = _monomial_coefficients(theta, _level(n))
+    expansion = PowerSumExpr(_power_sum_coefficients(theta, monomial))
     # An odd weight has no pure-2 partition, so the lookup misses there.
     p2coeff = expansion.terms.get(Partition((2,) * (n // 2)), UniPoly.zero(ALPHA))
     return JackRecord(
@@ -299,7 +309,7 @@ def _solve_jack(theta: Partition) -> JackRecord:
     )
 
 
-def _monomial_coefficients(theta: Partition, level: _Level) -> dict[Partition, UniPoly]:
+def _monomial_coefficients(theta: Partition, column: Columns) -> dict[Partition, UniPoly]:
     """[m_mu] J_theta for every mu, by Stanley's eigen-recursion.
 
     J_theta is the eigenvector of the Laplace-Beltrami operator with
@@ -309,17 +319,17 @@ def _monomial_coefficients(theta: Partition, level: _Level) -> dict[Partition, U
 
         (e_theta - e_mu) * [m_mu] J = sum over nu above mu of [m_nu] J * A[nu, mu].
 
-    Every [m_mu] J_theta is a polynomial in alpha (Knop-Sahi), so each
-    division is exact; a remainder means a broken operator.  Where the two
-    eigenvalues coincide, mu and theta are incomparable in dominance order
-    and the coefficient is zero.
+    Every [m_mu] J_theta is an integer polynomial in alpha (Knop-Sahi), so
+    each division is exact over the integers; an inexact step or a remainder
+    means a broken operator.  Where the two eigenvalues coincide, mu and
+    theta are incomparable in dominance order and the coefficient is zero.
     """
     e_theta = _eigenvalue(theta)
     coeffs = {theta: hook_product(_hook_factors(theta)[0])}
     shapes = partitions_of(theta.weight)
     for mu in shapes[shapes.index(theta) + 1 :]:
         numerator = UniPoly.zero(ALPHA)
-        for nu, entry in level.column[mu]:
+        for nu, entry in column[mu]:
             v = coeffs.get(nu)
             if v is not None:
                 numerator = numerator + v * entry
@@ -331,13 +341,64 @@ def _monomial_coefficients(theta: Partition, level: _Level) -> dict[Partition, U
                 f"[m_{mu.parts}] J_{theta.parts} has a nonzero numerator but "
                 "the eigenvalues coincide"
             )
-        quotient, remainder = poly_divmod(numerator, gap)
-        if remainder:
-            raise JackSystemError(
-                f"[m_{mu.parts}] J_{theta.parts} is not a polynomial in alpha"
-            )
-        coeffs[mu] = quotient
+        coeffs[mu] = _divide_exactly(
+            numerator,
+            gap,
+            f"[m_{mu.parts}] J_{theta.parts} is not an integer polynomial in alpha",
+        )
     return coeffs
+
+
+def _power_sum_coefficients(
+    theta: Partition, monomial: dict[Partition, UniPoly]
+) -> dict[Partition, UniPoly]:
+    """[p_rho] J_theta from the monomial coefficients, by back-substitution.
+
+    [m_mu] J = sum_rho [p_rho] J * M[rho, mu], where M[rho, mu] = [m_mu] p_rho
+    vanishes unless mu is rho or coarser.  A coarser shape comes earlier in
+    reverse-lex order, so walking up from (1^n) each [p_rho] J is what is
+    left of [m_rho] J, divided by M[rho, rho] = prod_j m_j(rho)!.  Every
+    [p_rho] J_theta is an integer polynomial in alpha (Knop-Sahi), so that
+    division is exact; a remainder means a broken expansion.
+    """
+    residual: dict[Partition, UniPoly] = dict(monomial)
+    out: dict[Partition, UniPoly] = {}
+    for rho in reversed(partitions_of(theta.weight)):
+        left = residual.pop(rho, None)
+        if not left:
+            continue
+        row = _monomial_row(rho)
+        c = out[rho] = _divide_exactly(
+            left,
+            UniPoly(ALPHA, (row[rho],)),
+            f"[p_{rho.parts}] J_{theta.parts} is not an integer polynomial in alpha",
+        )
+        for mu, m in row.items():
+            if mu != rho:
+                residual[mu] = residual.get(mu, 0) - c * m
+    return out
+
+
+def _divide_exactly(numerator: UniPoly, divisor: UniPoly, message: str) -> UniPoly:
+    """numerator / divisor over the integers, by long division.
+
+    Raises `JackSystemError` with `message` on any inexact step or nonzero
+    remainder, so the quotient is an integer polynomial or nothing.
+    """
+    rem = list(numerator.coeffs)
+    size, lead = len(divisor.coeffs), divisor.coeffs[-1]
+    quotient = [0] * max(len(rem) - size + 1, 0)
+    for i in reversed(range(len(quotient))):
+        q, r = divmod(rem[i + size - 1], lead)
+        if r:
+            raise JackSystemError(message)
+        quotient[i] = q
+        if q:
+            for k, d in enumerate(divisor.coeffs):
+                rem[i + k] -= q * d
+    if any(rem):
+        raise JackSystemError(message)
+    return UniPoly(numerator.var, quotient)
 
 
 # -- closed forms from the diagram -------------------------------------------
@@ -378,7 +439,7 @@ def hook_product(factors) -> UniPoly:
     """The alpha-polynomial product of linear factors (s, t) = s * alpha + t."""
     out = UniPoly.one(ALPHA)
     for s, t in factors:
-        out = out * UniPoly(ALPHA, (Fraction(t), Fraction(s)))
+        out = out * UniPoly(ALPHA, (t, s))
     return out
 
 
@@ -386,7 +447,7 @@ def _eigenvalue(mu: Partition) -> UniPoly:
     """e_mu = alpha * n(mu') - n(mu), the Laplace-Beltrami eigenvalue of J_mu."""
     n_mu = sum(i * p for i, p in enumerate(mu.parts))
     n_conj = sum(p * (p - 1) // 2 for p in mu.parts)
-    return UniPoly(ALPHA, (Fraction(-n_mu), Fraction(n_conj)))
+    return UniPoly(ALPHA, (-n_mu, n_conj))
 
 
 def _principal_specialization(theta: Partition) -> UniPoly:
@@ -394,7 +455,7 @@ def _principal_specialization(theta: Partition) -> UniPoly:
     coeffs = [UniPoly.one(ALPHA)]  # x-coefficients, as alpha-polynomials
     for i, row in enumerate(theta.parts):
         for j in range(row):
-            shift = UniPoly(ALPHA, (Fraction(-i), Fraction(j)))
+            shift = UniPoly(ALPHA, (-i, j))
             coeffs = [
                 (coeffs[k - 1] if k else 0) + (coeffs[k] * shift if k < len(coeffs) else 0)
                 for k in range(len(coeffs) + 1)
@@ -405,21 +466,14 @@ def _principal_specialization(theta: Partition) -> UniPoly:
 # -- the Laplace-Beltrami operator, one weight at a time ----------------------
 
 
-class _Level(NamedTuple):
-    """The operator of one weight in the monomial basis, and the basis change.
-
-    column[mu]:  the entries A[nu, mu] with nu strictly above mu, where
-                 Delta m_nu = sum_mu A[nu, mu] m_mu.
-    inverse[mu]: m_mu in the power-sum basis, {rho: coefficient}.
-    """
-
-    column: dict[Partition, list[tuple[Partition, int]]]
-    inverse: dict[Partition, dict[Partition, Fraction]]
+#: The weight-n operator as columns: column[mu] lists the entries A[nu, mu]
+#: with nu strictly above mu, where Delta m_nu = sum_mu A[nu, mu] m_mu.
+Columns = dict[Partition, list[tuple[Partition, int]]]
 
 
 @lru_cache(maxsize=None)
-def _level(n: int) -> _Level:
-    """The weight-n operator in the monomial basis, and the inverse of M.
+def _level(n: int) -> Columns:
+    """The weight-n Laplace-Beltrami operator in the monomial basis.
 
     The operator follows Stanley's rule (Stanley 1989, Adv. Math. 77,
     section 3).  For each pair of parts u >= v of mu, taken by position,
@@ -429,13 +483,9 @@ def _level(n: int) -> _Level:
     order.  The diagonal is the eigenvalue e_mu: Stanley's D(alpha) differs
     from Delta only by a constant on each weight, so the gaps e_theta - e_mu
     are the same.
-
-    M is the power-sum to monomial table, triangular in reverse-lex order,
-    so its inverse comes from back-substitution over its rows.
     """
-    shapes = partitions_of(n)
-    column: dict[Partition, list[tuple[Partition, int]]] = {}
-    for mu in shapes:
+    column: Columns = {}
+    for mu in partitions_of(n):
         parts = mu.parts
         entries: dict[Partition, int] = {}
         for j, v in enumerate(parts):
@@ -446,19 +496,7 @@ def _level(n: int) -> _Level:
                     nu = Partition(sorted(filter(None, rest + (p, q)), reverse=True))
                     entries[nu] = entries.get(nu, 0) + p - q
         column[mu] = list(entries.items())
-
-    # p_rho = M[rho, rho] m_rho + (monomials above rho), solved from the top.
-    inverse: dict[Partition, dict[Partition, Fraction]] = {}
-    for rho in shapes:
-        row = _monomial_row(rho)
-        m_rho = {rho: Fraction(1)}
-        for mu, c in row.items():
-            if mu != rho:
-                for sigma, d in inverse[mu].items():
-                    m_rho[sigma] = m_rho.get(sigma, 0) - c * d
-        lead = Fraction(1, row[rho])
-        inverse[rho] = {sigma: d * lead for sigma, d in m_rho.items() if d}
-    return _Level(column=column, inverse=inverse)
+    return column
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mapchi import EXIT_FAILURE, arith, btutte, eulerchar, maporacle, symfunc
+from mapchi import EXIT_FAILURE, arith, btutte, cli, eulerchar, maporacle, symfunc
 from mapchi.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -54,6 +57,75 @@ def test_maps_table_pretty_polynomials(capsys):
     code, out, _ = run_cli(capsys, "maps", "table", "--max-edges", "1")
     assert code == 0
     assert "n=1 j=1 i=[0, 1]" in out and " b" in out
+
+
+@pytest.mark.parametrize(
+    ("text", "kind"),
+    [
+        ("0", int),
+        ("+1", int),
+        ("-0", int),
+        (" 3 ", int),
+        ("07", int),
+        pytest.param(
+            "1_000",
+            Fraction,
+            marks=pytest.mark.skipif(
+                sys.version_info < (3, 11), reason="Fraction reads underscores from 3.11"
+            ),
+        ),
+        ("\u0661", Fraction),  # ARABIC-INDIC DIGIT ONE: a digit, but not ASCII
+        ("1/2", Fraction),
+        ("0.5", Fraction),
+    ],
+)
+def test_b_takes_the_value_fraction_reads(capsys, text, kind):
+    """Only an ASCII integer literal becomes an int; every value equals Fraction(text)."""
+    value = cli._parse_rational(text)
+    assert value == Fraction(text) and type(value) is kind
+    argv = ("--format", "csv", "maps", "table", "--max-edges", "2", "--b")
+    code, out, err = run_cli(capsys, *argv, text)
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, *argv, str(Fraction(text)))[1]
+
+
+JSON_CASES = [
+    "",
+    'say "hi"',
+    "back\\slash",
+    "tab\tnew\nline\r\x00\x1f\x7f",
+    "caf\u00e9 \u2603 \U0001f600",
+    [],
+    {},
+    [[], {}, [[]], {"": {}}],
+    True,
+    False,
+    None,
+    [True, False, None, 0, -1, 10**30],
+    {"a": {"b": [1, {"c": ["x", None]}]}, "d\"": "\u00e9", "\u00e9": [False]},
+    (1, (2, "three")),
+    {"nested": [[1, [2, [3]]], {"k": {"k": {"k": "v"}}}]},
+    {1: "int key", None: "none key"},
+    [0.5, {"f": 1e100}],
+]
+
+
+@pytest.mark.parametrize("value", JSON_CASES, ids=repr)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=200)
+def test_json_writer_matches_json_dumps_on_any_value(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
 
 
 def test_euler_xi_routes_print_same_coefficients(capsys):
@@ -260,8 +332,6 @@ def test_verify_all_small_truncation_skips_map_route(capsys):
 
 def test_verify_all_detects_corrupted_bernoulli_cache(capsys):
     """Tampering with the memoized Bernoulli numbers must fail the arithmetic check."""
-    from fractions import Fraction
-
     arith.bernoulli(12)
     saved = list(arith._bernoulli_cache)
     try:
@@ -285,6 +355,8 @@ def _enumeration_started(*args, **kwargs):
         ["maps", "table", "--max-edges", "3", "--b", "1e30000000"],
         ["maps", "table", "--b", "1e-5000"],
         ["maps", "table", "--b", "1" * 101],
+        ["maps", "table", "--b", "+-1"],
+        ["maps", "table", "--b", "1e5"],
         ["maps", "table", "--max-edges", "0"],
         ["maps", "table", "--max-edges", "11"],
         ["verify-all", "--max-edges", "0"],

@@ -58,6 +58,12 @@ def test_map_counts_match_known_table():
     }
 
 
+def test_table_coefficients_are_ints():
+    """Every row through 10 edges has int coefficients, never a Fraction or a float."""
+    for key, poly in map_count_table(10).entries.items():
+        assert poly.var == "b" and all(type(c) is int for c in poly.coeffs), (key, poly)
+
+
 def test_recursion_equals_jack_route():
     assert map_count_table(3).entries == extract_map_counts(map_series(3)).entries
 

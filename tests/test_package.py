@@ -60,6 +60,7 @@ def _modules_after(statements: str) -> set[str]:
 RATIONAL = {"fractions", "decimal", "numbers"}
 
 NEVER_ON_IMPORT = RATIONAL | {
+    "json",
     "argparse",
     "gettext",
     "locale",
@@ -104,6 +105,31 @@ def test_import_cli_loads_no_worker_layer():
 def test_integer_commands_load_no_rational_arithmetic(argv):
     loaded = _modules_after(f"from mapchi.cli import main\nassert main({argv!r}) == 0")
     assert not (RATIONAL | {"mapchi.arith", "mapchi.eulerchar", "mapchi.mapseries"}) & loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--format", "json", "maps", "table", "--max-edges", "3"],
+        ["--format", "json", "maps", "table", "--max-edges", "3", "--b", "0"],
+        ["--format", "json", "maps", "table", "--max-edges", "3", "--b", "1"],
+        ["--format", "csv", "maps", "table", "--max-edges", "3"],
+        ["--format", "json", "jack", "--shape", "3,2,1"],
+    ],
+    ids=" ".join,
+)
+def test_integer_valued_commands_load_neither_fractions_nor_json(argv):
+    """The table and the Jack records are integer polynomials, and JSON has its own writer."""
+    loaded = _modules_after(f"from mapchi.cli import main\nassert main({argv!r}) == 0")
+    assert not (RATIONAL | {"json"}) & loaded
+
+
+def test_rational_b_still_runs_over_fractions():
+    loaded = _modules_after(
+        "from mapchi.cli import main\n"
+        "assert main(['--format', 'json', 'maps', 'table', '--max-edges', '3', '--b', '1/2']) == 0"
+    )
+    assert "fractions" in loaded
 
 
 def test_mapkey_has_one_home():

@@ -6,6 +6,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import pytest
+
 from mapchi import symfunc
 from mapchi.arith import ALPHA, AlphaFn, UniPoly
 from mapchi.partitions import Partition, partitions_of, z_of
@@ -129,8 +131,9 @@ def gram_schmidt_jack_oracle(n: int) -> dict[Partition, PowerSumExpr]:
     order = list(reversed(partitions_of(n)))  # ascending reverse-lex
     table = power_to_monomial(n)
     size = len(order)
-    # Rows: p_lam in terms of m_mu.  Invert to get m in terms of p.
-    matrix = [[table.get((lam, mu), Fraction(0)) for mu in order] for lam in order]
+    # Rows: p_lam in terms of m_mu.  Invert to get m in terms of p.  The
+    # table holds ints, and int / int is a float, so eliminate over Fractions.
+    matrix = [[Fraction(table.get((lam, mu), 0)) for mu in order] for lam in order]
     inverse = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
     for col in range(size):
         pivot = next(r for r in range(col, size) if matrix[r][col])
@@ -174,7 +177,8 @@ def test_jack_matches_gram_schmidt_oracle():
 
 
 def test_jack_coefficients_are_integer_alpha_polynomials():
-    for n in range(9):
+    """Every stored coefficient is an int, never a Fraction or a float (int / int)."""
+    for n in range(11):
         for shape in partitions_of(n):
             rec = jack(shape)
             values = [
@@ -185,7 +189,21 @@ def test_jack_coefficients_are_integer_alpha_polynomials():
             ]
             for c in values:
                 assert isinstance(c, UniPoly) and c.var == ALPHA, (shape, c)
-                assert all(Fraction(v).denominator == 1 for v in c.coeffs), (shape, c)
+                assert all(type(v) is int for v in c.coeffs), (shape, c)
+
+
+def test_inexact_division_raises_jack_system_error():
+    two_alpha = UniPoly(ALPHA, (0, 2))
+    assert symfunc._divide_exactly(two_alpha * (UniPoly.gen(ALPHA) - 3), two_alpha, "") == (
+        UniPoly(ALPHA, (-3, 1))
+    )
+    for numerator, divisor in (
+        (UniPoly(ALPHA, (1, 1)), UniPoly(ALPHA, (0, 2))),  # inexact leading step
+        (UniPoly(ALPHA, (1, 2)), UniPoly(ALPHA, (0, 2))),  # nonzero remainder
+        (UniPoly(ALPHA, (3,)), UniPoly(ALPHA, (2,))),  # integer content
+    ):
+        with pytest.raises(symfunc.JackSystemError, match="broken"):
+            symfunc._divide_exactly(numerator, divisor, "broken")
 
 
 def test_jack_principal_specializations():
@@ -221,7 +239,7 @@ def test_operator_weight_four_by_hand():
     """
     got = {
         (nu.parts, mu.parts): entry
-        for mu, col in symfunc._level(4).column.items()
+        for mu, col in symfunc._level(4).items()
         for nu, entry in col
     }
     assert got == {
