@@ -10,6 +10,8 @@ floating-point mode and no numerical tolerance anywhere.
 `fractions` is imported inside the code that divides (`bernoulli`,
 `sum_of_powers_poly`, `poly_divmod`, `poly_gcd`, `AlphaFn` and
 `TruncatedSeries.log`), so integer polynomial arithmetic runs without it.
+Exact division of integer polynomials is `int_poly_divmod`, a long division
+over the integers that the Jack solve and the map-count extraction share.
 Since ``int / int`` is a float, nothing here divides two coefficients with
 ``/`` unless one of them is a `Fraction`.
 
@@ -299,6 +301,37 @@ def poly_str(p: UniPoly, var: str | None = None) -> str:
     for t in terms[1:]:
         out += t if t.startswith("-") else "+" + t
     return out
+
+
+# -- exact division over the integers --------------------------------------
+
+
+def int_poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly] | None:
+    """Quotient and remainder of integer polynomials, by long division over ZZ.
+
+    Returns None when a step is inexact: the running remainder's leading
+    coefficient is no multiple of b's.  Otherwise the result is the one over
+    the rationals, so a nonzero remainder means b does not divide a at all.
+
+    >>> int_poly_divmod(UniPoly("b", (2, 4, 2)), UniPoly("b", (2, 2)))
+    (UniPoly('b', [1, 1]), UniPoly('b', []))
+    """
+    if a.var != b.var:
+        raise VariableMixError(f"cannot divide {a.var!r} by {b.var!r}")
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    size, lead = len(b.coeffs), b.coeffs[-1]
+    quotient = [0] * max(len(rem) - size + 1, 0)
+    for i in reversed(range(len(quotient))):
+        q, r = divmod(rem[i + size - 1], lead)
+        if r:
+            return None
+        quotient[i] = q
+        if q:
+            for k, d in enumerate(b.coeffs):
+                rem[i + k] -= q * d
+    return UniPoly(a.var, quotient), UniPoly(a.var, rem)
 
 
 # -- polynomial division over a coefficient field (Fractions) -------------

@@ -32,8 +32,9 @@ from .btutte import MAX_EDGE_TRUNCATION
 
 FORMATS = ("pretty", "json", "csv")
 
-#: Largest Jack weight `jack` solves: weight 14 takes about 5 s, and the
-#: operator build grows like p(n)^2.
+#: Largest Jack weight `jack` solves: one shape of weight 14 takes about
+#: 0.3 s in a fresh process (2 vCPUs, Python 3.11.7), and the operator build
+#: grows like p(n)^2.
 MAX_JACK_WEIGHT = 14
 
 #: Largest total side count `oracle glue` enumerates: 12 sides are 665,280
@@ -128,29 +129,30 @@ def cmd_maps_table(args) -> int:
     from .mapseries import map_count_table
 
     table = map_count_table(args.max_edges)
-    rows = []
-    for key in table.keys_sorted():
-        poly = table.entries[key]
-        row: dict[str, object] = {"i": list(key.i), "j": key.j, "n": key.n}
-        if args.b is None:
-            row["poly"] = poly.coeff_strings()
-        else:
-            row["count"] = str(poly.eval(args.b))
-        rows.append(row)
-
+    keys = table.keys_sorted()
     if args.format == "json":
+        rows = []
+        for key in keys:
+            poly = table.entries[key]
+            row: dict[str, object] = {"i": list(key.i), "j": key.j, "n": key.n}
+            if args.b is None:
+                row["poly"] = poly.coeff_strings()
+            else:
+                row["count"] = str(poly.eval(args.b))
+            rows.append(row)
         _print_json({"max_edges": table.max_n, "rows": rows})
-    elif args.format == "csv":
-        header = "n,j,i," + ("count" if args.b is not None else "poly")
-        print(header)
-        for key, row in zip(table.keys_sorted(), rows):
+        return 0
+
+    if args.format == "csv":
+        print("n,j,i," + ("count" if args.b is not None else "poly"))
+    for key in keys:
+        poly = table.entries[key]
+        tail = poly_str(poly) if args.b is None else str(poly.eval(args.b))
+        if args.format == "csv":
             i_str = " ".join(str(k) for k in key.i)
-            tail = row["count"] if args.b is not None else poly_str(table.entries[key])
             print(f"{key.n},{key.j},{i_str},{tail}")
-    else:
-        for key, row in zip(table.keys_sorted(), rows):
+        else:
             label = f"n={key.n} j={key.j} i={list(key.i)}"
-            tail = row["count"] if args.b is not None else poly_str(table.entries[key])
             print(f"{label:<28} {tail}")
     return 0
 

@@ -9,9 +9,9 @@ the vertex-valence partition:
 
     m(i, j, n) = [N^j] 2n kappa_mu / (z_mu (1 + b)^(l(mu) - 1)).
 
-Both divisions are exact, and every coefficient must come out an integer;
-any remainder raises `ExtractionError`.  The rows are `UniPoly`s in b with
-`int` coefficients, so building the table needs no `fractions`.
+The division must be exact over the integers: a remainder or a non-integer
+quotient raises `ExtractionError`.  The rows are `UniPoly`s in b with `int`
+coefficients, so building the table needs no `fractions`.
 
 The same numbers also come from the generating series assembled from Jack
 symmetric functions:
@@ -41,7 +41,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import btutte
-from .arith import AlphaFn, TruncatedSeries, UniPoly
+from .arith import AlphaFn, TruncatedSeries, UniPoly, int_poly_divmod
 from .partitions import (
     MapKey,
     Partition,
@@ -53,8 +53,9 @@ from .partitions import (
 from .btutte import MAX_EDGE_TRUNCATION
 
 #: Largest truncation of the Jack route (`jack_partition_sum`, `map_series`).
-#: At 5 edges it solves every Jack function of weight 10 and takes about
-#: 20 s on 2 vCPUs, most of it in the S(z) assembly.
+#: At 5 edges it solves every Jack function of weight 10 in about 0.4 s,
+#: assembles S(z) in about 2 s and takes its log in about 2 s (2 vCPUs,
+#: Python 3.11.7).
 JACK_ROUTE_MAX_EDGES = 5
 
 
@@ -76,7 +77,7 @@ class MapCountTable:
         """Rows ordered by edge count, then face count, then vertex partition."""
         return sorted(
             self.entries,
-            key=lambda k: (k.n, k.j, partition_from_distribution(k.i).parts),
+            key=lambda k: (k.n, k.j, partition_from_distribution(k.i)),
         )
 
 
@@ -227,10 +228,13 @@ def counts_from_cumulant(mu: Partition, kappa: btutte.Poly) -> dict[int, UniPoly
     """The rows [N^j] 2n kappa / (z_mu (1 + b)^(l - 1)) of one valence partition.
 
     kappa is the joint cumulant of mu as a {(N-power, b-power): int} dict.
-    Returns the nonzero b-polynomials keyed by face count j; a remainder in
-    either division raises `ExtractionError`.
+    Returns the nonzero b-polynomials keyed by face count j.  Each row is
+    one exact division over the integers: since 1 + b is monic, it succeeds
+    exactly when (1 + b)^(l - 1) divides kappa_j and z_mu divides 2n times
+    that quotient.  A remainder or an inexact step raises `ExtractionError`.
     """
     n, z = mu.weight // 2, z_of(mu)
+    divisor = UniPoly("b", [z * math.comb(mu.length - 1, k) for k in range(mu.length)])
     by_face: dict[int, list[int]] = {}
     for (j, d), c in kappa.items():
         row = by_face.setdefault(j, [])
@@ -238,33 +242,21 @@ def counts_from_cumulant(mu: Partition, kappa: btutte.Poly) -> dict[int, UniPoly
         row[d] = c
     rows = {}
     for j, coeffs in by_face.items():
-        for _ in range(mu.length - 1):
-            coeffs, remainder = _divide_by_one_plus_b(coeffs)
-            if remainder:
-                raise ExtractionError(
-                    f"kappa at mu={mu.parts}, N^{j} is not divisible by "
-                    f"(1+b)^{mu.length - 1}"
-                )
-        if any(2 * n * c % z for c in coeffs):
+        step = int_poly_divmod(UniPoly("b", [2 * n * c for c in coeffs]), divisor)
+        if step is None:
             raise ExtractionError(
                 f"non-integer b-coefficient at n={n}, mu={mu.parts}, j={j}: "
-                f"2n * {coeffs} / {z}"
+                f"2n * {coeffs} / ({z} (1+b)^{mu.length - 1})"
             )
-        poly = UniPoly("b", [2 * n * c // z for c in coeffs])
+        poly, remainder = step
+        if remainder:
+            raise ExtractionError(
+                f"kappa at mu={mu.parts}, N^{j} is not divisible by "
+                f"(1+b)^{mu.length - 1}"
+            )
         if poly:
             rows[j] = poly
     return rows
-
-
-def _divide_by_one_plus_b(coeffs: list[int]) -> tuple[list[int], int]:
-    """Quotient and remainder of a b-polynomial (coefficients by degree) by 1 + b."""
-    quotient = []
-    carry = 0
-    for c in reversed(coeffs[1:]):
-        carry = c - carry
-        quotient.append(carry)
-    quotient.reverse()
-    return quotient, (coeffs[0] if coeffs else 0) - carry
 
 
 @lru_cache(maxsize=None)

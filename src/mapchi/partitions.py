@@ -16,8 +16,11 @@ from functools import lru_cache
 from typing import NamedTuple
 
 
-class Partition:
-    """An immutable integer partition with cached weight.
+class Partition(tuple):
+    """An integer partition: a tuple of weakly decreasing positive parts.
+
+    Being a tuple, a partition equals, hashes and orders like the bare
+    tuple of its parts, and is immutable.
 
     >>> Partition((3, 1, 1)).weight
     5
@@ -25,50 +28,36 @@ class Partition:
     3
     """
 
-    __slots__ = ("parts", "weight")
+    __slots__ = ()
 
-    def __init__(self, parts=()):
+    def __new__(cls, parts=()):
         parts = tuple(int(p) for p in parts)
         for i, p in enumerate(parts):
             if p <= 0:
                 raise ValueError(f"partition parts must be positive, got {p}")
             if i and parts[i - 1] < p:
                 raise ValueError(f"partition parts must be weakly decreasing: {parts}")
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "weight", sum(parts))
+        return super().__new__(cls, parts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+    @property
+    def parts(self) -> tuple[int, ...]:
+        """The parts as a bare tuple."""
+        return tuple(self)
+
+    @property
+    def weight(self) -> int:
+        return sum(self)
 
     @property
     def length(self) -> int:
-        return len(self.parts)
+        return len(self)
 
     def multiplicities(self) -> dict[int, int]:
         """Map part value -> multiplicity."""
         out: dict[int, int] = {}
-        for p in self.parts:
+        for p in self:
             out[p] = out.get(p, 0) + 1
         return out
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, k):
-        return self.parts[k]
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self.parts == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
 
     def __repr__(self):
         return f"Partition{self.parts!r}"
@@ -81,7 +70,7 @@ class Partition:
         """
         if self.weight != other.weight:
             raise ValueError("reverse-lex comparison needs equal weights")
-        return self.parts <= other.parts
+        return self <= other
 
 
 @lru_cache(maxsize=None)
@@ -134,10 +123,10 @@ def vertex_distribution_of(mu: Partition) -> tuple[int, ...]:
     >>> vertex_distribution_of(Partition(()))
     ()
     """
-    if not mu.parts:
+    if not mu:
         return ()
-    out = [0] * mu.parts[0]
-    for p in mu.parts:
+    out = [0] * mu[0]
+    for p in mu:
         out[p - 1] += 1
     return tuple(out)
 

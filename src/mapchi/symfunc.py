@@ -28,7 +28,8 @@ monomial and in the power-sum basis (Knop and Sahi 1997, Invent. Math.
 stored as `UniPoly`s with `int` coefficients, and solving a record builds
 no `Fraction`: both divisions of the solve, by the eigenvalue gaps and by
 the diagonal of the power-sum to monomial table, are exact divisions over
-the integers, and a remainder raises `JackSystemError`.
+the integers (`arith.int_poly_divmod`), and an inexact step or a remainder
+raises `JackSystemError`.
 
 Both tables the recursion reads are closed combinatorial rules (Stanley
 1989, Adv. Math. 77, "Some combinatorial properties of Jack symmetric
@@ -45,7 +46,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import ALPHA, AlphaFn, UniPoly
+from .arith import ALPHA, AlphaFn, UniPoly, int_poly_divmod
 from .partitions import Partition, partitions_of, z_of
 
 class JackSystemError(RuntimeError):
@@ -139,7 +140,7 @@ class PowerSumExpr:
             out: dict[Partition, object] = {}
             for mu, a in self.terms.items():
                 for nu, b in other.terms.items():
-                    key = Partition(sorted(mu.parts + nu.parts, reverse=True))
+                    key = Partition(sorted(mu + nu, reverse=True))
                     prod = a * b
                     out[key] = out.get(key, 0) + prod
             return PowerSumExpr(out)
@@ -195,7 +196,7 @@ def _monomial_row(mu: Partition) -> dict[Partition, int]:
     blocks so far or opens a new one, tallied by the sorted block sums.
     """
     ways: dict[tuple[int, ...], int] = {(): 1}
-    for k in mu.parts:
+    for k in mu:
         grown: dict[tuple[int, ...], int] = {}
         for sums, count in ways.items():
             blocks = sums + (0,)  # the last block is a new, empty one
@@ -341,11 +342,12 @@ def _monomial_coefficients(theta: Partition, column: Columns) -> dict[Partition,
                 f"[m_{mu.parts}] J_{theta.parts} has a nonzero numerator but "
                 "the eigenvalues coincide"
             )
-        coeffs[mu] = _divide_exactly(
-            numerator,
-            gap,
-            f"[m_{mu.parts}] J_{theta.parts} is not an integer polynomial in alpha",
-        )
+        step = int_poly_divmod(numerator, gap)
+        if step is None or step[1]:
+            raise JackSystemError(
+                f"[m_{mu.parts}] J_{theta.parts} is not an integer polynomial in alpha"
+            )
+        coeffs[mu] = step[0]
     return coeffs
 
 
@@ -368,37 +370,16 @@ def _power_sum_coefficients(
         if not left:
             continue
         row = _monomial_row(rho)
-        c = out[rho] = _divide_exactly(
-            left,
-            UniPoly(ALPHA, (row[rho],)),
-            f"[p_{rho.parts}] J_{theta.parts} is not an integer polynomial in alpha",
-        )
+        step = int_poly_divmod(left, UniPoly(ALPHA, (row[rho],)))
+        if step is None or step[1]:
+            raise JackSystemError(
+                f"[p_{rho.parts}] J_{theta.parts} is not an integer polynomial in alpha"
+            )
+        c = out[rho] = step[0]
         for mu, m in row.items():
             if mu != rho:
                 residual[mu] = residual.get(mu, 0) - c * m
     return out
-
-
-def _divide_exactly(numerator: UniPoly, divisor: UniPoly, message: str) -> UniPoly:
-    """numerator / divisor over the integers, by long division.
-
-    Raises `JackSystemError` with `message` on any inexact step or nonzero
-    remainder, so the quotient is an integer polynomial or nothing.
-    """
-    rem = list(numerator.coeffs)
-    size, lead = len(divisor.coeffs), divisor.coeffs[-1]
-    quotient = [0] * max(len(rem) - size + 1, 0)
-    for i in reversed(range(len(quotient))):
-        q, r = divmod(rem[i + size - 1], lead)
-        if r:
-            raise JackSystemError(message)
-        quotient[i] = q
-        if q:
-            for k, d in enumerate(divisor.coeffs):
-                rem[i + k] -= q * d
-    if any(rem):
-        raise JackSystemError(message)
-    return UniPoly(numerator.var, quotient)
 
 
 # -- closed forms from the diagram -------------------------------------------
@@ -445,15 +426,15 @@ def hook_product(factors) -> UniPoly:
 
 def _eigenvalue(mu: Partition) -> UniPoly:
     """e_mu = alpha * n(mu') - n(mu), the Laplace-Beltrami eigenvalue of J_mu."""
-    n_mu = sum(i * p for i, p in enumerate(mu.parts))
-    n_conj = sum(p * (p - 1) // 2 for p in mu.parts)
+    n_mu = sum(i * p for i, p in enumerate(mu))
+    n_conj = sum(p * (p - 1) // 2 for p in mu)
     return UniPoly(ALPHA, (-n_mu, n_conj))
 
 
 def _principal_specialization(theta: Partition) -> UniPoly:
     """J_theta with every p_k sent to x: the product of x - i + alpha * j over cells (i, j)."""
     coeffs = [UniPoly.one(ALPHA)]  # x-coefficients, as alpha-polynomials
-    for i, row in enumerate(theta.parts):
+    for i, row in enumerate(theta):
         for j in range(row):
             shift = UniPoly(ALPHA, (-i, j))
             coeffs = [
@@ -554,7 +535,7 @@ def cauchy_check(n: int) -> CauchyReport:
                 key = (mu, nu)
                 jackside[key] = jackside.get(key, AlphaFn.zero()) + cx * cy * inv_norm
 
-    keys = sorted(set(kernel) | set(jackside), key=lambda t: (t[0].parts, t[1].parts))
+    keys = sorted(set(kernel) | set(jackside))
     for key in keys:
         lhs = kernel.get(key, AlphaFn.zero())
         rhs = jackside.get(key, AlphaFn.zero())

@@ -154,13 +154,14 @@ def harer_zagier_rows(max_n: int) -> dict[MapKey, int]:
     return rows
 
 
-def slicing_rows(max_n: int) -> dict[MapKey, Fraction]:
+def slicing_rows(max_n: int) -> dict[MapKey, int]:
     """The planar rows whose vertex degrees are all even, n <= max_n.
 
     Tutte's census of slicings (1962, Canad. J. Math. 14): for valences mu
     with v = l(mu) vertices, n edges and so j = n + 2 - v faces, the count
     is 2 n! / (n - v + 2)! prod_d binom(d - 1, d/2)^{m_d} / m_d!, and a
-    sphere row has no b term.
+    sphere row has no b term.  A count that comes out fractional raises
+    ArithmeticError.
     """
     rows = {}
     for n in range(1, max_n + 1):
@@ -171,7 +172,10 @@ def slicing_rows(max_n: int) -> dict[MapKey, Fraction]:
             for d, m in mu.multiplicities().items():
                 num *= math.comb(d - 1, d // 2) ** m
                 den *= math.factorial(m)
-            rows[MapKey(vertex_distribution_of(mu), n + 2 - mu.length, n)] = Fraction(num, den)
+            count, remainder = divmod(num, den)
+            if remainder:
+                raise ArithmeticError(f"slicings of {mu.parts}: {num}/{den} is not an integer")
+            rows[MapKey(vertex_distribution_of(mu), n + 2 - mu.length, n)] = count
     return rows
 
 
@@ -182,10 +186,6 @@ def slicing_rows(max_n: int) -> dict[MapKey, Fraction]:
 #: on 2 vCPUs); n >= 7 comes from the recursion alone, so it is not recorded.
 ROOTED_TOTALS_ORIENTABLE = rooted_orientable_totals(MAX_EDGE_TRUNCATION)
 ROOTED_TOTALS_ALL = {1: 3, 2: 24, 3: 297, 4: 4896, 5: 100278, 6: 2450304}
-
-#: Heaviest Jack functions `jack-conditions` checks: weight 10 takes about
-#: 11 s on 2 vCPUs, and each further weight costs several times as much.
-JACK_CHECK_MAX_WEIGHT = 10
 
 
 class CheckFailure(AssertionError):
@@ -302,16 +302,19 @@ def _check_partitions(max_edges: int) -> str:
         _require(mus[0] == (n,) and mus[-1] == (1,) * n, f"ordering broken at n={n}")
         for a, b in zip(mus, mus[1:]):
             _require(b.parts < a.parts, f"not strictly reverse-lex at n={n}")
-        class_sizes = sum(Fraction(math.factorial(n), z_of(mu)) for mu in mus)
-        _require(
-            class_sizes == math.factorial(n),
-            f"conjugacy classes of S_{n} do not fill the group",
-        )
+        class_sizes = 0
         for mu in mus:
+            size, remainder = divmod(math.factorial(n), z_of(mu))
+            _require(not remainder, f"z_{mu.parts} does not divide {n}!")
+            class_sizes += size
             _require(
                 partition_from_distribution(vertex_distribution_of(mu)) == mu,
                 f"distribution round-trip failed for {mu!r}",
             )
+        _require(
+            class_sizes == math.factorial(n),
+            f"conjugacy classes of S_{n} do not fill the group",
+        )
     return f"counts, order and statistics agree through n={len(known) - 1}"
 
 
@@ -337,8 +340,9 @@ def _check_jack_conditions(max_edges: int) -> str:
         got = {mu.parts: c for mu, c in rec.expansion.terms.items()}
         _require(got == coeffs, f"J_{shape} = {rec.expansion!r}, expected {coeffs}")
 
-    # The Jack route at max_edges reads every shape of weight 2 * max_edges.
-    top = min(max(6, 2 * max_edges), JACK_CHECK_MAX_WEIGHT)
+    # The Jack route at max_edges reads every shape of weight 2 * max_edges,
+    # as far as it goes; weight 10 takes about 2 s on 2 vCPUs (Python 3.11.7).
+    top = min(max(6, 2 * max_edges), 2 * JACK_ROUTE_MAX_EDGES)
     for weight in range(1, top + 1):
         shapes = partitions_of(weight)
         records = [jack(theta) for theta in shapes]
@@ -367,7 +371,7 @@ def _check_jack_conditions(max_edges: int) -> str:
                     UniPoly.zero(arith.ALPHA),
                 )
                 _require(
-                    rec.principal.eval(Fraction(nvars)) == viamono,
+                    rec.principal.eval(nvars) == viamono,
                     f"principal specialization of J_{rec.shape.parts} wrong at "
                     f"N={nvars}",
                 )
@@ -379,14 +383,9 @@ def _check_jack_conditions(max_edges: int) -> str:
                 )
                 # The same orthogonality again, numerically at alpha = 1.
                 numeric = sum(
-                    (
-                        c.eval(1)
-                        * other.expansion.terms[mu].eval(1)
-                        * z_of(mu)
-                        for mu, c in rec.expansion.terms.items()
-                        if mu in other.expansion.terms
-                    ),
-                    Fraction(0),
+                    c.eval(1) * other.expansion.terms[mu].eval(1) * z_of(mu)
+                    for mu, c in rec.expansion.terms.items()
+                    if mu in other.expansion.terms
                 )
                 _require(
                     numeric == 0,
@@ -434,8 +433,8 @@ def _check_series_invariants(max_edges: int) -> str:
     for key in sorted({key for key in table.entries if key.n <= reach} | set(jack_rows)):
         got, want = table.entries.get(key), jack_rows.get(key)
         _require(got == want, f"row {key}: recursion {got!r}, Jack route {want!r}")
-    sums_orientable: dict[int, Fraction] = {}
-    sums_all: dict[int, Fraction] = {}
+    sums_orientable: dict[int, int] = {}
+    sums_all: dict[int, int] = {}
     for key, poly in table.entries.items():
         chi = key.euler_characteristic
         _require(chi <= 2, f"{key} exceeds the Euler bound")
@@ -450,10 +449,8 @@ def _check_series_invariants(max_edges: int) -> str:
                 not poly.coeff(0),
                 f"odd Euler characteristic {key} reports orientable maps",
             )
-        sums_orientable[key.n] = sums_orientable.get(key.n, Fraction(0)) + poly.eval(
-            Fraction(0)
-        )
-        sums_all[key.n] = sums_all.get(key.n, Fraction(0)) + poly.eval(Fraction(1))
+        sums_orientable[key.n] = sums_orientable.get(key.n, 0) + poly.eval(0)
+        sums_all[key.n] = sums_all.get(key.n, 0) + poly.eval(1)
     for n, total in ROOTED_TOTALS_ORIENTABLE.items():
         if n <= table.max_n:
             _require(
@@ -543,7 +540,7 @@ def _check_oracle_agreement(max_edges: int) -> str:
         counts = {key: c for n in range(1, reach + 1) for key, c in census(n).items()}
         rows = sorted({key for key in table.entries if key.n <= reach} | set(counts))
         for key in rows:
-            got = table.entries[key].eval(Fraction(b)) if key in table.entries else 0
+            got = table.entries[key].eval(b) if key in table.entries else 0
             _require(
                 got == counts.get(key, 0),
                 f"b={b} disagrees with the {model} oracle at {key}: "

@@ -6,7 +6,7 @@ g <= 10 range that the registry checks on a smaller grid.  Run with
 `pytest tests/test_acceptance.py -s` to see one PASS/FAIL line per check as
 it happens.  The checks run at four edges, so the gate builds the 4-edge
 table by the recursion and again by the Jack route (Jack weight 8), and
-checks every Jack function through weight 8, about 10 s on 2 vCPUs.
+checks every Jack function through weight 8, about 3 s on 2 vCPUs.
 """
 
 from __future__ import annotations

@@ -16,6 +16,8 @@ from mapchi.arith import (
     UniPoly,
     VariableMixError,
     bernoulli,
+    int_poly_divmod,
+    poly_divmod,
     poly_gcd,
     poly_str,
     sum_of_powers_poly,
@@ -129,6 +131,39 @@ def test_unipoly_constants_compare_across_variables():
     assert UniPoly("b", (Fraction(3),)) == UniPoly("x", (Fraction(3),))
     assert UniPoly("b", (Fraction(3),)) == 3
     assert UniPoly("b", (0, 1)) != UniPoly("x", (0, 1))
+
+
+def test_int_poly_divmod_cases():
+    two_alpha = UniPoly(ALPHA, (0, 2))
+    quotient, remainder = int_poly_divmod(two_alpha * (UniPoly.gen(ALPHA) - 3), two_alpha)
+    assert quotient == UniPoly(ALPHA, (-3, 1)) and not remainder
+    assert all(type(c) is int for c in quotient.coeffs)
+    # An inexact leading step: 1 is no multiple of 2.
+    assert int_poly_divmod(UniPoly(ALPHA, (1, 1)), two_alpha) is None
+    # A nonzero remainder: 2 alpha + 1 = 1 * (2 alpha) + 1.
+    assert int_poly_divmod(UniPoly(ALPHA, (1, 2)), two_alpha) == (
+        UniPoly(ALPHA, (1,)),
+        UniPoly(ALPHA, (1,)),
+    )
+    # Integer content: 3 / 2 is not an integer.
+    assert int_poly_divmod(UniPoly(ALPHA, (3,)), UniPoly(ALPHA, (2,))) is None
+
+
+int_polys = st.lists(st.integers(-30, 30), max_size=5).map(lambda cs: UniPoly("b", cs))
+nonzero_int_polys = int_polys.filter(bool)
+
+
+@given(int_polys, nonzero_int_polys, int_polys)
+@settings(max_examples=200)
+def test_int_poly_divmod_agrees_with_rational_division(q, b, r):
+    """b * q divides exactly; b * q + r splits as over the rationals, or not at all."""
+    assert int_poly_divmod(b * q, b) == (q, UniPoly("b"))
+    a = b * q + r
+    step = int_poly_divmod(a, b)
+    if step is None:
+        assert any(Fraction(c).denominator != 1 for c in poly_divmod(a, b)[0].coeffs)
+    else:
+        assert step == poly_divmod(a, b)
 
 
 def test_poly_str_formats():

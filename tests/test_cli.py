@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -57,6 +58,29 @@ def test_maps_table_pretty_polynomials(capsys):
     code, out, _ = run_cli(capsys, "maps", "table", "--max-edges", "1")
     assert code == 0
     assert "n=1 j=1 i=[0, 1]" in out and " b" in out
+
+
+def test_maps_table_formats_agree_row_for_row(capsys):
+    """JSON, CSV and pretty output list the same rows, in one order, with one polynomial."""
+    argv = ("maps", "table", "--max-edges", "4")
+    _, out, _ = run_cli(capsys, "--format", "json", *argv)
+    from_json = []
+    for row in json.loads(out)["rows"]:
+        poly = arith.poly_str(arith.UniPoly("b", map(int, row["poly"])))
+        from_json.append((row["n"], row["j"], tuple(row["i"]), poly))
+    _, out, _ = run_cli(capsys, "--format", "csv", *argv)
+    from_csv = []
+    for line in out.splitlines()[1:]:
+        n, j, i, poly = line.split(",")
+        from_csv.append((int(n), int(j), tuple(map(int, i.split())), poly))
+    _, out, _ = run_cli(capsys, *argv)
+    from_pretty = []
+    for line in out.splitlines():
+        label, poly = line.rsplit(" ", 1)
+        n, j, i = re.fullmatch(r"n=(\d+) j=(\d+) i=\[([\d, ]*)\] *", label).groups()
+        from_pretty.append((int(n), int(j), tuple(map(int, filter(None, i.split(", ")))), poly))
+    assert len(from_json) == 81
+    assert from_json == from_csv == from_pretty
 
 
 @pytest.mark.parametrize(

@@ -96,12 +96,23 @@ def test_partition_is_immutable_and_hashable():
     mu = Partition((2, 1))
     with pytest.raises(AttributeError):
         mu.parts = (3,)
+    with pytest.raises(AttributeError):
+        mu.weight = 1
     assert len({Partition((2, 1)), Partition((2, 1)), Partition((3,))}) == 2
+    for parts in ((), (3,), (2, 1), (3, 1, 1)):
+        assert hash(Partition(parts)) == hash(parts)
+    by_shape = {Partition((2, 1)): "a", Partition(()): "b"}
+    assert by_shape[(2, 1)] == "a" and by_shape[()] == "b"
+    assert repr(Partition((3, 1, 1))) == "Partition(3, 1, 1)"
+    assert repr(Partition((3,))) == "Partition(3,)"
+    assert repr(Partition(())) == "Partition()"
 
 
 def test_partition_compares_with_bare_tuples():
     assert Partition((2, 1)) == (2, 1)
     assert Partition(()) == ()
+    assert Partition((2, 2)) < Partition((3, 1)) < (3, 2)
+    assert Partition((2,)) + Partition((1,)) == (2, 1)
 
 
 def test_partition_accessors():

@@ -193,17 +193,19 @@ def test_jack_coefficients_are_integer_alpha_polynomials():
 
 
 def test_inexact_division_raises_jack_system_error():
-    two_alpha = UniPoly(ALPHA, (0, 2))
-    assert symfunc._divide_exactly(two_alpha * (UniPoly.gen(ALPHA) - 3), two_alpha, "") == (
-        UniPoly(ALPHA, (-3, 1))
-    )
-    for numerator, divisor in (
-        (UniPoly(ALPHA, (1, 1)), UniPoly(ALPHA, (0, 2))),  # inexact leading step
-        (UniPoly(ALPHA, (1, 2)), UniPoly(ALPHA, (0, 2))),  # nonzero remainder
-        (UniPoly(ALPHA, (3,)), UniPoly(ALPHA, (2,))),  # integer content
-    ):
-        with pytest.raises(symfunc.JackSystemError, match="broken"):
-            symfunc._divide_exactly(numerator, divisor, "broken")
+    # The operator entry A[(4), (2, 2)] = 4 broken to 5: the eigenvalue gap
+    # of (2, 2) no longer divides its numerator.
+    column = dict(symfunc._level(4))
+    column[Partition((2, 2))] = [
+        (nu, entry + (nu == (4,))) for nu, entry in column[Partition((2, 2))]
+    ]
+    with pytest.raises(symfunc.JackSystemError, match=r"\[m_\(2, 2\)\] J_\(4,\)"):
+        symfunc._monomial_coefficients(Partition((4,)), column)
+    # [m_(1,1)] = 3 is no multiple of M[(1,1), (1,1)] = 2!.
+    with pytest.raises(symfunc.JackSystemError, match=r"\[p_\(1, 1\)\] J_\(1, 1\)"):
+        symfunc._power_sum_coefficients(
+            Partition((1, 1)), {Partition((1, 1)): UniPoly(ALPHA, (3,))}
+        )
 
 
 def test_jack_principal_specializations():
