@@ -651,23 +651,21 @@ class TruncatedSeries:
     __hash__ = None
 
     def log(self) -> TruncatedSeries:
-        """Series logarithm via the Mercator expansion.
+        """Series logarithm by Newton's identity L_n = n f_n - sum_{0<k<n} L_k f_{n-k}.
 
-        Requires constant term exactly 1; raises ValueError otherwise.
+        L_n is n times the z^n coefficient of log f.  Requires constant
+        term exactly 1; raises ValueError otherwise.
         """
         from fractions import Fraction
 
-        if not self.coeffs[0] == 1:
+        f = self.coeffs
+        if not f[0] == 1:
             raise ValueError("series logarithm requires constant term 1")
-        u = TruncatedSeries(self.var, (0,) + self.coeffs[1:], self.max_order)
-        result = TruncatedSeries(self.var, (), self.max_order)
-        power = u
-        for m in range(1, self.max_order + 1):
-            term = power.scale(Fraction((-1) ** (m + 1), m))
-            result = result + term
-            if m < self.max_order:
-                power = power * u
-        return result
+        newton = [0]
+        for n in range(1, self.max_order + 1):
+            newton.append(f[n] * n - sum((newton[k] * f[n - k] for k in range(1, n)), 0))
+        logs = [c * Fraction(1, n) if c else 0 for n, c in enumerate(newton)]
+        return TruncatedSeries(self.var, logs, self.max_order)
 
     def z_ddz(self) -> TruncatedSeries:
         """Apply the Euler operator var * d/dvar (coefficient k picks up a factor k)."""

@@ -164,7 +164,7 @@ def cmd_maps_table(args) -> int:
 
 def cmd_euler_xi(args) -> int:
     from .arith import poly_str
-    from .eulerchar import xi_closed, xi_from_logW, xi_from_maps
+    from .eulerchar import lambda_edges, xi_closed, xi_from_logW, xi_from_maps
 
     if args.g < 1 or args.s < 1:
         return _refuse("xi is defined here for g >= 1 and s >= 1")
@@ -175,7 +175,7 @@ def cmd_euler_xi(args) -> int:
     elif args.route == "logw":
         poly = xi_from_logW(args.g, args.s)
     else:
-        needed = 3 * args.g + 3 * args.s - 3
+        needed = lambda_edges(args.g, args.s)[-1]
         if needed > MAX_EDGE_TRUNCATION:
             return _refuse(
                 f"the maps route for xi({args.g},{args.s}) needs map counts "

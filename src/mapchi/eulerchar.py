@@ -213,17 +213,25 @@ def lambda_sum(counts: Mapping[MapKey, T], g: int, s: int, zero: T) -> T:
     return total
 
 
+def lambda_edges(g: int, s: int) -> range:
+    """The edge counts g + s <= n <= 3g + 3s - 3 where lambda^s_g(n) can be nonzero.
+
+    Its maps have v = n - g - s + 1 >= 1 vertices, all of valence >= 3: 3v <= 2n.
+    """
+    return range(g + s, 3 * g + 3 * s - 2)
+
+
 def xi_from_maps(g: int, s: int, table: MapCountTable) -> UniPoly:
     """xi^s_g summed from refined map counts with b = 1/gamma - 1.
 
     xi^s_g is `lambda_sum` over the b-polynomials of the table, with
     b = 1/gamma - 1 substituted afterwards (the sum is linear).  The result
-    is asserted equal to `xi_closed`; requires the table to reach
-    n = 3g+3s-3.
+    is asserted equal to `xi_closed`; requires the table to reach the
+    last of `lambda_edges`.
     """
     if g < 1 or s < 1:
         raise ValueError("xi is defined here for g >= 1 and s >= 1")
-    top = 3 * g + 3 * s - 3
+    top = lambda_edges(g, s)[-1]
     if table.max_n < top:
         raise TruncationError(
             f"xi({g},{s}) needs map counts through n={top}, "
@@ -349,9 +357,9 @@ def chi_real_from_lambda(g: int, s: int) -> ChiValue:
 def chi_complex(g: int, s: int) -> ChiValue:
     """Euler characteristic of the moduli space of complex curves.
 
-    Zero for even g; for odd g:
+    Lambda^O = xi^s_g(1), from `lambda_values`, which checks its closed
+    form: zero for even g; for odd g
         chi = (-1)^s (g+s-2)! B_{g+1} / ((g+1) (g-1)!).
-    Always equals xi^s_g at gamma = 1 (asserted).
 
     >>> chi_complex(1, 1).value
     Fraction(-1, 12)
@@ -360,19 +368,7 @@ def chi_complex(g: int, s: int) -> ChiValue:
     """
     if g < 1 or s < 1:
         raise ValueError("indices must be positive")
-    if g % 2 == 0:
-        value = Fraction(0)
-    else:
-        value = Fraction(
-            (-1) ** s * math.factorial(g + s - 2),
-            (g + 1) * math.factorial(g - 1),
-        ) * bernoulli(g + 1)
-    via_xi = eval_at_gamma(xi_closed(g, s), Fraction(1))
-    if value != via_xi:
-        raise RouteMismatchError(
-            f"chi_complex({g},{s}): formula gives {value}, xi(1) gives {via_xi}"
-        )
-    return ChiValue(Fraction(value), g, s, "complex")
+    return ChiValue(lambda_values(g, s).orientable, g, s, "complex")
 
 
 def chi_fixed_curves(g: int, s: int, m: int, separating: bool) -> ChiValue:

@@ -530,10 +530,10 @@ def _locally_orientable_counts(n: int) -> dict[MapKey, int]:
 def lambda_from_census(g: int, s: int) -> LambdaTriple:
     """(Lambda, Lambda^O, Lambda^N) assembled from the rooted-map oracles.
 
-    `eulerchar.lambda_sum` over the rooted counts with n = g+s .. 3g+3s-3
-    edges, on all surfaces for Lambda and orientable only for Lambda^O.
-    Compared against the closed forms; any disagreement raises.  Both
-    censuses must reach n = 3g+3s-3, which only (g, s) = (1, 1) does.
+    `eulerchar.lambda_sum` over the rooted counts with n in `lambda_edges`,
+    on all surfaces for Lambda and orientable only for Lambda^O.  Compared
+    against the closed forms; any disagreement raises.  Both censuses must
+    reach the last such n, which only (g, s) = (1, 1) does.
     """
     from fractions import Fraction
 
@@ -541,20 +541,20 @@ def lambda_from_census(g: int, s: int) -> LambdaTriple:
         LambdaTriple,
         RouteMismatchError,
         TruncationError,
+        lambda_edges,
         lambda_sum,
         lambda_values,
     )
 
     if g < 1 or s < 1:
         raise ValueError("need g >= 1 and s >= 1")
-    top = 3 * g + 3 * s - 3
+    edges = lambda_edges(g, s)
     reach = min(MAX_ORIENTABLE_EDGES, MAX_LOCALLY_ORIENTABLE_EDGES)
-    if top > reach:
+    if edges[-1] > reach:
         raise TruncationError(
-            f"Lambda({g},{s}) needs rooted censuses through n={top}, "
+            f"Lambda({g},{s}) needs rooted censuses through n={edges[-1]}, "
             f"the two censuses together reach n={reach}"
         )
-    edges = range(g + s, top + 1)
     allsurf = {k: c for n in edges for k, c in rooted_locally_orientable_counts(n).items()}
     orientable = {k: c for n in edges for k, c in rooted_orientable_counts(n).items()}
     lam = lambda_sum(allsurf, g, s, Fraction(0))

@@ -54,7 +54,7 @@ from .btutte import MAX_EDGE_TRUNCATION
 
 #: Largest truncation of the Jack route (`jack_partition_sum`, `map_series`).
 #: At 5 edges it solves every Jack function of weight 10 in about 0.4 s,
-#: assembles S(z) in about 2 s and takes its log in about 2 s (2 vCPUs,
+#: assembles S(z) in about 2 s and takes its log in about 1 s (2 vCPUs,
 #: Python 3.11.7).
 JACK_ROUTE_MAX_EDGES = 5
 
@@ -224,24 +224,19 @@ def extract_map_counts(series: TruncatedSeries) -> MapCountTable:
     return MapCountTable(entries=entries, max_n=series.max_order)
 
 
-def counts_from_cumulant(mu: Partition, kappa: btutte.Poly) -> dict[int, UniPoly]:
+def counts_from_cumulant(mu: Partition, kappa: dict[int, list[int]]) -> dict[int, UniPoly]:
     """The rows [N^j] 2n kappa / (z_mu (1 + b)^(l - 1)) of one valence partition.
 
-    kappa is the joint cumulant of mu as a {(N-power, b-power): int} dict.
-    Returns the nonzero b-polynomials keyed by face count j.  Each row is
-    one exact division over the integers: since 1 + b is monic, it succeeds
+    kappa is {face count j: [b-coefficients]}, as `btutte.face_rows` gives
+    it.  Returns the nonzero b-polynomials keyed by j.  Each row is one
+    exact division over the integers: since 1 + b is monic, it succeeds
     exactly when (1 + b)^(l - 1) divides kappa_j and z_mu divides 2n times
     that quotient.  A remainder or an inexact step raises `ExtractionError`.
     """
     n, z = mu.weight // 2, z_of(mu)
     divisor = UniPoly("b", [z * math.comb(mu.length - 1, k) for k in range(mu.length)])
-    by_face: dict[int, list[int]] = {}
-    for (j, d), c in kappa.items():
-        row = by_face.setdefault(j, [])
-        row.extend([0] * (d + 1 - len(row)))
-        row[d] = c
     rows = {}
-    for j, coeffs in by_face.items():
+    for j, coeffs in kappa.items():
         step = int_poly_divmod(UniPoly("b", [2 * n * c for c in coeffs]), divisor)
         if step is None:
             raise ExtractionError(
@@ -269,7 +264,7 @@ def map_count_table(max_n: int) -> MapCountTable:
     entries: dict[MapKey, UniPoly] = {}
     for n in range(1, max_n + 1):
         for mu in partitions_of(2 * n):
-            for j, poly in counts_from_cumulant(mu, btutte.cumulant(mu.parts)).items():
+            for j, poly in counts_from_cumulant(mu, btutte.face_rows(mu, max_n)).items():
                 entries[MapKey(vertex_distribution_of(mu), j, n).validate()] = poly
     return MapCountTable(entries=entries, max_n=max_n)
 

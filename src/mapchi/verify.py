@@ -31,6 +31,7 @@ from .eulerchar import (
     chi_real,
     chi_real_from_lambda,
     gamma_poly,
+    lambda_edges,
     xi_closed,
     xi_from_logW,
     xi_from_maps,
@@ -593,7 +594,7 @@ def _check_xi_map_route(max_edges: int) -> str:
         (g, s)
         for g in range(1, table.max_n // 3 + 1)
         for s in range(1, table.max_n // 3 + 1)
-        if 3 * g + 3 * s - 3 <= table.max_n
+        if lambda_edges(g, s)[-1] <= table.max_n
     ]
     for g, s in pairs:
         xi_from_maps(g, s, table)  # raises on mismatch with the closed form
@@ -605,7 +606,7 @@ def _check_chi_identities(max_edges: int) -> str:
     for g in range(1, 11):
         for s in range(1, 5):
             chi_real_from_lambda(g, s)  # raises unless 2^{s-1} Lambda^N matches
-            chi_complex(g, s)  # raises unless the formula matches xi(1), 0 for even g
+            chi_complex(g, s)  # raises unless Lambda^O = xi(1) matches its closed form
             if g % 2:
                 _require(
                     chi_fixed_curves(g, s, 0, separating=True).value

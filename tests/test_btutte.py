@@ -1,0 +1,49 @@
+"""The b-Tutte recursion at integer points, and the packed decoding."""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from mapchi.btutte import MAX_EDGE_TRUNCATION, cumulant, face_rows
+from mapchi.partitions import partitions_of
+
+
+def test_hand_decodings():
+    # kappa_(2) = N^2 + N b and kappa_(1,1) = N + N b.
+    assert face_rows((2,), 1) == {2: [1], 1: [0, 1]}
+    assert face_rows((1, 1), 1) == {1: [1, 1]}
+    assert cumulant((2,), 3, 5) == 24
+    assert cumulant((1, 1), 3, 5) == 18
+
+
+def test_decoding_matches_point_values():
+    # The decoded polynomials, evaluated back, give the recursion's values.
+    for mu in partitions_of(8):
+        rows = face_rows(mu, 4)
+        for N, b in ((2, 3), (5, 1), (1, 0)):
+            value = sum(c * N**j * b**d for j, row in rows.items() for d, c in enumerate(row))
+            assert value == cumulant(tuple(mu), N, b)
+
+
+def test_no_field_carries_through_the_truncation_bound():
+    """Every mu with |mu| <= 2 MAX_EDGE_TRUNCATION, at the narrowest fields a table gives it.
+
+    A carry out of a W-bit field changes the digit sum, so equal sums
+    mean every coefficient was read whole.  The field width rests on
+    kappa_mu(1, 1) <= kappa_(2n)(1, 1), checked here too.
+    """
+    for n in range(1, MAX_EDGE_TRUNCATION + 1):
+        bound = cumulant((2 * n,), 1, 1)
+        assert bound == 2**n * math.prod(range(1, 2 * n, 2))
+        for mu in partitions_of(2 * n):
+            total = cumulant(tuple(mu), 1, 1)
+            assert total <= bound
+            rows = face_rows(mu, n)
+            assert sum(map(sum, rows.values())) == total, mu
+
+
+def test_face_rows_refuses_too_heavy_parts():
+    with pytest.raises(ValueError, match="weighs more"):
+        face_rows((4,), 1)

@@ -110,11 +110,11 @@ def test_all_surface_totals_through_six_edges():
 def test_cumulant_division_remainders_raise():
     # (1, 1) needs one factor 1 + b, which N alone does not have.
     with pytest.raises(ExtractionError, match="not divisible"):
-        counts_from_cumulant(Partition((1, 1)), {(1, 0): 1})
+        counts_from_cumulant(Partition((1, 1)), {1: [1]})
     # (2, 2): 2n = 4 times (1 + b) / (1 + b) = 1, over z = 8.
     with pytest.raises(ExtractionError, match="non-integer"):
-        counts_from_cumulant(Partition((2, 2)), {(1, 0): 1, (1, 1): 1})
-    assert counts_from_cumulant(Partition((1, 1)), {(1, 0): 1, (1, 1): 1}) == {
+        counts_from_cumulant(Partition((2, 2)), {1: [1, 1]})
+    assert counts_from_cumulant(Partition((1, 1)), {1: [1, 1]}) == {
         1: UniPoly("b", (1,))
     }
 
