@@ -1,13 +1,19 @@
 """Brute-force surface and map enumerators used as independent oracles.
 
-Two unrelated combinatorial models cross-check the algebraic map series:
+Both models count vertices the same way.  Each describes a surface by
+pairings (perfect matchings, that is fixed-point-free involutions) of a
+finite set; a vertex is an orbit of the group generated by two pairings,
+a cycle that alternates them, and `_orbit_halves` walks those cycles.
 
 * polygon gluings: every way of identifying the sides of s labeled polygons
   in pairs, each identification either orientation-reversing (antiparallel,
   the a...a^-1 pattern) or orientation-preserving (parallel, the a...a
-  pattern).  Corner tracing yields the vertex count of the glued surface,
-  2-coloring of polygon orientations decides orientability, and
-  V - E + F gives the Euler characteristic with E = n side pairs and
+  pattern).  The elements are side ends: side u has ends 2u (its start
+  corner) and 2u + 1 (its end corner).  The corner pairing joins each
+  polygon corner's two side ends, the gluing pairing joins the side ends
+  that an identification lays on each other, and vertices are the orbits
+  of the two.  2-coloring of polygon orientations decides orientability,
+  and V - E + F gives the Euler characteristic with E = n side pairs and
   F = s polygons.
 
 * encoded rooted maps: an orientable rooted map with n edges is a
@@ -57,36 +63,30 @@ MAX_LOCALLY_ORIENTABLE_EDGES = 5
 
 
 # ---------------------------------------------------------------------------
-# Disjoint-set helpers
+# Pairings and parity classes
 # ---------------------------------------------------------------------------
 
 
-class _DSU:
-    __slots__ = ("parent",)
+def _orbit_halves(first: list[int], second: list[int]) -> list[int]:
+    """Half the size of each orbit of the group generated by two pairings.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def class_sizes(self) -> dict[int, int]:
-        sizes: dict[int, int] = {}
-        for x in range(len(self.parent)):
-            r = self.find(x)
-            sizes[r] = sizes.get(r, 0) + 1
-        return sizes
+    `first` and `second` are fixed-point-free involutions, as lists, so
+    every orbit is a cycle that alternates them; its half size is the number
+    of `first` pairs it holds.
+    """
+    seen = [False] * len(first)
+    halves = []
+    for x in range(len(first)):
+        if seen[x]:
+            continue
+        half = 0
+        while not seen[x]:
+            y = first[x]
+            seen[x] = seen[y] = True
+            x = second[y]
+            half += 1
+        halves.append(half)
+    return halves
 
 
 class _ParityDSU:
@@ -144,18 +144,22 @@ class GlueOutcome(NamedTuple):
 
 
 def _polygon_layout(sides: tuple[int, ...]):
-    """Per-side (polygon, start corner, end corner) with global corner ids."""
+    """The owning polygon of each side and the corner pairing of side ends.
+
+    Sides are numbered polygon by polygon along each boundary; side u has
+    ends 2u (start corner) and 2u + 1 (end corner).  The corner pairing
+    joins 2u + 1 and 2 next(u), where next(u) is the next side of the same
+    polygon, so each of its pairs is one polygon corner.
+    """
     owner: list[int] = []
-    start: list[int] = []
-    end: list[int] = []
-    offset = 0
+    corner = [0] * (2 * sum(sides))
     for p, length in enumerate(sides):
+        first = len(owner)
         for c in range(length):
+            u, following = first + c, first + (c + 1) % length
+            corner[2 * u + 1], corner[2 * following] = 2 * following, 2 * u + 1
             owner.append(p)
-            start.append(offset + c)
-            end.append(offset + (c + 1) % length)
-        offset += length
-    return owner, start, end
+    return owner, corner
 
 
 def _evaluate_gluing(
@@ -164,24 +168,21 @@ def _evaluate_gluing(
     pairs: tuple[tuple[int, int], ...],
     twists: tuple[bool, ...],
 ) -> GlueOutcome:
-    owner, start, end = layout
-    total_corners = sum(sides)
-    corners = _DSU(total_corners)
+    owner, corner = layout
+    glue = [0] * len(corner)
     orient = _ParityDSU(len(sides))
     orientable = True
     for (a, b), twist in zip(pairs, twists):
-        if twist:
-            corners.union(start[a], start[b])
-            corners.union(end[a], end[b])
-        else:
-            corners.union(start[a], end[b])
-            corners.union(end[a], start[b])
+        # A parallel (twisted) pair lays start on start, an antiparallel one
+        # start on end.
+        x, y = 2 * a, 2 * b + (not twist)
+        glue[x], glue[y] = y, x
+        glue[x + 1], glue[y ^ 1] = y ^ 1, x + 1
         if not orient.union(owner[a], owner[b], 1 if twist else 0):
             orientable = False
-    sizes = corners.class_sizes()
-    vertices = len(sizes)
-    n_edges = len(pairs)
-    chi = vertices - n_edges + len(sides)
+    valences = _orbit_halves(corner, glue)
+    vertices = len(valences)
+    chi = vertices - len(pairs) + len(sides)
     return GlueOutcome(
         vertices=vertices,
         chi=chi,
@@ -189,7 +190,7 @@ def _evaluate_gluing(
         # orient joins the two polygons of every pair, so it also tracks
         # which polygons the gluing connects.
         connected=len({orient.find(p)[0] for p in range(len(sides))}) == 1,
-        min_valence=min(sizes.values()),
+        min_valence=min(valences),
     )
 
 
@@ -199,7 +200,6 @@ def _pattern_word(sides: tuple[int, ...], pairs, twists) -> str:
     The first side of a pair gets a fresh letter; its partner repeats the
     letter, with exponent -1 when the identification is antiparallel.
     """
-    total = sum(sides)
     symbol: dict[int, str] = {}
     letters = "abcdefghijklmnopqrstuvwxyz"
     next_letter = 0
@@ -302,20 +302,13 @@ def double_cover_lift_check(*sides: int) -> int:
     cover_sides = tuple(k for k in base_sides for _ in range(2))
     cover_layout = _polygon_layout(cover_sides)
 
-    # Side u of base polygon p lifts to the same local position in cover
-    # polygons 2p and 2p+1.
-    base_offsets = [0]
-    for k in base_sides:
-        base_offsets.append(base_offsets[-1] + k)
-    cover_offsets = [0]
-    for k in cover_sides:
-        cover_offsets.append(cover_offsets[-1] + k)
-    owner, _, _ = layout
-
-    def lift_side(u: int, copy: int) -> int:
-        p = owner[u]
-        local = u - base_offsets[p]
-        return cover_offsets[2 * p + copy] + local
+    # Base polygon p, whose first side is owner.index(p), lifts to cover
+    # polygons 2p and 2p+1; side u keeps its place in both copies.
+    owner = layout[0]
+    lifted = []
+    for u, p in enumerate(owner):
+        in_copy_0 = u + owner.index(p)
+        lifted.append((in_copy_0, in_copy_0 + base_sides[p]))
 
     checked = 0
     n = total // 2
@@ -330,9 +323,9 @@ def double_cover_lift_check(*sides: int) -> int:
                 cover_pairs = []
                 cover_twists = []
                 for (a, b), twist, crossed in zip(pairs, twists, choices):
-                    cover_pairs.append((lift_side(a, 0), lift_side(b, crossed)))
+                    cover_pairs.append((lifted[a][0], lifted[b][crossed]))
                     cover_twists.append(twist)
-                    cover_pairs.append((lift_side(a, 1), lift_side(b, 1 - crossed)))
+                    cover_pairs.append((lifted[a][1], lifted[b][1 - crossed]))
                     cover_twists.append(twist)
                 out = _evaluate_gluing(
                     cover_sides, cover_layout, tuple(cover_pairs), tuple(cover_twists)
@@ -393,27 +386,6 @@ def _cycle_lengths(perm: list[int]) -> list[int]:
             length += 1
         lengths.append(length)
     return lengths
-
-
-def _orbit_sizes(m3: list[int], fixed: int) -> list[int]:
-    """Orbit sizes of the group generated by x -> x xor `fixed` and `m3`.
-
-    Both generators are fixed-point-free involutions, so every orbit is a
-    cycle that alternates them and has even size.
-    """
-    seen = [False] * len(m3)
-    sizes = []
-    for x in range(len(m3)):
-        if seen[x]:
-            continue
-        size = 0
-        while not seen[x]:
-            y = x ^ fixed
-            seen[x] = seen[y] = True
-            x = m3[y]
-            size += 2
-        sizes.append(size)
-    return sizes
 
 
 def rooted_orientable_counts(n: int) -> dict[MapKey, int]:
@@ -492,6 +464,8 @@ def rooted_locally_orientable_counts(n: int) -> dict[MapKey, int]:
 @lru_cache(maxsize=None)
 def _locally_orientable_counts(n: int) -> dict[MapKey, int]:
     flags = 4 * n
+    same_side = [x ^ 1 for x in range(flags)]
+    same_end = [x ^ 2 for x in range(flags)]
     m3 = [-1] * flags
     raw: dict[tuple[tuple[int, ...], int], int] = {}
 
@@ -500,9 +474,8 @@ def _locally_orientable_counts(n: int) -> dict[MapKey, int]:
         while d < labelled and m3[d] >= 0:
             d += 1
         if d == labelled:
-            vertices = _orbit_sizes(m3, 2)
-            valences = tuple(sorted((size // 2 for size in vertices), reverse=True))
-            faces = len(_orbit_sizes(m3, 1))
+            valences = tuple(sorted(_orbit_halves(same_end, m3), reverse=True))
+            faces = len(_orbit_halves(same_side, m3))
             raw[valences, faces] = raw.get((valences, faces), 0) + 1
             return
         if labelled < flags:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from mapchi.eulerchar import TruncationError, lambda_values
 from mapchi.maporacle import (
+    _orbit_halves,
     double_cover_lift_check,
     glue_census,
     lambda_from_census,
@@ -72,6 +74,67 @@ def test_double_cover_lifts():
     assert double_cover_lift_check(2) == 1
     assert double_cover_lift_check(4) == 9
     assert double_cover_lift_check(2, 2) == 4
+    assert double_cover_lift_check(4, 2) == 72
+    assert double_cover_lift_check(6) == 105
+    assert double_cover_lift_check(2, 2, 2) == 32
+    assert double_cover_lift_check(3, 3) == 90
+
+
+def test_two_squares_and_octagon_censuses():
+    """Class tallies of the 1,680 gluings of two squares and of an octagon."""
+    squares = glue_census(4, 4)
+    assert squares.by_chi == {
+        (2, True): 72, (1, False): 304, (0, False): 544, (-1, False): 496, (0, True): 120,
+    }
+    assert squares.by_chi_filtered == {(0, False): 160, (-1, False): 496, (0, True): 24}
+    octagon = glue_census(8)
+    assert octagon.by_chi == {
+        (2, True): 14, (1, False): 93, (0, False): 304, (-1, False): 690,
+        (-2, False): 488, (0, True): 70, (-2, True): 21,
+    }
+    assert octagon.by_chi_filtered == {(-2, False): 488, (-1, False): 198, (-2, True): 21}
+
+
+def _random_pairing(rng: random.Random, size: int) -> list[int]:
+    elements = list(range(size))
+    rng.shuffle(elements)
+    pairing = [0] * size
+    for x, y in zip(elements[::2], elements[1::2]):
+        pairing[x], pairing[y] = y, x
+    return pairing
+
+
+def _orbit_halves_by_search(first: list[int], second: list[int]) -> list[int]:
+    """Orbits found breadth-first under both pairings, in order of their
+    least element, each halved."""
+    seen = [False] * len(first)
+    halves = []
+    for start in range(len(first)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        frontier, size = [start], 0
+        while frontier:
+            size += len(frontier)
+            reached = []
+            for x in frontier:
+                for y in (first[x], second[x]):
+                    if not seen[y]:
+                        seen[y] = True
+                        reached.append(y)
+            frontier = reached
+        halves.append(size // 2)
+    return halves
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_orbit_halves_match_a_breadth_first_search(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        size = 2 * rng.randint(1, 12)
+        first = _random_pairing(rng, size)
+        second = _random_pairing(rng, size)
+        assert _orbit_halves(first, second) == _orbit_halves_by_search(first, second)
 
 
 # -- rooted-map oracles -------------------------------------------------------
