@@ -47,9 +47,10 @@ off_diagonal = [
 print(f"  {len(off_diagonal)} pairings, all zero: {all(v == 0 for v in off_diagonal)}")
 
 # The Cauchy kernel reproduces the same structure from the product side:
-# prod (1 - x_i y_j)^(-1/alpha) expands as sum_theta J J / <J, J>.  Degree d
-# is checked in d+d variables, which carry every degree-d monomial, so it
-# holds in 3+3 variables as well.
+# prod (1 - x_i y_j)^(-1/alpha) expands as sum_theta J J / <J, J>.  In power
+# sums its degree-d part is sum_rho p_rho(x) p_rho(y) / (z_rho alpha^l(rho)),
+# so degree d is checked coefficient by coefficient of p_rho(x) p_sigma(y),
+# which holds in any number of variables.
 for degree in range(4):
     report = cauchy_check(degree)
-    print(f"Cauchy identity, degree {degree} in 3+3 variables: ok={report.ok}")
+    print(f"Cauchy identity, degree {degree} in power sums: ok={report.ok}")

@@ -241,6 +241,16 @@ class GlueCensus:
         return self.by_chi_filtered.get((2 - 2 * handles, True), 0)
 
 
+def _checked_side_total(sides: tuple[int, ...]) -> int:
+    """The total side count; ValueError unless there are sides, each >= 1, with an even total."""
+    if not sides or any(k < 1 for k in sides):
+        raise ValueError("polygon side counts must be positive")
+    total = sum(sides)
+    if total % 2:
+        raise ValueError("total side count must be even")
+    return total
+
+
 def glue_census(*sides: int, collect_patterns: bool = False) -> GlueCensus:
     """Enumerate every pairing x twist assignment of the given polygon sides.
 
@@ -253,11 +263,7 @@ def glue_census(*sides: int, collect_patterns: bool = False) -> GlueCensus:
     >>> glue_census(4).lambda_nonorientable(1)
     4
     """
-    if not sides or any(k < 1 for k in sides):
-        raise ValueError("polygon side counts must be positive")
-    total = sum(sides)
-    if total % 2:
-        raise ValueError("total side count must be even")
+    total = _checked_side_total(sides)
     census = GlueCensus(sides=tuple(sides), edge_count=total // 2)
     layout = _polygon_layout(tuple(sides))
     for pairs in _matchings(tuple(range(total))):
@@ -295,9 +301,7 @@ def double_cover_lift_check(*sides: int) -> int:
 
     base_sides = tuple(sides)
     s = len(base_sides)
-    total = sum(base_sides)
-    if total % 2:
-        raise ValueError("total side count must be even")
+    total = _checked_side_total(base_sides)
     layout = _polygon_layout(base_sides)
     cover_sides = tuple(k for k in base_sides for _ in range(2))
     cover_layout = _polygon_layout(cover_sides)

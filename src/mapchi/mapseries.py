@@ -36,7 +36,6 @@ recursion row for row.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -112,29 +111,18 @@ def jack_partition_sum(max_n: int) -> TruncatedSeries:
 def _partition_sum_level(m: int) -> PowerSumExpr:
     """The z^m coefficient of S(z), summed over one common denominator.
 
-    Every norm is a product of alpha-linear factors, so their lcm D is a
-    max-multiplicity merge of those factors.  Each shape then contributes
-    the polynomial (D / norm) * p2coeff * principal * expansion, and only
-    the final coefficients are reduced, once each, as AlphaFn(sum, D).
+    D is the lcm of the norms of the shapes with a pure-2 coefficient
+    (`symfunc.cleared_norms`).  Each shape then contributes the polynomial
+    (D / norm) * p2coeff * principal * expansion, and only the final
+    coefficients are reduced, once each, as AlphaFn(sum, D).
     """
-    from .symfunc import PowerSumExpr, hook_product, jack, jack_norm_factors
+    from .symfunc import PowerSumExpr, cleared_norms, jack
 
-    contributions = []
-    common: Counter[tuple[int, int]] = Counter()
-    content_lcm = 1
-    for theta in partitions_of(2 * m):
-        rec = jack(theta)
-        if not rec.p2coeff:
-            continue
-        content, factors = _primitive_factors(jack_norm_factors(theta))
-        contributions.append((rec, content, factors))
-        common |= factors
-        content_lcm = math.lcm(content_lcm, content)
-
+    records = [rec for rec in map(jack, partitions_of(2 * m)) if rec.p2coeff]
+    den, cleared = cleared_norms(rec.shape for rec in records)
     sums: dict[tuple[Partition, int], UniPoly] = {}
-    for rec, content, factors in contributions:
-        scale = rec.p2coeff * (content_lcm // content)
-        scale = scale * hook_product((common - factors).elements())
+    for rec in records:
+        scale = rec.p2coeff * cleared[rec.shape]
         for j, pj in enumerate(rec.principal.coeffs):
             if not pj:
                 continue
@@ -142,26 +130,11 @@ def _partition_sum_level(m: int) -> PowerSumExpr:
             for mu, c in rec.expansion.terms.items():
                 sums[mu, j] = sums.get((mu, j), 0) + weight * c
 
-    den = hook_product(common.elements()) * content_lcm
     terms: dict[Partition, list[AlphaFn]] = {}
     for (mu, j), num in sums.items():
         row = terms.setdefault(mu, [AlphaFn.zero()] * (2 * m + 1))
         row[j] = AlphaFn(num, den)
     return PowerSumExpr({mu: UniPoly("x", row) for mu, row in terms.items()})
-
-
-def _primitive_factors(factors) -> tuple[int, Counter[tuple[int, int]]]:
-    """Split s * alpha + t factors into an integer content and primitive factors."""
-    content = 1
-    out: Counter[tuple[int, int]] = Counter()
-    for s, t in factors:
-        if s == 0:
-            content *= t
-            continue
-        g = math.gcd(s, t)
-        content *= g
-        out[s // g, t // g] += 1
-    return content, out
 
 
 def map_series(max_n: int) -> TruncatedSeries:

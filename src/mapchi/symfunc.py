@@ -43,10 +43,11 @@ sums are the parts of nu, times prod_j m_j(nu)!.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import ALPHA, AlphaFn, UniPoly, int_poly_divmod
+from .arith import ALPHA, UniPoly, int_poly_divmod
 from .partitions import Partition, partitions_of, z_of
 
 class JackSystemError(RuntimeError):
@@ -61,10 +62,10 @@ class JackSystemError(RuntimeError):
 class PowerSumExpr:
     """A finite linear combination of power sums p_mu.
 
-    Coefficients may be any exact ring elements (ints, Fractions, `AlphaFn`,
-    polynomials).  Multiplication concatenates partition indices, matching
-    p_lam * p_mu = p_{lam union mu}.  Scalars coerce to multiples of the
-    empty power sum p_() = 1.
+    Coefficients may be any exact ring elements (ints, Fractions,
+    polynomials, rational functions).  Multiplication concatenates partition
+    indices, matching p_lam * p_mu = p_{lam union mu}.  An int, Fraction or
+    `UniPoly` scalar coerces to a multiple of the empty power sum p_() = 1.
     """
 
     __slots__ = ("terms",)
@@ -95,7 +96,7 @@ class PowerSumExpr:
     def _coerce(cls, value):
         if isinstance(value, PowerSumExpr):
             return value
-        if isinstance(value, (int, AlphaFn, UniPoly)):
+        if isinstance(value, (int, UniPoly)):
             return cls({Partition(): value})
         # A Fraction operand means `fractions` is loaded already.
         from fractions import Fraction
@@ -424,6 +425,32 @@ def hook_product(factors) -> UniPoly:
     return out
 
 
+def cleared_norms(shapes) -> tuple[UniPoly, dict[Partition, UniPoly]]:
+    """The lcm D of the norms <J_theta, J_theta>, and D / norm for each shape.
+
+    Each hook factor s * alpha + t (`jack_norm_factors`) splits into its
+    content gcd(s, t) and, for s > 0, a primitive factor.  D is the lcm of
+    the contents times the max-multiplicity merge of the primitive factors.
+    """
+    split = {}
+    common: Counter[tuple[int, int]] = Counter()
+    content_lcm = 1
+    for theta in shapes:
+        content, primitive = 1, Counter()
+        for s, t in jack_norm_factors(theta):
+            g = math.gcd(s, t)
+            content *= g
+            if s:
+                primitive[s // g, t // g] += 1
+        split[theta] = content, primitive
+        common |= primitive
+        content_lcm = math.lcm(content_lcm, content)
+    return hook_product(common.elements()) * content_lcm, {
+        theta: hook_product((common - primitive).elements()) * (content_lcm // content)
+        for theta, (content, primitive) in split.items()
+    }
+
+
 def _eigenvalue(mu: Partition) -> UniPoly:
     """e_mu = alpha * n(mu') - n(mu), the Laplace-Beltrami eigenvalue of J_mu."""
     n_mu = sum(i * p for i, p in enumerate(mu))
@@ -486,7 +513,10 @@ def _level(n: int) -> Columns:
 
 
 class CauchyReport(NamedTuple):
-    """Outcome of comparing both sides of the alpha-deformed Cauchy identity."""
+    """Outcome of comparing both sides of the alpha-deformed Cauchy identity.
+
+    A mismatch holds the power-sum pair (rho, sigma) and both cleared sides.
+    """
 
     ok: bool
     degree: int
@@ -499,50 +529,40 @@ def cauchy_check(n: int) -> CauchyReport:
         prod_{i,j} (1 - x_i y_j)^(-1/alpha)
             = sum_theta J_theta(x; alpha) J_theta(y; alpha) / <J_theta, J_theta>.
 
-    Both sides are expanded in the monomial basis of n x-variables and
-    n y-variables over `AlphaFn` and compared coefficient by coefficient;
-    n variables carry every degree-n monomial, so the comparison is exact
-    for any number of variables.  The product side is the reproducing
-    kernel of the inner product; its bigraded degree-(n, n) component is
+    The product side is the reproducing kernel of the inner product; its
+    bigraded degree-(n, n) component is diagonal in power sums,
 
-        sum over partitions rho of n of  p_rho(x) p_rho(y) / (z_rho * alpha**length(rho)),
+        sum over partitions rho of n of  p_rho(x) p_rho(y) / (z_rho * alpha**length(rho)).
 
-    which is what gets expanded here.  Returns a report carrying the first
-    discrepant coefficient if any.
+    The products p_rho(x) p_sigma(y) are linearly independent, so with D the
+    lcm of the norms (`cleared_norms`) the identity holds exactly when
+
+        sum_theta [p_rho] J * [p_sigma] J * (D / <J, J>) * z_rho * alpha**length(rho)
+
+    is D for rho = sigma and 0 otherwise, an identity of integer
+    polynomials in alpha.  Returns a report carrying the first discrepant
+    pair (rho, sigma) if any.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
 
-    # Kernel side: sum over rho of p_rho(x) p_rho(y) / (z_rho alpha^l(rho)),
-    # expanded into monomials in x and y separately.
-    kernel: dict[tuple[Partition, Partition], AlphaFn] = {}
-    for rho in partitions_of(n):
-        weight = AlphaFn.alpha(-rho.length) / z_of(rho)
-        mono = _monomial_row(rho)
-        for mu, cx in mono.items():
-            for nu, cy in mono.items():
-                key = (mu, nu)
-                kernel[key] = kernel.get(key, AlphaFn.zero()) + weight * (cx * cy)
+    shapes = partitions_of(n)
+    den, cleared = cleared_norms(shapes)
+    sums: dict[tuple[Partition, Partition], UniPoly] = {}
+    for theta in shapes:
+        terms = jack(theta).expansion.terms
+        for rho, c_rho in terms.items():
+            scaled = c_rho * cleared[theta]
+            for sigma, c_sigma in terms.items():
+                sums[rho, sigma] = sums.get((rho, sigma), 0) + scaled * c_sigma
 
-    # Jack side: sum over shapes of J(x) (x) J(y) / norm.
-    jackside: dict[tuple[Partition, Partition], AlphaFn] = {}
-    for theta in partitions_of(n):
-        rec = jack(theta)
-        mono = expand_in_variables(rec.expansion)
-        inv_norm = AlphaFn(1, rec.norm)
-        for mu, cx in mono.items():
-            for nu, cy in mono.items():
-                key = (mu, nu)
-                jackside[key] = jackside.get(key, AlphaFn.zero()) + cx * cy * inv_norm
-
-    keys = sorted(set(kernel) | set(jackside))
-    for key in keys:
-        lhs = kernel.get(key, AlphaFn.zero())
-        rhs = jackside.get(key, AlphaFn.zero())
-        if lhs != rhs:
-            return CauchyReport(
-                ok=False,
-                degree=n,
-                mismatch=(key[0], key[1], repr(lhs), repr(rhs)),
-            )
+    for rho in shapes:
+        kernel_weight = UniPoly.monomial(ALPHA, rho.length, z_of(rho))
+        for sigma in shapes:
+            lhs = den if rho == sigma else UniPoly.zero(ALPHA)
+            rhs = sums.get((rho, sigma), 0) * kernel_weight
+            if lhs != rhs:
+                return CauchyReport(
+                    ok=False, degree=n, mismatch=(rho, sigma, repr(lhs), repr(rhs))
+                )
     return CauchyReport(ok=True, degree=n)

@@ -406,12 +406,12 @@ def _check_cauchy_kernel(max_edges: int) -> str:
     for degree in range(5):
         report = cauchy_check(degree)
         if not report.ok:
-            mu, nu, lhs, rhs = report.mismatch
+            rho, sigma, lhs, rhs = report.mismatch
             raise CheckFailure(
-                f"Cauchy kernel mismatch at degree {degree}, monomials "
-                f"{mu.parts} x {nu.parts}: kernel {lhs}, Jack side {rhs}"
+                f"Cauchy kernel mismatch at degree {degree}, power sums "
+                f"p_{rho.parts}(x) p_{sigma.parts}(y): kernel {lhs}, Jack side {rhs}"
             )
-    return "kernel equals the Jack expansion through degree 4 in 4 variables"
+    return "kernel equals the Jack expansion in power sums through degree 4"
 
 
 def _check_reference_counts(max_edges: int) -> str:

@@ -61,6 +61,22 @@ def test_glue_census_rejects_bad_sides():
         glue_census(2, 0)
 
 
+@pytest.mark.parametrize("census", [glue_census, double_cover_lift_check])
+@pytest.mark.parametrize(
+    "sides, message",
+    [
+        ((2, 0), "polygon side counts must be positive"),
+        ((), "polygon side counts must be positive"),
+        ((0,), "polygon side counts must be positive"),
+        ((-2, 4), "polygon side counts must be positive"),
+        ((3,), "total side count must be even"),
+    ],
+)
+def test_side_counts_are_checked_before_enumeration(census, sides, message):
+    with pytest.raises(ValueError, match=message):
+        census(*sides)
+
+
 def test_orientable_gluings_have_even_chi():
     census = glue_census(6)
     for (chi, orientable), count in census.by_chi.items():

@@ -269,7 +269,7 @@ def test_jack_weight_zero():
 
 
 def test_cauchy_kernel_matches_product_expansion():
-    for n in range(4):
+    for n in range(7):
         report = cauchy_check(n)
         assert report.ok, report
 
@@ -278,3 +278,31 @@ def test_cauchy_report_carries_degree_and_vars():
     report = cauchy_check(2)
     assert report.degree == 2 and report.ok
     assert report.mismatch is None
+
+
+def test_cauchy_check_catches_a_perturbed_power_sum_coefficient(monkeypatch):
+    # Perturb [p_(3)] J_(2,1) in a copy of the record, so the cache stays intact.
+    solved = symfunc.jack
+
+    def perturbed(shape):
+        rec = solved(shape)
+        if rec.shape != (2, 1):
+            return rec
+        terms = dict(rec.expansion.terms)
+        terms[Partition((3,))] = terms.get(Partition((3,)), 0) + 1
+        return rec._replace(expansion=PowerSumExpr(terms))
+
+    monkeypatch.setattr(symfunc, "jack", perturbed)
+    report = cauchy_check(3)
+    assert not report.ok and report.degree == 3
+    rho, sigma, lhs, rhs = report.mismatch
+    assert rho.weight == sigma.weight == 3
+    assert Partition((3,)) in (rho, sigma) and lhs != rhs
+
+
+def test_cleared_norms_clear_every_norm():
+    for n in range(11):
+        den, cleared = symfunc.cleared_norms(partitions_of(n))
+        assert set(cleared) == set(partitions_of(n))
+        for theta, quotient in cleared.items():
+            assert quotient * symfunc.hook_product(symfunc.jack_norm_factors(theta)) == den
