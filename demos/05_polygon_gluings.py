@@ -4,8 +4,8 @@ Polygon gluings and rooted-map oracles
 
 Brute-force enumeration, independent of all series machinery: gluing the
 sides of polygons in pairs (with either relative orientation) classifies
-the resulting closed surfaces, and permutation/matching encodings count
-rooted maps directly.
+the resulting closed surfaces, and one canonical flag-matching census
+counts rooted maps directly, on all surfaces or orientable only.
 """
 
 from mapchi import (

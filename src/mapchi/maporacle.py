@@ -16,25 +16,26 @@ a cycle that alternates them, and `_orbit_halves` walks those cycles.
   and V - E + F gives the Euler characteristic with E = n side pairs and
   F = s polygons.
 
-* encoded rooted maps: an orientable rooted map with n edges is a
-  permutation sigma on 2n darts together with the fixed involution
-  alpha = (0 1)(2 3)...; vertices are cycles of sigma and faces are cycles
-  of sigma o alpha.  A rooted map on any surface is a triple of perfect
-  matchings on 4n flags (four per edge): two fixed matchings carry the edge
-  structure and the third glues the edges; vertices and faces are orbits
-  of pairs of matchings.
+* rooted maps: a rooted map on any surface with n edges is a triple of
+  perfect matchings on 4n flags (four per edge): two fixed matchings carry
+  the edge structure and the third glues the edges; vertices and faces are
+  orbits of pairs of matchings.  The map is orientable exactly when its
+  flags split into two orientation classes that all three matchings swap.
 
-Each rooted-map census generates every rooted map exactly once, in the
-canonical order from the root (Walsh 1983, "Generating nonisomorphic maps
-without storing them"): the root gets label 0, and the next unset image is
-either an already-labelled element or the first element of a new edge,
+One census generates every rooted map exactly once, in the canonical order
+from the root (Walsh 1983, "Generating nonisomorphic maps without storing
+them"): the root flag gets label 0, and the next unmatched flag is matched
+either to an already-labelled flag or to the first flag of a new edge,
 which takes the next free labels.  A generated structure is the canonical
 labelling of its own rooted map, so no labelling is visited twice, no count
 is divided, and connectedness holds by construction.  The search never
 closes a map before it has n edges, so it has no dead ends and its leaves
-are exactly the rooted maps.  Each model enumerates up to a fixed edge
-count, `MAX_ORIENTABLE_EDGES` (6) for the permutations and
-`MAX_LOCALLY_ORIENTABLE_EDGES` (5) for the matchings; larger requests raise
+are exactly the rooted maps.  Each flag's orientation class is fixed when
+its edge is labelled, so the orientable census is the same search that
+matches only flags of opposite classes; every step leaves as many unmatched
+flags in one class as in the other, so it has no dead ends either.  It
+enumerates up to `MAX_ORIENTABLE_EDGES` (6) edges, the census on all
+surfaces up to `MAX_LOCALLY_ORIENTABLE_EDGES` (5); larger requests raise
 `TruncationError` before any enumeration starts.
 
 The censuses are integer counts, so the rational layers (`eulerchar`,
@@ -53,12 +54,12 @@ from .partitions import MapKey, Partition, vertex_distribution_of
 if TYPE_CHECKING:
     from .eulerchar import LambdaTriple
 
-#: Largest edge count of the permutation census: 110,410 rooted maps at
-#: n = 6 (about 0.7 s); n = 7 would be 1,708,394.
+#: Largest edge count of the orientable census: 110,410 rooted maps at
+#: n = 6 (about 0.9 s); n = 7 would be 1,708,394.
 MAX_ORIENTABLE_EDGES = 6
 
-#: Largest edge count of the matching census: 100,278 rooted maps at n = 5
-#: (about 0.7 s); n = 6 would be 2,450,304.
+#: Largest edge count of the census on all surfaces: 100,278 rooted maps at
+#: n = 5 (about 0.9 s); n = 6 would be 2,450,304.
 MAX_LOCALLY_ORIENTABLE_EDGES = 5
 
 
@@ -349,7 +350,7 @@ def double_cover_lift_check(*sides: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Encoded rooted maps
+# Rooted maps
 # ---------------------------------------------------------------------------
 
 
@@ -377,71 +378,18 @@ def _by_map_key(raw: dict[tuple[tuple[int, ...], int], int], n: int) -> dict[Map
     }
 
 
-def _cycle_lengths(perm: list[int]) -> list[int]:
-    seen = [False] * len(perm)
-    lengths = []
-    for x in range(len(perm)):
-        if seen[x]:
-            continue
-        length = 0
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        lengths.append(length)
-    return lengths
-
-
 def rooted_orientable_counts(n: int) -> dict[MapKey, int]:
     """Rooted orientable maps with n edges, by vertex distribution and faces.
 
-    A map is a rotation sigma on 2n darts against the edge involution
-    alpha(x) = x xor 1 (edge k has darts 2k and 2k+1); vertices are cycles
-    of sigma and faces are cycles of sigma o alpha.  The root dart is 0 and
-    sigma is built in label order: sigma(d) is either a labelled dart that
-    is nobody's image yet, or the first dart of a new edge, which takes the
-    next two labels.  This is the canonical labelling of exactly one rooted
-    map, so each rooted map is generated once and nothing is divided.  At
-    most `MAX_ORIENTABLE_EDGES` edges.
+    The maps of `rooted_locally_orientable_counts` whose flags split into two
+    orientation classes that all three matchings swap.  At most
+    `MAX_ORIENTABLE_EDGES` edges.
 
     >>> rooted_orientable_counts(1)
     {MapKey(i=(0, 1), j=2, n=1): 1, MapKey(i=(2,), j=1, n=1): 1}
     """
-    _check_edges(n, MAX_ORIENTABLE_EDGES, "permutation")
-    return dict(_orientable_counts(n))
-
-
-@lru_cache(maxsize=None)
-def _orientable_counts(n: int) -> dict[MapKey, int]:
-    darts = 2 * n
-    sigma = [0] * darts
-    unreached = [False] * darts  # labelled darts that are no dart's sigma-image
-    unreached[0] = unreached[1] = True
-    raw: dict[tuple[tuple[int, ...], int], int] = {}
-
-    def extend(d: int, labelled: int) -> None:
-        # Darts below d have their image; labelled - d darts are unreached.
-        if d == labelled:
-            valences = tuple(sorted(_cycle_lengths(sigma), reverse=True))
-            faces = len(_cycle_lengths([sigma[x ^ 1] for x in range(darts)]))
-            raw[valences, faces] = raw.get((valences, faces), 0) + 1
-            return
-        if labelled < darts:
-            sigma[d] = labelled
-            unreached[labelled + 1] = True
-            extend(d + 1, labelled + 2)
-            unreached[labelled + 1] = False
-        # Taking the last unreached dart closes the map: only with n edges.
-        if labelled == darts or labelled - d > 1:
-            for e in range(labelled):
-                if unreached[e]:
-                    unreached[e] = False
-                    sigma[d] = e
-                    extend(d + 1, labelled)
-                    unreached[e] = True
-
-    extend(0, 2)
-    return _by_map_key(raw, n)
+    _check_edges(n, MAX_ORIENTABLE_EDGES, "orientable")
+    return dict(_rooted_census(n, True))
 
 
 def rooted_locally_orientable_counts(n: int) -> dict[MapKey, int]:
@@ -461,16 +409,22 @@ def rooted_locally_orientable_counts(n: int) -> dict[MapKey, int]:
     >>> rooted_locally_orientable_counts(2)[MapKey((0, 0, 0, 1), 1, 2)]
     5
     """
-    _check_edges(n, MAX_LOCALLY_ORIENTABLE_EDGES, "matching")
-    return dict(_locally_orientable_counts(n))
+    _check_edges(n, MAX_LOCALLY_ORIENTABLE_EDGES, "all-surfaces")
+    return dict(_rooted_census(n, False))
 
 
 @lru_cache(maxsize=None)
-def _locally_orientable_counts(n: int) -> dict[MapKey, int]:
+def _rooted_census(n: int, orientable: bool) -> dict[MapKey, int]:
+    """The canonical census of rooted maps with n edges; with `orientable`,
+    m3 joins only flags of opposite orientation class."""
     flags = 4 * n
     same_side = [x ^ 1 for x in range(flags)]
     same_end = [x ^ 2 for x in range(flags)]
     m3 = [-1] * flags
+    # Orientation class of each labelled flag.  Edge k's flags get
+    # (c, c^1, c^1, c), so m1 and m2 swap the class; a new edge takes
+    # c = side[d] ^ 1 from the flag d it hangs from, so m3 swaps it too.
+    side = [0, 1, 1, 0] + [0] * (flags - 4)
     raw: dict[tuple[tuple[int, ...], int], int] = {}
 
     def extend(d: int, labelled: int, unmatched: int) -> None:
@@ -483,13 +437,16 @@ def _locally_orientable_counts(n: int) -> dict[MapKey, int]:
             raw[valences, faces] = raw.get((valences, faces), 0) + 1
             return
         if labelled < flags:
+            c = side[d] ^ 1
+            side[labelled : labelled + 4] = c, c ^ 1, c ^ 1, c
             m3[d], m3[labelled] = labelled, d
             extend(d + 1, labelled + 4, unmatched + 2)
             m3[labelled] = -1
         # Matching the last two unmatched flags closes the map: only with n edges.
         if labelled == flags or unmatched > 2:
+            same_class = side[d] if orientable else -1
             for e in range(d + 1, labelled):
-                if m3[e] < 0:
+                if m3[e] < 0 and side[e] != same_class:
                     m3[d], m3[e] = e, d
                     extend(d + 1, labelled, unmatched - 2)
                     m3[e] = -1

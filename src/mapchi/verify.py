@@ -182,8 +182,8 @@ def slicing_rows(max_n: int) -> dict[MapKey, int]:
 
 #: Classical numbers of rooted maps with n edges, keyed by n: orientable
 #: (b = 0) by the chord-diagram recursion through the largest truncation,
-#: and on all surfaces (b = 1) through 6 edges.  At n = 6 the matching
-#: census of `maporacle` agreed in a one-off run past its limit (about 20 s
+#: and on all surfaces (b = 1) through 6 edges.  At n = 6 the rooted-map
+#: census of `maporacle` on all surfaces agreed in a one-off run past its limit (about 20 s
 #: on 2 vCPUs); n >= 7 comes from the recursion alone, so it is not recorded.
 ROOTED_TOTALS_ORIENTABLE = rooted_orientable_totals(MAX_EDGE_TRUNCATION)
 ROOTED_TOTALS_ALL = {1: 3, 2: 24, 3: 297, 4: 4896, 5: 100278, 6: 2450304}
@@ -534,8 +534,8 @@ def _check_oracle_agreement(max_edges: int) -> str:
     table = map_count_table(min(max_edges, MAX_EDGE_TRUNCATION))
     found = []
     for b, census, model, limit in (
-        (0, rooted_orientable_counts, "permutation", MAX_ORIENTABLE_EDGES),
-        (1, rooted_locally_orientable_counts, "matching", MAX_LOCALLY_ORIENTABLE_EDGES),
+        (0, rooted_orientable_counts, "orientable", MAX_ORIENTABLE_EDGES),
+        (1, rooted_locally_orientable_counts, "all-surfaces", MAX_LOCALLY_ORIENTABLE_EDGES),
     ):
         reach = min(max_edges, limit)
         counts = {key: c for n in range(1, reach + 1) for key, c in census(n).items()}

@@ -314,16 +314,15 @@ def test_oracle_rooted_orientable_reaches_four_edges(capsys):
 @pytest.mark.parametrize(
     ("argv", "message"),
     [
-        (["--edges", "7"], "the permutation oracle enumerates at most 6 edges, asked for 7"),
+        (["--edges", "7"], "the orientable oracle enumerates at most 6 edges, asked for 7"),
         (
             ["--edges", "6", "--surface", "all"],
-            "the matching oracle enumerates at most 5 edges, asked for 6",
+            "the all-surfaces oracle enumerates at most 5 edges, asked for 6",
         ),
     ],
 )
 def test_oracle_rooted_refusal_names_the_limit(capsys, monkeypatch, argv, message):
-    monkeypatch.setattr(maporacle, "_orientable_counts", _enumeration_started)
-    monkeypatch.setattr(maporacle, "_locally_orientable_counts", _enumeration_started)
+    monkeypatch.setattr(maporacle, "_rooted_census", _enumeration_started)
     code, out, err = run_cli(capsys, "oracle", "rooted", *argv)
     assert code == 2
     assert out == ""
@@ -434,8 +433,7 @@ def test_bad_arguments_exit_2_with_one_error_line(capsys, monkeypatch, argv):
     The handlers look their workers up in the worker's module when they run,
     so patching the module attribute is enough to catch a call.
     """
-    monkeypatch.setattr(maporacle, "_orientable_counts", _enumeration_started)
-    monkeypatch.setattr(maporacle, "_locally_orientable_counts", _enumeration_started)
+    monkeypatch.setattr(maporacle, "_rooted_census", _enumeration_started)
     monkeypatch.setattr(maporacle, "_evaluate_gluing", _enumeration_started)
     monkeypatch.setattr(symfunc, "_solve_jack", _enumeration_started)
     monkeypatch.setattr(btutte, "cumulant", _enumeration_started)

@@ -1,4 +1,4 @@
-"""Brute-force oracles: polygon gluings and encoded rooted maps."""
+"""Brute-force oracles: polygon gluings and rooted-map censuses."""
 
 from __future__ import annotations
 
@@ -174,7 +174,7 @@ def test_rooted_locally_orientable_one_edge():
 
 
 def test_rooted_totals():
-    for n, expected in ((1, 2), (2, 10), (3, 74), (4, 706), (5, 8162)):
+    for n, expected in ((1, 2), (2, 10), (3, 74), (4, 706), (5, 8162), (6, 110410)):
         assert sum(rooted_orientable_counts(n).values()) == expected
     for n, expected in ((1, 3), (2, 24), (3, 297), (4, 4896)):
         assert sum(rooted_locally_orientable_counts(n).values()) == expected
@@ -182,10 +182,10 @@ def test_rooted_totals():
 
 def test_oracles_match_series_specializations():
     """Both oracles agree with the b = 0 and b = 1 columns of the series table."""
-    table = map_count_table(2)
+    table = map_count_table(4)
     at_zero = specialize_counts(table, Fraction(0))
     at_one = specialize_counts(table, Fraction(1))
-    for n in (1, 2):
+    for n in range(1, 5):
         orient = rooted_orientable_counts(n)
         everything = rooted_locally_orientable_counts(n)
         for key in (k for k in table.entries if k.n == n):
@@ -195,15 +195,30 @@ def test_oracles_match_series_specializations():
         assert set(everything) == {k for k in at_one if k.n == n and at_one[k]}
 
 
+def test_orientable_census_is_the_orientable_part_of_all_surfaces():
+    """Each orientable key is a key of the census on all surfaces with no
+    larger count and an even Euler characteristic; on the sphere, where
+    every map is orientable, the two censuses agree."""
+    for n in range(1, 6):
+        orient = rooted_orientable_counts(n)
+        everything = rooted_locally_orientable_counts(n)
+        for key, count in orient.items():
+            assert key in everything and count <= everything[key]
+            assert key.euler_characteristic % 2 == 0
+        spheres = {k: c for k, c in everything.items() if k.euler_characteristic == 2}
+        assert spheres
+        assert {k: c for k, c in orient.items() if k.euler_characteristic == 2} == spheres
+
+
 def test_rooted_counts_respect_enumeration_bound():
     with pytest.raises(
         TruncationError,
-        match="the permutation oracle enumerates at most 6 edges, asked for 7",
+        match="the orientable oracle enumerates at most 6 edges, asked for 7",
     ):
         rooted_orientable_counts(7)
     with pytest.raises(
         TruncationError,
-        match="the matching oracle enumerates at most 5 edges, asked for 6",
+        match="the all-surfaces oracle enumerates at most 5 edges, asked for 6",
     ):
         rooted_locally_orientable_counts(6)
     with pytest.raises(ValueError):
