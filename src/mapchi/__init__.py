@@ -8,9 +8,11 @@ together with their classical specializations.  Independent closed-form and
 brute-force enumeration routes cross-check every number the package
 produces.
 
-The names below are imported from their submodule on first access, so
-``import mapchi`` alone loads no submodule and each command of the ``mapchi``
-script pays only for the layers it runs.
+The exit codes and the two errors that several layers raise live here, so
+any layer can raise them without loading another.  The other public names
+are imported from their submodule on first access, so ``import mapchi``
+alone loads no submodule and each command of the ``mapchi`` script pays
+only for the layers it runs.
 """
 
 from __future__ import annotations
@@ -24,6 +26,15 @@ __version__ = "0.1.0"
 EXIT_OK = 0
 EXIT_FAILURE = 2
 EXIT_CONJECTURE = 3
+
+
+class RouteMismatchError(RuntimeError):
+    """Two provably equal computation routes disagreed: an implementation bug."""
+
+
+class TruncationError(ValueError):
+    """A request needs more edges than a table, series or census reaches."""
+
 
 #: Home submodule of each public name.
 _EXPORTS = {
@@ -46,8 +57,6 @@ _EXPORTS = {
             "ChiValue",
             "LambdaTriple",
             "ParityError",
-            "RouteMismatchError",
-            "TruncationError",
             "chi_complex",
             "chi_fixed_curves",
             "chi_real",
@@ -99,13 +108,12 @@ _EXPORTS = {
             "cauchy_check",
             "inner_product",
             "jack",
-            "power_to_monomial",
         ),
         "symfunc",
     ),
 }
 
-__all__ = [*sorted(_EXPORTS), "__version__"]
+__all__ = [*sorted([*_EXPORTS, "RouteMismatchError", "TruncationError"]), "__version__"]
 
 
 def __getattr__(name: str):

@@ -35,16 +35,6 @@ from __future__ import annotations
 
 import math
 
-__all__ = [
-    "VariableMixError",
-    "bernoulli",
-    "sum_of_powers_poly",
-    "UniPoly",
-    "AlphaFn",
-    "TruncatedSeries",
-    "ALPHA",
-]
-
 ALPHA = "alpha"
 
 
@@ -152,9 +142,6 @@ class UniPoly:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
 
     # -- arithmetic ---------------------------------------------------
 

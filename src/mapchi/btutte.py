@@ -36,6 +36,8 @@ from itertools import product
 #: each further edge costs two to three times as much.
 MAX_EDGE_TRUNCATION = 10
 
+_EMPTY_MULTISET = "the empty multiset of degrees has no root"
+
 
 def _kappa(N: int, b: int, *parts: int) -> int:
     """kappa of the entries in any order; the largest becomes the root."""
@@ -60,8 +62,11 @@ def cumulant(parts: tuple[int, ...], N: int, b: int) -> int:
     """kappa(p_{parts[0]}, p_{parts[1]}, ...) at the integer point (N, b).
 
     The degrees are in descending order and the root is the largest.
-    Memoized per multiset and point.
+    Memoized per multiset and point.  The empty multiset has no root and
+    raises ValueError.
     """
+    if not parts:
+        raise ValueError(_EMPTY_MULTISET)
     if sum(parts) % 2 or (len(parts) > 1 and parts[-1] == 0):
         return 0
     if parts == (0,):
@@ -89,6 +94,8 @@ def face_rows(parts: tuple[int, ...], max_n: int) -> dict[int, list[int]]:
     p_(2n), and the cumulant is one nonnegative term of that moment), and
     the b-degree is at most n < max_n + 1.
     """
+    if not parts:
+        raise ValueError(_EMPTY_MULTISET)
     if sum(parts) > 2 * max_n:
         raise ValueError(f"{parts} weighs more than 2 * {max_n}")
     width = cumulant((2 * max_n,), 1, 1).bit_length()

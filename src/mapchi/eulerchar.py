@@ -28,6 +28,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
+from . import RouteMismatchError, TruncationError
 from .arith import ALPHA, AlphaFn, TruncatedSeries, UniPoly, bernoulli
 
 if TYPE_CHECKING:
@@ -37,14 +38,6 @@ if TYPE_CHECKING:
 INV_GAMMA = "1/gamma"
 
 T = TypeVar("T")
-
-
-class RouteMismatchError(RuntimeError):
-    """Two provably equal computation routes disagreed: an implementation bug."""
-
-
-class TruncationError(ValueError):
-    """A map-count table does not reach the edge counts a sum requires."""
 
 
 class ParityError(ValueError):

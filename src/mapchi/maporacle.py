@@ -39,8 +39,8 @@ surfaces up to `MAX_LOCALLY_ORIENTABLE_EDGES` (5); larger requests raise
 `TruncationError` before any enumeration starts.
 
 The censuses are integer counts, so the rational layers (`eulerchar`,
-`fractions`) load only where they run: in `lambda_from_census`, in
-`double_cover_lift_check` and when a request is refused.
+`fractions`) load only where they run, in `lambda_from_census`; the
+errors this module raises live in the package root.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import RouteMismatchError, TruncationError
 from .partitions import MapKey, Partition, vertex_distribution_of
 
 if TYPE_CHECKING:
@@ -137,7 +138,6 @@ def _matchings(items: tuple[int, ...]):
 
 
 class GlueOutcome(NamedTuple):
-    vertices: int
     chi: int
     orientable: bool
     connected: bool
@@ -182,11 +182,8 @@ def _evaluate_gluing(
         if not orient.union(owner[a], owner[b], 1 if twist else 0):
             orientable = False
     valences = _orbit_halves(corner, glue)
-    vertices = len(valences)
-    chi = vertices - len(pairs) + len(sides)
     return GlueOutcome(
-        vertices=vertices,
-        chi=chi,
+        chi=len(valences) - len(pairs) + len(sides),
         orientable=orientable,
         # orient joins the two polygons of every pair, so it also tracks
         # which polygons the gluing connects.
@@ -237,9 +234,6 @@ class GlueCensus:
         """Connected nonorientable gluings of Euler characteristic 1 - genus,
         all boundary-graph valences >= 3."""
         return self.by_chi_filtered.get((1 - genus, False), 0)
-
-    def lambda_orientable(self, handles: int) -> int:
-        return self.by_chi_filtered.get((2 - 2 * handles, True), 0)
 
 
 def _checked_side_total(sides: tuple[int, ...]) -> int:
@@ -298,8 +292,6 @@ def double_cover_lift_check(*sides: int) -> int:
     with doubled Euler characteristic.  Returns the number of base gluings
     checked.
     """
-    from .eulerchar import RouteMismatchError
-
     base_sides = tuple(sides)
     s = len(base_sides)
     total = _checked_side_total(base_sides)
@@ -358,8 +350,6 @@ def _check_edges(n: int, limit: int, model: str) -> None:
     if n < 1:
         raise ValueError("edge count must be positive")
     if n > limit:
-        from .eulerchar import TruncationError
-
         raise TruncationError(
             f"the {model} oracle enumerates at most {limit} edges, asked for {n}"
         )
@@ -471,14 +461,7 @@ def lambda_from_census(g: int, s: int) -> LambdaTriple:
     """
     from fractions import Fraction
 
-    from .eulerchar import (
-        LambdaTriple,
-        RouteMismatchError,
-        TruncationError,
-        lambda_edges,
-        lambda_sum,
-        lambda_values,
-    )
+    from .eulerchar import LambdaTriple, lambda_edges, lambda_sum, lambda_values
 
     if g < 1 or s < 1:
         raise ValueError("need g >= 1 and s >= 1")

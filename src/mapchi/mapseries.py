@@ -39,7 +39,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import btutte
+from . import TruncationError, btutte
 from .arith import AlphaFn, TruncatedSeries, UniPoly, int_poly_divmod
 from .partitions import (
     MapKey,
@@ -81,11 +81,11 @@ class MapCountTable:
 
 
 def check_truncation(max_n: int, bound: int = MAX_EDGE_TRUNCATION) -> None:
-    """Raise ValueError unless 1 <= max_n <= bound."""
+    """Raise ValueError if max_n < 1 and `TruncationError` if max_n > bound."""
     if max_n < 1:
         raise ValueError(f"truncation {max_n} is below 1")
     if max_n > bound:
-        raise ValueError(f"truncation {max_n} exceeds supported bound {bound}")
+        raise TruncationError(f"truncation {max_n} exceeds supported bound {bound}")
 
 
 def jack_partition_sum(max_n: int) -> TruncatedSeries:

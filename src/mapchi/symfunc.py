@@ -81,10 +81,6 @@ class PowerSumExpr:
         self.terms = clean
 
     @classmethod
-    def zero(cls) -> PowerSumExpr:
-        return cls()
-
-    @classmethod
     def one(cls) -> PowerSumExpr:
         return cls({Partition(): 1})
 
@@ -213,27 +209,6 @@ def _monomial_row(mu: Partition) -> dict[Partition, int]:
             count *= math.factorial(m)
         row[nu] = count
     return row
-
-
-@lru_cache(maxsize=None)
-def power_to_monomial(n: int) -> dict[tuple[Partition, Partition], int]:
-    """Transition table M with p_lam = sum_mu M[lam, mu] * m_mu over weight n.
-
-    Only nonzero entries are present, all of them positive integers.  The
-    table is triangular: M[lam, mu] vanishes unless mu is no earlier than
-    lam in reverse-lex order.
-
-    >>> t = power_to_monomial(2)
-    >>> t[(Partition((1, 1)), Partition((1, 1)))]
-    2
-    >>> t[(Partition((1, 1)), Partition((2,)))]
-    1
-    """
-    return {
-        (lam, mu): cnt
-        for lam in partitions_of(n)
-        for mu, cnt in _monomial_row(lam).items()
-    }
 
 
 def expand_in_variables(expr: PowerSumExpr) -> dict[Partition, object]:

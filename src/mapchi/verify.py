@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from . import EXIT_CONJECTURE, EXIT_FAILURE, EXIT_OK, arith
+from . import EXIT_CONJECTURE, EXIT_FAILURE, EXIT_OK, RouteMismatchError, arith
 from .arith import (
     AlphaFn,
     TruncatedSeries,
@@ -25,7 +25,6 @@ from .arith import (
 )
 from .eulerchar import (
     ParityError,
-    RouteMismatchError,
     chi_complex,
     chi_fixed_curves,
     chi_real,
@@ -220,10 +219,6 @@ class VerifyReport:
         if all(name in CONJECTURE_CHECKS for name in failed):
             return EXIT_CONJECTURE
         return EXIT_FAILURE
-
-    @property
-    def ok(self) -> bool:
-        return self.exit_code == EXIT_OK
 
 
 def _require(condition: bool, message: str) -> None:
@@ -701,9 +696,10 @@ def run_verify(
 
     ``max_edges`` bounds the series truncation used by the map-count checks;
     checks that need more than it provide are reported as skipped, not
-    failed.  A truncation outside ``1..MAX_EDGE_TRUNCATION`` raises
-    ValueError before any check runs.  ``on_result`` is invoked with each
-    `CheckResult` as it lands, so callers can stream progress.
+    failed.  A truncation below 1 raises ValueError, and one above
+    `MAX_EDGE_TRUNCATION` raises `TruncationError`, before any check runs.
+    ``on_result`` is invoked with each `CheckResult` as it lands, so
+    callers can stream progress.
     """
     check_truncation(max_edges)
     report = VerifyReport()

@@ -47,3 +47,13 @@ def test_no_field_carries_through_the_truncation_bound():
 def test_face_rows_refuses_too_heavy_parts():
     with pytest.raises(ValueError, match="weighs more"):
         face_rows((4,), 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: cumulant((), 3, 5), lambda: face_rows((), 1)],
+    ids=["cumulant", "face_rows"],
+)
+def test_empty_multiset_is_refused(call):
+    with pytest.raises(ValueError, match="empty multiset"):
+        call()

@@ -28,6 +28,65 @@ def test_star_import_binds_all():
     exec("from mapchi import *", namespace)
     assert set(mapchi.__all__) <= set(namespace)
     assert namespace["map_count_table"] is mapchi.mapseries.map_count_table
+    assert namespace["TruncationError"] is mapchi.TruncationError
+    assert namespace["RouteMismatchError"] is mapchi.RouteMismatchError
+
+
+def test_shared_errors_live_in_the_package_root():
+    from mapchi import eulerchar, maporacle, mapseries
+
+    assert mapchi.TruncationError is eulerchar.TruncationError
+    assert mapchi.TruncationError is mapseries.TruncationError
+    assert mapchi.RouteMismatchError is eulerchar.RouteMismatchError
+    assert mapchi.RouteMismatchError is maporacle.RouteMismatchError
+    assert issubclass(mapchi.TruncationError, ValueError)
+
+
+def _verify_at(max_edges):
+    from mapchi.verify import run_verify
+
+    return run_verify(max_edges=max_edges)
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: mapchi.map_count_table(11), "truncation 11 exceeds supported bound 10"),
+        (lambda: mapchi.jack_partition_sum(6), "truncation 6 exceeds supported bound 5"),
+        (lambda: _verify_at(11), "truncation 11 exceeds supported bound 10"),
+        (
+            lambda: mapchi.rooted_orientable_counts(7),
+            "the orientable oracle enumerates at most 6 edges, asked for 7",
+        ),
+        (
+            lambda: mapchi.rooted_locally_orientable_counts(6),
+            "the all-surfaces oracle enumerates at most 5 edges, asked for 6",
+        ),
+        (
+            lambda: mapchi.lambda_from_census(1, 2),
+            "Lambda(1,2) needs rooted censuses through n=6, "
+            "the two censuses together reach n=5",
+        ),
+        (
+            lambda: mapchi.xi_from_maps(2, 1, mapchi.map_count_table(3)),
+            "xi(2,1) needs map counts through n=6, table reaches n=3: "
+            "insufficient truncation",
+        ),
+    ],
+    ids=[
+        "map_count_table(11)",
+        "jack_partition_sum(6)",
+        "run_verify(max_edges=11)",
+        "rooted_orientable_counts(7)",
+        "rooted_locally_orientable_counts(6)",
+        "lambda_from_census(1, 2)",
+        "xi_from_maps(2, 1, table3)",
+    ],
+)
+def test_out_of_reach_requests_raise_truncation_error(call, message):
+    with pytest.raises(mapchi.TruncationError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 def test_unknown_attribute_raises_attribute_error():
@@ -93,17 +152,22 @@ def test_import_cli_loads_no_worker_layer():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "code"),
     [
-        ["--version"],
-        ["oracle", "glue", "--sides", "4,2"],
-        ["oracle", "rooted", "--edges", "3"],
-        ["oracle", "rooted", "--edges", "3", "--surface", "all"],
+        pytest.param(argv, code, id=" ".join(argv))
+        for argv, code in [
+            (["--version"], 0),
+            (["oracle", "glue", "--sides", "4,2"], 0),
+            (["oracle", "rooted", "--edges", "3"], 0),
+            (["oracle", "rooted", "--edges", "3", "--surface", "all"], 0),
+            # Refused: the oracle raises TruncationError from the package root.
+            (["oracle", "rooted", "--edges", "7"], 2),
+            (["oracle", "rooted", "--edges", "6", "--surface", "all"], 2),
+        ]
     ],
-    ids=" ".join,
 )
-def test_integer_commands_load_no_rational_arithmetic(argv):
-    loaded = _modules_after(f"from mapchi.cli import main\nassert main({argv!r}) == 0")
+def test_integer_commands_load_no_rational_arithmetic(argv, code):
+    loaded = _modules_after(f"from mapchi.cli import main\nassert main({argv!r}) == {code}")
     assert not (RATIONAL | {"mapchi.arith", "mapchi.eulerchar", "mapchi.mapseries"}) & loaded
 
 

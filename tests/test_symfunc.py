@@ -17,14 +17,13 @@ from mapchi.symfunc import (
     expand_in_variables,
     inner_product,
     jack,
-    power_to_monomial,
 )
 
 ALPHA_GEN = AlphaFn.alpha()
 
 
 def psum(coeff_by_parts: dict[tuple[int, ...], object]) -> PowerSumExpr:
-    out = PowerSumExpr.zero()
+    out = PowerSumExpr()
     for parts, c in coeff_by_parts.items():
         out = out + PowerSumExpr.basis(parts) * c
     return out
@@ -75,20 +74,25 @@ def test_expand_in_variables_matches_brute_force():
         assert got == monomial_expansion_oracle(parts, sum(parts))
 
 
-def test_power_to_monomial_triangular():
+def monomial_rows(n: int) -> dict[Partition, dict[Partition, object]]:
+    """{lam: {mu: [m_mu] p_lam}} over weight n, nonzero entries only."""
+    return {lam: expand_in_variables(PowerSumExpr.basis(lam)) for lam in partitions_of(n)}
+
+
+def test_monomial_expansion_triangular():
     """p_lam only involves monomials no earlier than lam in reverse-lex order."""
     for n in range(1, 7):
-        table = power_to_monomial(n)
-        for (lam, mu), c in table.items():
-            assert c != 0
-            assert lam.rlex_le(mu)
+        for lam, row in monomial_rows(n).items():
+            for mu, c in row.items():
+                assert c != 0
+                assert lam.rlex_le(mu)
 
 
-def test_power_to_monomial_identity_rows():
-    table = power_to_monomial(3)
-    assert table[(Partition((3,)), Partition((3,)))] == 1
-    assert table[(Partition((1, 1, 1)), Partition((1, 1, 1)))] == 6
-    assert table[(Partition((2, 1)), Partition((3,)))] == 1
+def test_monomial_expansion_hand_rows():
+    rows = monomial_rows(3)
+    assert rows[Partition((3,))][Partition((3,))] == 1
+    assert rows[Partition((1, 1, 1))][Partition((1, 1, 1))] == 6
+    assert rows[Partition((2, 1))][Partition((3,))] == 1
 
 
 # -- Jack functions ----------------------------------------------------------
@@ -129,11 +133,11 @@ def gram_schmidt_jack_oracle(n: int) -> dict[Partition, PowerSumExpr]:
     reverse-lex order, then rescales so the m_(1^n) coefficient equals n!.
     """
     order = list(reversed(partitions_of(n)))  # ascending reverse-lex
-    table = power_to_monomial(n)
+    rows = monomial_rows(n)
     size = len(order)
     # Rows: p_lam in terms of m_mu.  Invert to get m in terms of p.  The
-    # table holds ints, and int / int is a float, so eliminate over Fractions.
-    matrix = [[Fraction(table.get((lam, mu), 0)) for mu in order] for lam in order]
+    # rows hold ints, and int / int is a float, so eliminate over Fractions.
+    matrix = [[Fraction(rows[lam].get(mu, 0)) for mu in order] for lam in order]
     inverse = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
     for col in range(size):
         pivot = next(r for r in range(col, size) if matrix[r][col])
@@ -163,7 +167,7 @@ def gram_schmidt_jack_oracle(n: int) -> dict[Partition, PowerSumExpr]:
                 g = g - prev * (overlap / inner_product(prev, prev))
         ones = Partition((1,) * n)
         ones_coeff = sum(
-            c * table.get((mu, ones), Fraction(0)) for mu, c in g.terms.items()
+            c * rows[mu].get(ones, Fraction(0)) for mu, c in g.terms.items()
         )
         out[theta] = g * (Fraction(math.factorial(n)) / ones_coeff)
     return out
