@@ -382,8 +382,6 @@ def chi_fixed_curves(g: int, s: int, m: int, separating: bool) -> ChiValue:
             raise ParityError(f"g-m+1 = {g - m + 1} must be even for separating curves")
         if g - m - 1 < 0:
             raise ValueError("separating case needs g - m - 1 >= 0")
-        if g - m + s - 2 < 0:
-            raise ValueError(f"undefined for g-m+s < 2 (got g={g}, s={s}, m={m})")
         value = Fraction(
             (-1) ** (s + m) * math.factorial(g - m + s - 2),
             math.factorial(m) * (g - m + 1) * math.factorial(g - m - 1),
@@ -391,8 +389,6 @@ def chi_fixed_curves(g: int, s: int, m: int, separating: bool) -> ChiValue:
     else:
         if m > g:
             raise ValueError("non-separating case needs m <= g")
-        if g + s - 2 < 0:
-            raise ValueError(f"undefined for g+s < 2 (got g={g}, s={s})")
         value = (
             Fraction(-2) ** (s + m - 1)
             * (1 - Fraction(2) ** (g - m - 1))

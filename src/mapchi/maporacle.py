@@ -12,8 +12,11 @@ a cycle that alternates them, and `_orbit_halves` walks those cycles.
   corner) and 2u + 1 (its end corner).  The corner pairing joins each
   polygon corner's two side ends, the gluing pairing joins the side ends
   that an identification lays on each other, and vertices are the orbits
-  of the two.  2-coloring of polygon orientations decides orientability,
-  and V - E + F gives the Euler characteristic with E = n side pairs and
+  of the two.  Orientability follows the rule of the rooted maps below:
+  each polygon takes an orientation class, side end 2u its polygon's class
+  and 2u + 1 the other, and the gluing is orientable when some choice of
+  classes makes the gluing pairing swap them, as the corner pairing does.
+  V - E + F gives the Euler characteristic with E = n side pairs and
   F = s polygons.
 
 * rooted maps: a rooted map on any surface with n edges is a triple of
@@ -65,7 +68,7 @@ MAX_LOCALLY_ORIENTABLE_EDGES = 5
 
 
 # ---------------------------------------------------------------------------
-# Pairings and parity classes
+# Pairings
 # ---------------------------------------------------------------------------
 
 
@@ -89,34 +92,6 @@ def _orbit_halves(first: list[int], second: list[int]) -> list[int]:
             half += 1
         halves.append(half)
     return halves
-
-
-class _ParityDSU:
-    """Union-find with a sign relative to the root; detects parity conflicts."""
-
-    __slots__ = ("parent", "parity")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.parity = [0] * n
-
-    def find(self, x: int) -> tuple[int, int]:
-        if self.parent[x] == x:
-            return x, 0
-        root, par = self.find(self.parent[x])
-        self.parent[x] = root
-        self.parity[x] ^= par
-        return root, self.parity[x]
-
-    def union(self, a: int, b: int, rel: int) -> bool:
-        """Impose parity(a) xor parity(b) = rel; False on contradiction."""
-        ra, pa = self.find(a)
-        rb, pb = self.find(b)
-        if ra == rb:
-            return (pa ^ pb) == rel
-        self.parent[ra] = rb
-        self.parity[ra] = pa ^ pb ^ rel
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -169,25 +144,40 @@ def _evaluate_gluing(
     pairs: tuple[tuple[int, int], ...],
     twists: tuple[bool, ...],
 ) -> GlueOutcome:
+    """Lay the pairs on the side ends and read off the glued surface;
+    `orientable` covers polygon 0's component, so read it only if `connected`."""
     owner, corner = layout
     glue = [0] * len(corner)
-    orient = _ParityDSU(len(sides))
-    orientable = True
+    # The polygons each polygon's pairs reach, with each pair's twist.
+    reach: list[list[tuple[int, bool]]] = [[] for _ in sides]
     for (a, b), twist in zip(pairs, twists):
         # A parallel (twisted) pair lays start on start, an antiparallel one
         # start on end.
         x, y = 2 * a, 2 * b + (not twist)
         glue[x], glue[y] = y, x
         glue[x + 1], glue[y ^ 1] = y ^ 1, x + 1
-        if not orient.union(owner[a], owner[b], 1 if twist else 0):
-            orientable = False
+        p, q = owner[a], owner[b]
+        reach[p].append((q, twist))
+        reach[q].append((p, twist))
+    # Orientation class of each polygon reached from polygon 0: the gluing
+    # pairing swaps side-end classes when a twisted pair joins opposite
+    # polygon classes and an untwisted pair equal ones.
+    side = [0] + [-1] * (len(sides) - 1)
+    walk = [0]
+    orientable = True
+    for p in walk:
+        for q, twist in reach[p]:
+            c = side[p] ^ twist
+            if side[q] < 0:
+                side[q] = c
+                walk.append(q)
+            elif side[q] != c:
+                orientable = False
     valences = _orbit_halves(corner, glue)
     return GlueOutcome(
         chi=len(valences) - len(pairs) + len(sides),
         orientable=orientable,
-        # orient joins the two polygons of every pair, so it also tracks
-        # which polygons the gluing connects.
-        connected=len({orient.find(p)[0] for p in range(len(sides))}) == 1,
+        connected=-1 not in side,
         min_valence=min(valences),
     )
 

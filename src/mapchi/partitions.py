@@ -12,6 +12,7 @@ map count by its vertex distribution, face count and edge count.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -31,7 +32,7 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(operator.index, parts))
         for i, p in enumerate(parts):
             if p <= 0:
                 raise ValueError(f"partition parts must be positive, got {p}")

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from mapchi import TruncationError
 from mapchi.eulerchar import lambda_values
 from mapchi.maporacle import (
+    _evaluate_gluing,
     _orbit_halves,
+    _polygon_layout,
     double_cover_lift_check,
     glue_census,
     lambda_from_census,
@@ -151,6 +154,54 @@ def test_orbit_halves_match_a_breadth_first_search(seed):
         first = _random_pairing(rng, size)
         second = _random_pairing(rng, size)
         assert _orbit_halves(first, second) == _orbit_halves_by_search(first, second)
+
+
+def _all_gluings(total: int):
+    """Every (pairs, twists) on `total` sides: each perfect matching, its
+    first side paired first, with every twist assignment."""
+
+    def matchings(items):
+        if not items:
+            yield ()
+            return
+        for k in range(1, len(items)):
+            for tail in matchings(items[1:k] + items[k + 1 :]):
+                yield ((items[0], items[k]),) + tail
+
+    for pairs in matchings(tuple(range(total))):
+        for twists in product((False, True), repeat=total // 2):
+            yield pairs, twists
+
+
+def _orientable_and_connected_by_search(sides, pairs, twists) -> tuple[bool, bool]:
+    """Orientable: some colouring c of the polygons has c[p] ^ c[q] == twist
+    for every pair joining polygons p and q.  Connected: no nonempty proper
+    set of polygons is closed under the pairs."""
+    owner = [p for p, length in enumerate(sides) for _ in range(length)]
+    joins = [(owner[a], owner[b], twist) for (a, b), twist in zip(pairs, twists)]
+    orientable = any(
+        all(c[p] ^ c[q] == twist for p, q, twist in joins)
+        for c in product((0, 1), repeat=len(sides))
+    )
+    connected = not any(
+        0 < sum(inside) < len(sides) and all(inside[p] == inside[q] for p, q, _ in joins)
+        for inside in product((False, True), repeat=len(sides))
+    )
+    return orientable, connected
+
+
+@pytest.mark.parametrize(
+    "sides", [(1, 1, 1, 1), (2, 2, 2), (3, 1, 2), (4, 2), (1,) * 6, (2, 2, 1, 1)]
+)
+def test_gluing_classes_match_an_exhaustive_colouring(sides):
+    layout = _polygon_layout(sides)
+    for pairs, twists in _all_gluings(sum(sides)):
+        out = _evaluate_gluing(sides, layout, pairs, twists)
+        orientable, connected = _orientable_and_connected_by_search(sides, pairs, twists)
+        assert out.connected == connected, (pairs, twists)
+        # `orientable` is read only for connected gluings.
+        if connected:
+            assert out.orientable == orientable, (pairs, twists)
 
 
 # -- rooted-map oracles -------------------------------------------------------

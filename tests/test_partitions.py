@@ -16,6 +16,7 @@ from mapchi.partitions import (
     vertex_distribution_of,
     z_of,
 )
+from mapchi.symfunc import jack
 
 
 def partition_count_oracle(n: int) -> int:
@@ -90,6 +91,33 @@ def test_partition_validates_input():
         Partition((2, 0))
     with pytest.raises(ValueError):
         Partition((-1,))
+
+
+@pytest.mark.parametrize("part", [2.5, Fraction(5, 2), "3"], ids=["float", "Fraction", "str"])
+def test_partition_refuses_non_integer_parts(part):
+    with pytest.raises(TypeError):
+        Partition((part, 1))
+
+
+def test_jack_refuses_a_non_integer_shape():
+    with pytest.raises(TypeError):
+        jack((2.9,))
+
+
+def test_partition_accepts_integer_like_parts():
+    class Index:
+        """An integer stand-in such as a numpy int: it has `__index__`."""
+
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    mu = Partition((Index(3), True))
+    assert mu == (3, 1)
+    assert all(type(p) is int for p in mu)
+    assert repr(mu) == "Partition(3, 1)"
 
 
 def test_partition_is_immutable_and_hashable():
