@@ -19,7 +19,7 @@ for j in range(0, 13, 2):
 # Faulhaber polynomials: S_k(N) = 1^k + 2^k + ... + N^k as a polynomial in N.
 print("\nSum-of-powers polynomials:")
 for k in range(4):
-    print(f"  S_{k}(N) = {poly_str(sum_of_powers_poly(k), 'N')}")
+    print(f"  S_{k}(N) = {poly_str(sum_of_powers_poly(k))}")
 
 # Spot check against a literal sum.
 s3 = sum_of_powers_poly(3)

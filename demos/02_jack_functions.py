@@ -16,7 +16,7 @@ def show(expr) -> str:
     pieces = []
     for mu, c in sorted(expr.terms.items(), key=lambda t: t[0].parts, reverse=True):
         label = "p_[" + ",".join(str(p) for p in mu.parts) + "]"
-        pieces.append(f"({poly_str(c, 'alpha')}) {label}")
+        pieces.append(f"({poly_str(c)}) {label}")
     return " + ".join(pieces)
 
 
@@ -31,10 +31,10 @@ for n in (1, 2, 3):
 
 # The norms <J, J> and the principal specializations p_k -> x.
 rec = jack((2, 1))
-print(f"<J_[2,1], J_[2,1]> = {poly_str(rec.norm, 'alpha')}")
+print(f"<J_[2,1], J_[2,1]> = {poly_str(rec.norm)}")
 print(f"J_[2,1](1_x) has x-coefficients "
-      f"{[poly_str(c, 'alpha') for c in rec.principal.coeffs]}")
-print(f"[p_(2,...)] J_[2,1] = {poly_str(rec.p2coeff, 'alpha')}  (odd weight, so zero)")
+      f"{[poly_str(c) for c in rec.principal.coeffs]}")
+print(f"[p_(2,...)] J_[2,1] = {poly_str(rec.p2coeff)}  (odd weight, so zero)")
 
 # Orthogonality holds symbolically: the Gram matrix of weight 4 is diagonal.
 shapes = partitions_of(4)

@@ -26,14 +26,14 @@ from mapchi import (
 
 # The three routes on the smallest case.
 xi11 = xi_closed(1, 1)
-print(f"xi^1_1 closed form : {poly_str(xi11, '1/gamma')}")
-print(f"xi^1_1 from log W  : {poly_str(xi_from_logW(1, 1), '1/gamma')}")
-print(f"xi^1_1 from maps   : {poly_str(xi_from_maps(1, 1, map_count_table(3)), '1/gamma')}")
+print(f"xi^1_1 closed form : {poly_str(xi11)}")
+print(f"xi^1_1 from log W  : {poly_str(xi_from_logW(1, 1))}")
+print(f"xi^1_1 from maps   : {poly_str(xi_from_maps(1, 1, map_count_table(3)))}")
 
 # A sweep of closed forms.  Even g has degree g, odd g degree g+1.
 print("\nxi^1_g for g = 1..5:")
 for g in range(1, 6):
-    print(f"  g={g}: {poly_str(xi_closed(g, 1), '1/gamma')}")
+    print(f"  g={g}: {poly_str(xi_closed(g, 1))}")
 
 # Specializations: Lambda = xi(1/2) splits into orientable and
 # nonorientable parts, and 2^{s-1} Lambda^N is the real Euler characteristic.

@@ -260,12 +260,11 @@ class UniPoly:
         return poly_str(self)
 
 
-def poly_str(p: UniPoly, var: str | None = None) -> str:
-    """Human-readable polynomial like ``1+b+3b^2`` or ``13b+13b^2+15b^3``."""
+def poly_str(p: UniPoly) -> str:
+    """Human-readable polynomial in its own variable, like ``1+b+3b^2`` or ``13b+13b^2+15b^3``."""
     if not p:
         return "0"
-    name = var if var is not None else p.var
-    power_base = f"({name})" if "/" in name else name
+    power_base = f"({p.var})" if "/" in p.var else p.var
     terms = []
     for k, c in enumerate(p.coeffs):
         if not c:

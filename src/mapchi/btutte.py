@@ -1,11 +1,23 @@
-"""Joint cumulants of the b-deformed Gaussian ensemble, by root-edge deletion.
+"""The refined map-count table, read off the b-Tutte recursion.
 
-The map series of `mapseries` is the Gaussian beta-ensemble with a source
-(Goulden and Jackson 1997; alpha = 2/beta = 1 + b).  Its loop equation
-deletes the root edge of a map and gives a recursion for the joint
-cumulants kappa(p_{k+1}, R) of the power sums, R a multiset of the other
-vertex degrees (La Croix 2009; Chapuy and Dolega 2022, "b-deformed Tutte
-equations"):
+The refined map numbers m(i, j, n) count rooted maps with n edges, j faces
+and vertex distribution i (vertices of any valence >= 1) as polynomials in
+a nonorientability parameter b: b = 0 selects orientable surfaces, b = 1
+counts maps on all surfaces.  They are read off the joint cumulants kappa_mu
+of the b-deformed Gaussian ensemble with a source (Goulden and Jackson 1997;
+alpha = 2/beta = 1 + b), mu being the vertex-valence partition:
+
+    m(i, j, n) = [N^j] 2n kappa_mu / (z_mu (1 + b)^(l(mu) - 1)).
+
+`map_count_table` makes that division over the integers: a remainder or a
+non-integer quotient raises `ExtractionError`.  The rows are `UniPoly`s in
+b with `int` coefficients, so building the table needs no `fractions`.  The
+Jack series of `mapseries` gives the same rows by a second route.
+
+The ensemble's loop equation deletes the root edge of a map and gives a
+recursion for the joint cumulants kappa(p_{k+1}, R) of the power sums, R a
+multiset of the other vertex degrees (La Croix 2009; Chapuy and Dolega
+2022, "b-deformed Tutte equations"):
 
     kappa(p_{k+1}, R) = b k kappa(p_{k-1}, R)                   twisted loop
         + sum_{a + c = k - 1} [ kappa(p_a, p_c, R)              root splits
@@ -30,13 +42,18 @@ import math
 from collections import Counter
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
-#: Largest supported truncation of `mapseries.map_count_table`.  The
-#: recursion builds the 10-edge table (6454 rows) in about 0.8 s on 2 vCPUs;
-#: each further edge costs two to three times as much.
-MAX_EDGE_TRUNCATION = 10
-
-_EMPTY_MULTISET = "the empty multiset of degrees has no root"
+from . import MAX_EDGE_TRUNCATION, TruncationError
+from .arith import UniPoly, int_poly_divmod
+from .partitions import (
+    MapKey,
+    Partition,
+    partition_from_distribution,
+    partitions_of,
+    vertex_distribution_of,
+    z_of,
+)
 
 
 def _kappa(N: int, b: int, *parts: int) -> int:
@@ -62,11 +79,13 @@ def cumulant(parts: tuple[int, ...], N: int, b: int) -> int:
     """kappa(p_{parts[0]}, p_{parts[1]}, ...) at the integer point (N, b).
 
     The degrees are in descending order and the root is the largest.
-    Memoized per multiset and point.  The empty multiset has no root and
-    raises ValueError.
+    Memoized per multiset and point.  The empty multiset has no root, and
+    a negative degree has no vertex: both raise ValueError.
     """
     if not parts:
-        raise ValueError(_EMPTY_MULTISET)
+        raise ValueError("the empty multiset of degrees has no root")
+    if min(parts) < 0:
+        raise ValueError(f"the multiset of degrees {parts} has a negative degree")
     if sum(parts) % 2 or (len(parts) > 1 and parts[-1] == 0):
         return 0
     if parts == (0,):
@@ -92,13 +111,13 @@ def face_rows(parts: tuple[int, ...], max_n: int) -> dict[int, list[int]]:
     fields (Kronecker substitution).  No field carries: a coefficient is
     at most kappa_mu(1, 1) <= kappa_(2n)(1, 1) < 2^W (at N = 1, p_mu =
     p_(2n), and the cumulant is one nonnegative term of that moment), and
-    the b-degree is at most n < max_n + 1.
+    the b-degree is at most n < max_n + 1.  W needs no recursion: at N = 1
+    the ensemble is one Gaussian of variance 1 + b, so kappa_(2n)(1, 1) =
+    E[x^(2n)] = 2^n (2n - 1)!! = (2n)! / n!.
     """
-    if not parts:
-        raise ValueError(_EMPTY_MULTISET)
     if sum(parts) > 2 * max_n:
         raise ValueError(f"{parts} weighs more than 2 * {max_n}")
-    width = cumulant((2 * max_n,), 1, 1).bit_length()
+    width = (math.factorial(2 * max_n) // math.factorial(max_n)).bit_length()
     step = width * (max_n + 1)
     packed = cumulant(tuple(parts), 1 << step, 1 << width)
     mask, rows = (1 << width) - 1, {}
@@ -107,3 +126,112 @@ def face_rows(parts: tuple[int, ...], max_n: int) -> dict[int, list[int]]:
         if block:
             rows[j] = [(block >> d) & mask for d in range(0, block.bit_length(), width)]
     return rows
+
+
+class ExtractionError(RuntimeError):
+    """A map count failed a polynomiality, divisibility or integrality check."""
+
+
+class MapCountTable:
+    """Refined map-count polynomials in b for every key with n <= max_n."""
+
+    def __init__(self, entries: dict[MapKey, UniPoly], max_n: int):
+        self.entries = entries
+        self.max_n = max_n
+
+    def __getitem__(self, key: MapKey) -> UniPoly:
+        return self.entries[key]
+
+    def keys_sorted(self) -> list[MapKey]:
+        """Rows ordered by edge count, then face count, then vertex partition."""
+        return sorted(
+            self.entries,
+            key=lambda k: (k.n, k.j, partition_from_distribution(k.i)),
+        )
+
+
+def check_truncation(max_n: int, bound: int = MAX_EDGE_TRUNCATION) -> None:
+    """Raise ValueError if max_n < 1 and `TruncationError` if max_n > bound."""
+    if max_n < 1:
+        raise ValueError(f"truncation {max_n} is below 1")
+    if max_n > bound:
+        raise TruncationError(f"truncation {max_n} exceeds supported bound {bound}")
+
+
+def counts_from_cumulant(mu: Partition, kappa: dict[int, list[int]]) -> dict[int, UniPoly]:
+    """The rows [N^j] 2n kappa / (z_mu (1 + b)^(l - 1)) of one valence partition.
+
+    kappa is {face count j: [b-coefficients]}, as `face_rows` gives it.
+    Returns the nonzero b-polynomials keyed by j.  Each row is one exact
+    division over the integers: since 1 + b is monic, it succeeds exactly
+    when (1 + b)^(l - 1) divides kappa_j and z_mu divides 2n times that
+    quotient.  A remainder or an inexact step raises `ExtractionError`.
+    """
+    n, z = mu.weight // 2, z_of(mu)
+    divisor = UniPoly("b", [z * math.comb(mu.length - 1, k) for k in range(mu.length)])
+    rows = {}
+    for j, coeffs in kappa.items():
+        step = int_poly_divmod(UniPoly("b", [2 * n * c for c in coeffs]), divisor)
+        if step is None:
+            raise ExtractionError(
+                f"non-integer b-coefficient at n={n}, mu={mu.parts}, j={j}: "
+                f"2n * {coeffs} / ({z} (1+b)^{mu.length - 1})"
+            )
+        poly, remainder = step
+        if remainder:
+            raise ExtractionError(
+                f"kappa at mu={mu.parts}, N^{j} is not divisible by "
+                f"(1+b)^{mu.length - 1}"
+            )
+        if poly:
+            rows[j] = poly
+    return rows
+
+
+@lru_cache(maxsize=None)
+def map_count_table(max_n: int) -> MapCountTable:
+    """Every refined count through max_n edges, from the b-Tutte recursion.
+
+    Cached per truncation.  Treat as immutable.
+    """
+    check_truncation(max_n)
+    entries: dict[MapKey, UniPoly] = {}
+    for n in range(1, max_n + 1):
+        for mu in partitions_of(2 * n):
+            for j, poly in counts_from_cumulant(mu, face_rows(mu, max_n)).items():
+                entries[MapKey(vertex_distribution_of(mu), j, n).validate()] = poly
+    return MapCountTable(entries=entries, max_n=max_n)
+
+
+def specialize_counts(table: MapCountTable, b_value: Fraction) -> dict[MapKey, Fraction]:
+    """Evaluate every entry at a rational b (0 = orientable, 1 = all surfaces)."""
+    from fractions import Fraction
+
+    return {key: Fraction(poly.eval(Fraction(b_value))) for key, poly in table.entries.items()}
+
+
+class NonnegativityViolation(NamedTuple):
+    """The first negative b-coefficient of one table entry."""
+
+    key: MapKey
+    poly: UniPoly
+    degree: int
+    coefficient: int
+
+
+def nonneg_report(table: MapCountTable) -> list[NonnegativityViolation]:
+    """Entries with any negative b-coefficient.
+
+    Nonnegativity of the refined counts is conjectural, so this is a report
+    for the caller to act on, never an assertion.
+    """
+    violations = []
+    for key in table.keys_sorted():
+        poly = table.entries[key]
+        for deg, c in enumerate(poly.coeffs):
+            if c < 0:
+                violations.append(
+                    NonnegativityViolation(key=key, poly=poly, degree=deg, coefficient=c)
+                )
+                break
+    return violations

@@ -27,8 +27,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import EXIT_FAILURE, EXIT_OK, __version__
-from .btutte import MAX_EDGE_TRUNCATION
+from . import EXIT_FAILURE, EXIT_OK, MAX_EDGE_TRUNCATION, __version__
 
 FORMATS = ("pretty", "json", "csv")
 
@@ -127,7 +126,7 @@ def _parse_rational(text: str):
 
 def cmd_maps_table(args) -> int:
     from .arith import poly_str
-    from .mapseries import map_count_table
+    from .btutte import map_count_table
 
     table = map_count_table(args.max_edges)
     keys = table.keys_sorted()
@@ -182,7 +181,7 @@ def cmd_euler_xi(args) -> int:
                 f"the maps route for xi({args.g},{args.s}) needs map counts "
                 f"through n={needed}, beyond the supported bound {MAX_EDGE_TRUNCATION}"
             )
-        from .mapseries import map_count_table
+        from .btutte import map_count_table
 
         poly = xi_from_maps(args.g, args.s, map_count_table(needed))
     if args.format == "json":
@@ -196,7 +195,7 @@ def cmd_euler_xi(args) -> int:
             }
         )
     else:
-        print(f"xi({args.g},{args.s}) = {poly_str(poly, '1/gamma')}")
+        print(f"xi({args.g},{args.s}) = {poly_str(poly)}")
     return 0
 
 
@@ -264,28 +263,28 @@ def cmd_jack(args) -> int:
             {
                 "shape": list(rec.shape.parts),
                 "expansion": {
-                    "[" + ",".join(str(p) for p in mu.parts) + "]": poly_str(c, "alpha")
+                    "[" + ",".join(str(p) for p in mu.parts) + "]": poly_str(c)
                     for mu, c in ordered
                 },
-                "norm": poly_str(rec.norm, "alpha"),
-                "principal": [poly_str(c, "alpha") for c in rec.principal.coeffs],
-                "p2coeff": poly_str(rec.p2coeff, "alpha"),
+                "norm": poly_str(rec.norm),
+                "principal": [poly_str(c) for c in rec.principal.coeffs],
+                "p2coeff": poly_str(rec.p2coeff),
             }
         )
     else:
         def bracket(parts) -> str:
             return "[" + ",".join(str(p) for p in parts) + "]"
 
-        terms = " + ".join(f"({poly_str(c, 'alpha')}) p_{bracket(mu.parts)}" for mu, c in ordered)
+        terms = " + ".join(f"({poly_str(c)}) p_{bracket(mu.parts)}" for mu, c in ordered)
         principal = " + ".join(
-            f"({poly_str(c, 'alpha')})" + ("" if k == 0 else " x" if k == 1 else f" x^{k}")
+            f"({poly_str(c)})" + ("" if k == 0 else " x" if k == 1 else f" x^{k}")
             for k, c in enumerate(rec.principal.coeffs)
             if c
         )
         print(f"J_{bracket(rec.shape.parts)} = {terms}")
-        print(f"norm      = {poly_str(rec.norm, 'alpha')}")
+        print(f"norm      = {poly_str(rec.norm)}")
         print(f"principal = {principal}")
-        print(f"p2coeff   = {poly_str(rec.p2coeff, 'alpha')}")
+        print(f"p2coeff   = {poly_str(rec.p2coeff)}")
     return 0
 
 

@@ -32,7 +32,7 @@ from . import RouteMismatchError, TruncationError
 from .arith import ALPHA, AlphaFn, TruncatedSeries, UniPoly, bernoulli
 
 if TYPE_CHECKING:
-    from .mapseries import MapCountTable
+    from .btutte import MapCountTable
     from .partitions import MapKey
 
 INV_GAMMA = "1/gamma"

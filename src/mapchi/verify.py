@@ -14,7 +14,14 @@ import time
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from . import EXIT_CONJECTURE, EXIT_FAILURE, EXIT_OK, RouteMismatchError, arith
+from . import (
+    EXIT_CONJECTURE,
+    EXIT_FAILURE,
+    EXIT_OK,
+    MAX_EDGE_TRUNCATION,
+    RouteMismatchError,
+    arith,
+)
 from .arith import (
     AlphaFn,
     TruncatedSeries,
@@ -23,6 +30,7 @@ from .arith import (
     bernoulli,
     sum_of_powers_poly,
 )
+from .btutte import check_truncation, map_count_table, nonneg_report
 from .eulerchar import (
     ParityError,
     chi_complex,
@@ -44,15 +52,7 @@ from .maporacle import (
     rooted_locally_orientable_counts,
     rooted_orientable_counts,
 )
-from .mapseries import (
-    JACK_ROUTE_MAX_EDGES,
-    MAX_EDGE_TRUNCATION,
-    check_truncation,
-    extract_map_counts,
-    map_count_table,
-    map_series,
-    nonneg_report,
-)
+from .mapseries import JACK_ROUTE_MAX_EDGES, extract_map_counts, map_series
 from .partitions import (
     MapKey,
     Partition,
@@ -67,7 +67,7 @@ from .symfunc import cauchy_check, expand_in_variables, inner_product, jack
 #: when only these fail, the run exits with `EXIT_CONJECTURE`.  Refined-count
 #: nonnegativity is conjectural.  Every coefficient of the b-Tutte cumulants
 #: (`btutte`) is nonnegative in b, so only the division by (1 + b)^(l(mu) - 1)
-#: in `mapseries.counts_from_cumulant` stands between the recursion and
+#: in `btutte.counts_from_cumulant` stands between the recursion and
 #: manifest positivity.
 CONJECTURE_CHECKS = frozenset({"nonnegativity"})
 

@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from mapchi.btutte import MAX_EDGE_TRUNCATION, cumulant, face_rows
+from mapchi import MAX_EDGE_TRUNCATION
+from mapchi.btutte import cumulant, face_rows
 from mapchi.partitions import partitions_of
 
 
@@ -32,11 +33,12 @@ def test_no_field_carries_through_the_truncation_bound():
 
     A carry out of a W-bit field changes the digit sum, so equal sums
     mean every coefficient was read whole.  The field width rests on
-    kappa_mu(1, 1) <= kappa_(2n)(1, 1), checked here too.
+    kappa_mu(1, 1) <= kappa_(2n)(1, 1) = (2n)! / n!, checked here too.
     """
     for n in range(1, MAX_EDGE_TRUNCATION + 1):
         bound = cumulant((2 * n,), 1, 1)
         assert bound == 2**n * math.prod(range(1, 2 * n, 2))
+        assert bound == math.factorial(2 * n) // math.factorial(n)
         for mu in partitions_of(2 * n):
             total = cumulant(tuple(mu), 1, 1)
             assert total <= bound
@@ -51,9 +53,15 @@ def test_face_rows_refuses_too_heavy_parts():
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: cumulant((), 3, 5), lambda: face_rows((), 1)],
-    ids=["cumulant", "face_rows"],
+    [
+        lambda: cumulant((), 3, 5),
+        lambda: face_rows((), 1),
+        lambda: cumulant((-2, 4), 3, 5),
+        lambda: face_rows((-2, 4), 1),
+    ],
+    ids=["cumulant()", "face_rows()", "cumulant(-2,4)", "face_rows(-2,4)"],
 )
-def test_empty_multiset_is_refused(call):
-    with pytest.raises(ValueError, match="empty multiset"):
+def test_empty_or_negative_multiset_is_refused(call):
+    """No root, or a degree no vertex has: refused, not recursed on without end."""
+    with pytest.raises(ValueError, match="multiset of degrees"):
         call()

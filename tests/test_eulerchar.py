@@ -9,6 +9,7 @@ import pytest
 
 from mapchi import eulerchar
 from mapchi.arith import AlphaFn, UniPoly, bernoulli
+from mapchi.btutte import map_count_table
 from mapchi.eulerchar import (
     INV_GAMMA,
     LambdaTriple,
@@ -27,7 +28,6 @@ from mapchi.eulerchar import (
     xi_from_logW,
     xi_from_maps,
 )
-from mapchi.mapseries import map_count_table
 
 
 def test_logW_first_order_coefficient():

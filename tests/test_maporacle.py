@@ -9,6 +9,7 @@ from itertools import product
 import pytest
 
 from mapchi import TruncationError
+from mapchi.btutte import map_count_table, specialize_counts
 from mapchi.eulerchar import lambda_values
 from mapchi.maporacle import (
     _evaluate_gluing,
@@ -20,7 +21,7 @@ from mapchi.maporacle import (
     rooted_locally_orientable_counts,
     rooted_orientable_counts,
 )
-from mapchi.mapseries import MapKey, map_count_table, specialize_counts
+from mapchi.partitions import MapKey
 
 # -- polygon gluings ---------------------------------------------------------
 

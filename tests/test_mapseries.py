@@ -1,4 +1,4 @@
-"""Map-count series: partition sum, extraction, refined counts, nonnegativity."""
+"""The refined map counts: the recursion's table, nonnegativity, and the Jack route."""
 
 from __future__ import annotations
 
@@ -7,19 +7,16 @@ from fractions import Fraction
 import pytest
 
 from mapchi.arith import AlphaFn, UniPoly
-from mapchi.mapseries import (
+from mapchi.btutte import (
     ExtractionError,
     MapCountTable,
-    MapKey,
     counts_from_cumulant,
-    extract_map_counts,
-    jack_partition_sum,
     map_count_table,
-    map_series,
     nonneg_report,
     specialize_counts,
 )
-from mapchi.partitions import Partition
+from mapchi.mapseries import extract_map_counts, jack_partition_sum, map_series
+from mapchi.partitions import MapKey, Partition
 from mapchi.symfunc import PowerSumExpr
 from mapchi.verify import (
     REFERENCE_COUNTS,

@@ -27,16 +27,16 @@ def test_star_import_binds_all():
     namespace: dict[str, object] = {}
     exec("from mapchi import *", namespace)
     assert set(mapchi.__all__) <= set(namespace)
-    assert namespace["map_count_table"] is mapchi.mapseries.map_count_table
+    assert namespace["map_count_table"] is mapchi.btutte.map_count_table
     assert namespace["TruncationError"] is mapchi.TruncationError
     assert namespace["RouteMismatchError"] is mapchi.RouteMismatchError
 
 
 def test_shared_errors_live_in_the_package_root():
-    from mapchi import eulerchar, maporacle, mapseries
+    from mapchi import btutte, eulerchar, maporacle
 
     assert mapchi.TruncationError is eulerchar.TruncationError
-    assert mapchi.TruncationError is mapseries.TruncationError
+    assert mapchi.TruncationError is btutte.TruncationError
     assert mapchi.RouteMismatchError is eulerchar.RouteMismatchError
     assert mapchi.RouteMismatchError is maporacle.RouteMismatchError
     assert issubclass(mapchi.TruncationError, ValueError)
@@ -118,7 +118,8 @@ def _modules_after(statements: str) -> set[str]:
 #: The rational arithmetic: `fractions` loads `decimal` and `numbers`.
 RATIONAL = {"fractions", "decimal", "numbers"}
 
-NEVER_ON_IMPORT = RATIONAL | {
+#: Standard modules that neither `import mapchi.cli` nor any command loads.
+NEVER_LOADED = {
     "json",
     "argparse",
     "gettext",
@@ -126,13 +127,6 @@ NEVER_ON_IMPORT = RATIONAL | {
     "dataclasses",
     "inspect",
     "logging",
-    "mapchi.arith",
-    "mapchi.partitions",
-    "mapchi.symfunc",
-    "mapchi.mapseries",
-    "mapchi.maporacle",
-    "mapchi.verify",
-    "mapchi.eulerchar",
 }
 
 
@@ -141,80 +135,138 @@ def test_import_mapchi_loads_no_submodule():
     assert not {m for m in loaded if m.startswith("mapchi.")}
 
 
-def test_import_cli_loads_no_worker_layer():
+def test_import_cli_loads_no_layer():
     loaded = _modules_after("import mapchi.cli")
-    assert not NEVER_ON_IMPORT & loaded
+    assert not (RATIONAL | NEVER_LOADED) & loaded
+    assert {m for m in loaded if m.startswith("mapchi")} == {"mapchi", "mapchi.cli"}
+
+
+def _rows(argvs, code, layers, fractions):
+    return [(argv, code, {"cli", *layers}, fractions) for argv in argvs]
+
+
+#: What each command loads, row for row as README's cost-model table states
+#: it: (argv, exit code, the `mapchi` submodules, whether `fractions` loads).
+LOADS = [
+    *_rows([["--version"], ["-h"]], 0, (), False),
+    *_rows(
+        [
+            ["oracle", "glue", "--sides", "4,2"],
+            ["oracle", "rooted", "--edges", "3"],
+            ["oracle", "rooted", "--edges", "3", "--surface", "all"],
+        ],
+        0,
+        ("maporacle", "partitions"),
+        False,
+    ),
+    # Refused: the oracle raises TruncationError from the package root.
+    *_rows(
+        [
+            ["oracle", "rooted", "--edges", "7"],
+            ["oracle", "rooted", "--edges", "6", "--surface", "all"],
+        ],
+        2,
+        ("maporacle", "partitions"),
+        False,
+    ),
+    *_rows(
+        [["oracle", "lambda", "--g", "1", "--s", "1"]],
+        0,
+        ("maporacle", "partitions", "eulerchar", "arith"),
+        True,
+    ),
+    *_rows(
+        [
+            ["euler", "xi", "--g", "3", "--s", "2"],
+            ["euler", "xi", "--g", "3", "--s", "2", "--route", "logw"],
+            ["euler", "chi", "--variant", "real", "--g", "2", "--s", "1"],
+        ],
+        0,
+        ("eulerchar", "arith"),
+        True,
+    ),
+    *_rows(
+        [["euler", "xi", "--g", "1", "--s", "1", "--route", "maps"]],
+        0,
+        ("eulerchar", "arith", "btutte", "partitions"),
+        True,
+    ),
+    *_rows(
+        [
+            ["maps", "table", "--max-edges", "3"],
+            ["--format", "json", "maps", "table", "--max-edges", "3"],
+            ["--format", "json", "maps", "table", "--max-edges", "3", "--b", "0"],
+            ["--format", "json", "maps", "table", "--max-edges", "3", "--b", "1"],
+            ["--format", "csv", "maps", "table", "--max-edges", "3"],
+        ],
+        0,
+        ("btutte", "partitions", "arith"),
+        False,
+    ),
+    *_rows(
+        [["--format", "json", "maps", "table", "--max-edges", "3", "--b", "1/2"]],
+        0,
+        ("btutte", "partitions", "arith"),
+        True,
+    ),
+    *_rows(
+        [["jack", "--shape", "3,2,1"], ["--format", "json", "jack", "--shape", "3,2,1"]],
+        0,
+        ("symfunc", "partitions", "arith"),
+        False,
+    ),
+    *_rows(
+        [["verify-all", "--max-edges", "1"]],
+        0,
+        (
+            "verify",
+            "arith",
+            "btutte",
+            "eulerchar",
+            "maporacle",
+            "mapseries",
+            "partitions",
+            "symfunc",
+        ),
+        True,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("argv", "code", "layers", "fractions"),
+    [pytest.param(*row, id=" ".join(row[0])) for row in LOADS],
+)
+def test_each_command_loads_exactly_its_modules(argv, code, layers, fractions):
+    """Each command loads the layers it runs and no other; no command loads `json`."""
+    loaded = _modules_after(f"from mapchi.cli import main\nassert main({argv!r}) == {code}")
     assert {m for m in loaded if m.startswith("mapchi")} == {
         "mapchi",
-        "mapchi.cli",
-        "mapchi.btutte",
+        *(f"mapchi.{layer}" for layer in layers),
     }
-
-
-@pytest.mark.parametrize(
-    ("argv", "code"),
-    [
-        pytest.param(argv, code, id=" ".join(argv))
-        for argv, code in [
-            (["--version"], 0),
-            (["oracle", "glue", "--sides", "4,2"], 0),
-            (["oracle", "rooted", "--edges", "3"], 0),
-            (["oracle", "rooted", "--edges", "3", "--surface", "all"], 0),
-            # Refused: the oracle raises TruncationError from the package root.
-            (["oracle", "rooted", "--edges", "7"], 2),
-            (["oracle", "rooted", "--edges", "6", "--surface", "all"], 2),
-        ]
-    ],
-)
-def test_integer_commands_load_no_rational_arithmetic(argv, code):
-    loaded = _modules_after(f"from mapchi.cli import main\nassert main({argv!r}) == {code}")
-    assert not (RATIONAL | {"mapchi.arith", "mapchi.eulerchar", "mapchi.mapseries"}) & loaded
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--format", "json", "maps", "table", "--max-edges", "3"],
-        ["--format", "json", "maps", "table", "--max-edges", "3", "--b", "0"],
-        ["--format", "json", "maps", "table", "--max-edges", "3", "--b", "1"],
-        ["--format", "csv", "maps", "table", "--max-edges", "3"],
-        ["--format", "json", "jack", "--shape", "3,2,1"],
-    ],
-    ids=" ".join,
-)
-def test_integer_valued_commands_load_neither_fractions_nor_json(argv):
-    """The table and the Jack records are integer polynomials, and JSON has its own writer."""
-    loaded = _modules_after(f"from mapchi.cli import main\nassert main({argv!r}) == 0")
-    assert not (RATIONAL | {"json"}) & loaded
-
-
-def test_rational_b_still_runs_over_fractions():
-    loaded = _modules_after(
-        "from mapchi.cli import main\n"
-        "assert main(['--format', 'json', 'maps', 'table', '--max-edges', '3', '--b', '1/2']) == 0"
-    )
-    assert "fractions" in loaded
+    assert (RATIONAL <= loaded) if fractions else not RATIONAL & loaded
+    assert not NEVER_LOADED & loaded
 
 
 def test_mapkey_has_one_home():
-    from mapchi import mapseries, partitions
+    from mapchi import btutte, partitions
 
-    assert mapchi.MapKey is partitions.MapKey is mapseries.MapKey
-
-
-def test_maps_table_loads_neither_jack_layer_nor_dataclasses():
-    loaded = _modules_after(
-        "from mapchi.cli import main\n"
-        "assert main(['maps', 'table', '--max-edges', '3']) == 0"
-    )
-    assert "mapchi.mapseries" in loaded
-    assert not {"mapchi.symfunc", "dataclasses"} & loaded
+    assert mapchi.MapKey is partitions.MapKey is btutte.MapKey
 
 
-def test_euler_xi_logw_loads_no_argument_parser():
-    loaded = _modules_after(
-        "from mapchi.cli import main\n"
-        "assert main(['euler', 'xi', '--g', '3', '--s', '2', '--route', 'logw']) == 0"
-    )
-    assert "mapchi.eulerchar" in loaded
-    assert not {"argparse", "gettext", "locale"} & loaded
+def test_table_names_live_in_btutte_alone():
+    """The table layer is `btutte`; the Jack cross-check neither defines nor re-exports it."""
+    from mapchi import btutte, mapseries
+
+    for name in (
+        "ExtractionError",
+        "MapCountTable",
+        "NonnegativityViolation",
+        "check_truncation",
+        "counts_from_cumulant",
+        "map_count_table",
+        "nonneg_report",
+        "specialize_counts",
+    ):
+        assert getattr(btutte, name).__module__ == "mapchi.btutte"
+        assert not hasattr(mapseries, name), name
