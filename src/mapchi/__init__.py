@@ -8,11 +8,12 @@ together with their classical specializations.  Independent closed-form and
 brute-force enumeration routes cross-check every number the package
 produces.
 
-The exit codes, the table's edge bound and the two errors that several
-layers raise live here, so any layer can use them without loading another.
-The other public names are imported from their submodule on first access,
-so ``import mapchi`` alone loads no submodule and each command of the
-``mapchi`` script pays only for the layers it runs.
+The exit codes, the table's edge bound, the two errors that several layers
+raise and the one guard that refuses a request past a layer's edge reach
+(`check_truncation`) live here, so any layer can use them without loading
+another.  The other public names are imported from their submodule on
+first access, so ``import mapchi`` alone loads no submodule and each
+command of the ``mapchi`` script pays only for the layers it runs.
 """
 
 from __future__ import annotations
@@ -39,6 +40,19 @@ class RouteMismatchError(RuntimeError):
 
 class TruncationError(ValueError):
     """A request needs more edges than a table, series or census reaches."""
+
+
+def check_truncation(n: int, reach: int, what: str) -> None:
+    """Refuse a request for n edges from `what`, which reaches `reach` edges.
+
+    Every layer that serves map counts refuses through this one guard, so
+    every refusal reads the same: n < 1 raises ValueError, n > reach raises
+    `TruncationError`.
+    """
+    if n < 1:
+        raise ValueError(f"{what} needs at least 1 edge, got {n}")
+    if n > reach:
+        raise TruncationError(f"{what} needs {n} edges; it reaches {reach}")
 
 
 #: Home submodule of each public name.
@@ -119,7 +133,10 @@ _EXPORTS = {
     ),
 }
 
-__all__ = [*sorted([*_EXPORTS, "RouteMismatchError", "TruncationError"]), "__version__"]
+__all__ = [
+    *sorted([*_EXPORTS, "RouteMismatchError", "TruncationError", "check_truncation"]),
+    "__version__",
+]
 
 
 def __getattr__(name: str):

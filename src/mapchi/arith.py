@@ -34,6 +34,10 @@ Conventions
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 ALPHA = "alpha"
 

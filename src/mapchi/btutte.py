@@ -42,9 +42,9 @@ import math
 from collections import Counter
 from functools import lru_cache
 from itertools import product
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import MAX_EDGE_TRUNCATION, TruncationError
+from . import MAX_EDGE_TRUNCATION, check_truncation
 from .arith import UniPoly, int_poly_divmod
 from .partitions import (
     MapKey,
@@ -54,6 +54,9 @@ from .partitions import (
     vertex_distribution_of,
     z_of,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _kappa(N: int, b: int, *parts: int) -> int:
@@ -150,14 +153,6 @@ class MapCountTable:
         )
 
 
-def check_truncation(max_n: int, bound: int = MAX_EDGE_TRUNCATION) -> None:
-    """Raise ValueError if max_n < 1 and `TruncationError` if max_n > bound."""
-    if max_n < 1:
-        raise ValueError(f"truncation {max_n} is below 1")
-    if max_n > bound:
-        raise TruncationError(f"truncation {max_n} exceeds supported bound {bound}")
-
-
 def counts_from_cumulant(mu: Partition, kappa: dict[int, list[int]]) -> dict[int, UniPoly]:
     """The rows [N^j] 2n kappa / (z_mu (1 + b)^(l - 1)) of one valence partition.
 
@@ -194,7 +189,7 @@ def map_count_table(max_n: int) -> MapCountTable:
 
     Cached per truncation.  Treat as immutable.
     """
-    check_truncation(max_n)
+    check_truncation(max_n, MAX_EDGE_TRUNCATION, "the map-count table")
     entries: dict[MapKey, UniPoly] = {}
     for n in range(1, max_n + 1):
         for mu in partitions_of(2 * n):

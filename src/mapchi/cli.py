@@ -27,7 +27,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import EXIT_FAILURE, EXIT_OK, MAX_EDGE_TRUNCATION, __version__
+from . import EXIT_FAILURE, EXIT_OK, MAX_EDGE_TRUNCATION, __version__, check_truncation
 
 FORMATS = ("pretty", "json", "csv")
 
@@ -176,11 +176,7 @@ def cmd_euler_xi(args) -> int:
         poly = xi_from_logW(args.g, args.s)
     else:
         needed = lambda_edges(args.g, args.s)[-1]
-        if needed > MAX_EDGE_TRUNCATION:
-            return _refuse(
-                f"the maps route for xi({args.g},{args.s}) needs map counts "
-                f"through n={needed}, beyond the supported bound {MAX_EDGE_TRUNCATION}"
-            )
+        check_truncation(needed, MAX_EDGE_TRUNCATION, f"xi({args.g},{args.s}) from map counts")
         from .btutte import map_count_table
 
         poly = xi_from_maps(args.g, args.s, map_count_table(needed))

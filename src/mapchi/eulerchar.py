@@ -28,7 +28,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
-from . import RouteMismatchError, TruncationError
+from . import RouteMismatchError, check_truncation
 from .arith import ALPHA, AlphaFn, TruncatedSeries, UniPoly, bernoulli
 
 if TYPE_CHECKING:
@@ -224,12 +224,7 @@ def xi_from_maps(g: int, s: int, table: MapCountTable) -> UniPoly:
     """
     if g < 1 or s < 1:
         raise ValueError("xi is defined here for g >= 1 and s >= 1")
-    top = lambda_edges(g, s)[-1]
-    if table.max_n < top:
-        raise TruncationError(
-            f"xi({g},{s}) needs map counts through n={top}, "
-            f"table reaches n={table.max_n}: insufficient truncation"
-        )
+    check_truncation(lambda_edges(g, s)[-1], table.max_n, f"xi({g},{s}) from map counts")
     b_from_gamma = UniPoly(INV_GAMMA, (Fraction(-1), Fraction(1)))  # b = 1/gamma - 1
     total = lambda_sum(table.entries, g, s, UniPoly.zero("b")).compose(b_from_gamma)
     closed = xi_closed(g, s)

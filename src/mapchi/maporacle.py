@@ -52,7 +52,7 @@ from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import RouteMismatchError, TruncationError
+from . import RouteMismatchError, check_truncation
 from .partitions import MapKey, Partition, vertex_distribution_of
 
 if TYPE_CHECKING:
@@ -336,15 +336,6 @@ def double_cover_lift_check(*sides: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_edges(n: int, limit: int, model: str) -> None:
-    if n < 1:
-        raise ValueError("edge count must be positive")
-    if n > limit:
-        raise TruncationError(
-            f"the {model} oracle enumerates at most {limit} edges, asked for {n}"
-        )
-
-
 def _by_map_key(raw: dict[tuple[tuple[int, ...], int], int], n: int) -> dict[MapKey, int]:
     """A census keyed by (valences, faces), rekeyed by `MapKey` in
     (distribution, faces) order."""
@@ -368,7 +359,7 @@ def rooted_orientable_counts(n: int) -> dict[MapKey, int]:
     >>> rooted_orientable_counts(1)
     {MapKey(i=(0, 1), j=2, n=1): 1, MapKey(i=(2,), j=1, n=1): 1}
     """
-    _check_edges(n, MAX_ORIENTABLE_EDGES, "orientable")
+    check_truncation(n, MAX_ORIENTABLE_EDGES, "the orientable census")
     return dict(_rooted_census(n, True))
 
 
@@ -389,7 +380,7 @@ def rooted_locally_orientable_counts(n: int) -> dict[MapKey, int]:
     >>> rooted_locally_orientable_counts(2)[MapKey((0, 0, 0, 1), 1, 2)]
     5
     """
-    _check_edges(n, MAX_LOCALLY_ORIENTABLE_EDGES, "all-surfaces")
+    check_truncation(n, MAX_LOCALLY_ORIENTABLE_EDGES, "the all-surfaces census")
     return dict(_rooted_census(n, False))
 
 
@@ -456,12 +447,11 @@ def lambda_from_census(g: int, s: int) -> LambdaTriple:
     if g < 1 or s < 1:
         raise ValueError("need g >= 1 and s >= 1")
     edges = lambda_edges(g, s)
-    reach = min(MAX_ORIENTABLE_EDGES, MAX_LOCALLY_ORIENTABLE_EDGES)
-    if edges[-1] > reach:
-        raise TruncationError(
-            f"Lambda({g},{s}) needs rooted censuses through n={edges[-1]}, "
-            f"the two censuses together reach n={reach}"
-        )
+    check_truncation(
+        edges[-1],
+        min(MAX_ORIENTABLE_EDGES, MAX_LOCALLY_ORIENTABLE_EDGES),
+        f"Lambda({g},{s}) from the censuses",
+    )
     allsurf = {k: c for n in edges for k, c in rooted_locally_orientable_counts(n).items()}
     orientable = {k: c for n in edges for k, c in rooted_orientable_counts(n).items()}
     lam = lambda_sum(allsurf, g, s, Fraction(0))

@@ -23,9 +23,14 @@ recursion row for row.
 
 from __future__ import annotations
 
-from . import btutte
+from typing import TYPE_CHECKING
+
+from . import btutte, check_truncation
 from .arith import AlphaFn, TruncatedSeries, UniPoly
 from .partitions import MapKey, Partition, partitions_of, vertex_distribution_of
+
+if TYPE_CHECKING:
+    from .symfunc import PowerSumExpr
 
 #: Largest truncation of the Jack route (`jack_partition_sum`, `map_series`).
 #: At 5 edges it solves every Jack function of weight 10 in 0.16-0.29 s,
@@ -47,7 +52,7 @@ def jack_partition_sum(max_n: int) -> TruncatedSeries:
     """
     from .symfunc import PowerSumExpr
 
-    btutte.check_truncation(max_n, JACK_ROUTE_MAX_EDGES)
+    check_truncation(max_n, JACK_ROUTE_MAX_EDGES, "the Jack series")
     coeffs: list[object] = [PowerSumExpr.one()]
     for m in range(1, max_n + 1):
         coeffs.append(_partition_sum_level(m))

@@ -21,6 +21,7 @@ from . import (
     MAX_EDGE_TRUNCATION,
     RouteMismatchError,
     arith,
+    check_truncation,
 )
 from .arith import (
     AlphaFn,
@@ -30,7 +31,7 @@ from .arith import (
     bernoulli,
     sum_of_powers_poly,
 )
-from .btutte import check_truncation, map_count_table, nonneg_report
+from .btutte import map_count_table, nonneg_report
 from .eulerchar import (
     ParityError,
     chi_complex,
@@ -377,17 +378,6 @@ def _check_jack_conditions(max_edges: int) -> str:
                     not pairing,
                     f"<J_{rec.shape.parts}, J_{other.shape.parts}> = {pairing!r}",
                 )
-                # The same orthogonality again, numerically at alpha = 1.
-                numeric = sum(
-                    c.eval(1) * other.expansion.terms[mu].eval(1) * z_of(mu)
-                    for mu, c in rec.expansion.terms.items()
-                    if mu in other.expansion.terms
-                )
-                _require(
-                    numeric == 0,
-                    f"alpha=1 orthogonality fails for {rec.shape.parts}, "
-                    f"{other.shape.parts}",
-                )
         if weight % 2:
             for rec in records:
                 _require(
@@ -423,7 +413,7 @@ def _check_reference_counts(max_edges: int) -> str:
 
 
 def _check_series_invariants(max_edges: int) -> str:
-    table = map_count_table(min(max_edges, MAX_EDGE_TRUNCATION))
+    table = map_count_table(max_edges)
     reach = min(max_edges, JACK_ROUTE_MAX_EDGES)
     jack_rows = extract_map_counts(map_series(reach)).entries
     for key in sorted({key for key in table.entries if key.n <= reach} | set(jack_rows)):
@@ -526,7 +516,7 @@ def _check_polygon_gluings(max_edges: int) -> str:
 
 
 def _check_oracle_agreement(max_edges: int) -> str:
-    table = map_count_table(min(max_edges, MAX_EDGE_TRUNCATION))
+    table = map_count_table(max_edges)
     found = []
     for b, census, model, limit in (
         (0, rooted_orientable_counts, "orientable", MAX_ORIENTABLE_EDGES),
@@ -584,7 +574,7 @@ def _check_xi_map_route(max_edges: int) -> str:
             f"insufficient truncation: the map-sum route needs map counts "
             f"through n=3, max_edges={max_edges}"
         )
-    table = map_count_table(min(max_edges, MAX_EDGE_TRUNCATION))
+    table = map_count_table(max_edges)
     pairs = [
         (g, s)
         for g in range(1, table.max_n // 3 + 1)
@@ -633,7 +623,7 @@ def _check_chi_identities(max_edges: int) -> str:
 
 
 def _check_nonnegativity(max_edges: int) -> str:
-    table = map_count_table(min(max_edges, MAX_EDGE_TRUNCATION))
+    table = map_count_table(max_edges)
     violations = nonneg_report(table)
     if violations:
         first = violations[0]
@@ -701,7 +691,7 @@ def run_verify(
     ``on_result`` is invoked with each `CheckResult` as it lands, so
     callers can stream progress.
     """
-    check_truncation(max_edges)
+    check_truncation(max_edges, MAX_EDGE_TRUNCATION, "verify-all")
     report = VerifyReport()
     for name, check in CHECKS:
         result = run_check(name, check, max_edges)

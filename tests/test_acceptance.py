@@ -1,8 +1,9 @@
 """Acceptance gate: every check of `mapchi.verify.CHECKS`, one test each.
 
 The shipped claims are written down once, in the verify registry; this file
-runs them, plus the two Euler-characteristic closed forms over the full
-g <= 10 range that the registry checks on a smaller grid.  Run with
+runs them, plus the two Euler-characteristic closed forms over g <= 10,
+s <= 4, written out against the Bernoulli formulas.  `chi-identities`
+checks the same grid through the chi functions.  Run with
 `pytest tests/test_acceptance.py -s` to see one PASS/FAIL line per check as
 it happens.  The checks run at four edges, so the gate builds the 4-edge
 table by the recursion and again by the Jack route (Jack weight 8), and

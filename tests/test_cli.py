@@ -176,9 +176,10 @@ def test_euler_xi_routes_print_same_coefficients(capsys):
 
 
 def test_euler_xi_maps_route_rejects_deep_requests(capsys):
-    code, _, err = run_cli(capsys, "euler", "xi", "--g", "3", "--s", "2", "--route", "maps")
+    code, out, err = run_cli(capsys, "euler", "xi", "--g", "3", "--s", "2", "--route", "maps")
     assert code == 2
-    assert "beyond the supported bound" in err
+    assert out == ""
+    assert err == "error: xi(3,2) from map counts needs 12 edges; it reaches 10\n"
 
 
 @pytest.mark.parametrize("route", ["closed", "logw", "maps"])
@@ -314,10 +315,10 @@ def test_oracle_rooted_orientable_reaches_four_edges(capsys):
 @pytest.mark.parametrize(
     ("argv", "message"),
     [
-        (["--edges", "7"], "the orientable oracle enumerates at most 6 edges, asked for 7"),
+        (["--edges", "7"], "the orientable census needs 7 edges; it reaches 6"),
         (
             ["--edges", "6", "--surface", "all"],
-            "the all-surfaces oracle enumerates at most 5 edges, asked for 6",
+            "the all-surfaces census needs 6 edges; it reaches 5",
         ),
     ],
 )

@@ -265,12 +265,12 @@ def test_orientable_census_is_the_orientable_part_of_all_surfaces():
 def test_rooted_counts_respect_enumeration_bound():
     with pytest.raises(
         TruncationError,
-        match="the orientable oracle enumerates at most 6 edges, asked for 7",
+        match="the orientable census needs 7 edges; it reaches 6",
     ):
         rooted_orientable_counts(7)
     with pytest.raises(
         TruncationError,
-        match="the all-surfaces oracle enumerates at most 5 edges, asked for 6",
+        match="the all-surfaces census needs 6 edges; it reaches 5",
     ):
         rooted_locally_orientable_counts(6)
     with pytest.raises(ValueError):

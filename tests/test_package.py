@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import builtins
 import importlib
 import os
 import subprocess
@@ -33,13 +35,23 @@ def test_star_import_binds_all():
 
 
 def test_shared_errors_live_in_the_package_root():
-    from mapchi import btutte, eulerchar, maporacle
+    """The shared errors and the reach guard live in the root; every layer binds that guard."""
+    from mapchi import btutte, cli, eulerchar, maporacle, mapseries, verify
 
-    assert mapchi.TruncationError is eulerchar.TruncationError
-    assert mapchi.TruncationError is btutte.TruncationError
+    for layer in (btutte, cli, eulerchar, maporacle, mapseries, verify):
+        assert layer.check_truncation is mapchi.check_truncation
+    assert mapchi.check_truncation.__module__ == "mapchi"
     assert mapchi.RouteMismatchError is eulerchar.RouteMismatchError
     assert mapchi.RouteMismatchError is maporacle.RouteMismatchError
     assert issubclass(mapchi.TruncationError, ValueError)
+
+
+def test_the_guard_is_the_only_raise_of_truncation_error():
+    raising = {
+        path.name: path.read_text().count("raise TruncationError")
+        for path in (SRC / "mapchi").glob("*.py")
+    }
+    assert {name: count for name, count in raising.items() if count} == {"__init__.py": 1}
 
 
 def _verify_at(max_edges):
@@ -48,45 +60,81 @@ def _verify_at(max_edges):
     return run_verify(max_edges=max_edges)
 
 
-@pytest.mark.parametrize(
-    ("call", "message"),
-    [
-        (lambda: mapchi.map_count_table(11), "truncation 11 exceeds supported bound 10"),
-        (lambda: mapchi.jack_partition_sum(6), "truncation 6 exceeds supported bound 5"),
-        (lambda: _verify_at(11), "truncation 11 exceeds supported bound 10"),
-        (
-            lambda: mapchi.rooted_orientable_counts(7),
-            "the orientable oracle enumerates at most 6 edges, asked for 7",
-        ),
-        (
-            lambda: mapchi.rooted_locally_orientable_counts(6),
-            "the all-surfaces oracle enumerates at most 5 edges, asked for 6",
-        ),
-        (
-            lambda: mapchi.lambda_from_census(1, 2),
-            "Lambda(1,2) needs rooted censuses through n=6, "
-            "the two censuses together reach n=5",
-        ),
-        (
-            lambda: mapchi.xi_from_maps(2, 1, mapchi.map_count_table(3)),
-            "xi(2,1) needs map counts through n=6, table reaches n=3: "
-            "insufficient truncation",
-        ),
-    ],
-    ids=[
-        "map_count_table(11)",
-        "jack_partition_sum(6)",
-        "run_verify(max_edges=11)",
-        "rooted_orientable_counts(7)",
-        "rooted_locally_orientable_counts(6)",
-        "lambda_from_census(1, 2)",
-        "xi_from_maps(2, 1, table3)",
-    ],
-)
+#: Each library site of the reach guard, with a request one edge past its reach.
+PAST_REACH = {
+    "map_count_table(11)": (
+        lambda: mapchi.map_count_table(11),
+        "the map-count table needs 11 edges; it reaches 10",
+    ),
+    "jack_partition_sum(6)": (
+        lambda: mapchi.jack_partition_sum(6),
+        "the Jack series needs 6 edges; it reaches 5",
+    ),
+    "run_verify(max_edges=11)": (
+        lambda: _verify_at(11),
+        "verify-all needs 11 edges; it reaches 10",
+    ),
+    "rooted_orientable_counts(7)": (
+        lambda: mapchi.rooted_orientable_counts(7),
+        "the orientable census needs 7 edges; it reaches 6",
+    ),
+    "rooted_locally_orientable_counts(6)": (
+        lambda: mapchi.rooted_locally_orientable_counts(6),
+        "the all-surfaces census needs 6 edges; it reaches 5",
+    ),
+    "lambda_from_census(1, 2)": (
+        lambda: mapchi.lambda_from_census(1, 2),
+        "Lambda(1,2) from the censuses needs 6 edges; it reaches 5",
+    ),
+    "xi_from_maps(2, 1, table3)": (
+        lambda: mapchi.xi_from_maps(2, 1, mapchi.map_count_table(3)),
+        "xi(2,1) from map counts needs 6 edges; it reaches 3",
+    ),
+}
+
+
+@pytest.mark.parametrize(("call", "message"), PAST_REACH.values(), ids=PAST_REACH)
 def test_out_of_reach_requests_raise_truncation_error(call, message):
     with pytest.raises(mapchi.TruncationError) as caught:
         call()
     assert str(caught.value) == message
+
+
+#: The same sites asked for no edge.  The (g, s) sites take their edge count
+#: from `lambda_edges`, which is positive for every g, s >= 1, so the test
+#: makes it end at 0.
+ZERO_EDGES = {
+    "map_count_table(0)": (lambda: mapchi.map_count_table(0), "the map-count table"),
+    "jack_partition_sum(0)": (lambda: mapchi.jack_partition_sum(0), "the Jack series"),
+    "run_verify(max_edges=0)": (lambda: _verify_at(0), "verify-all"),
+    "rooted_orientable_counts(0)": (
+        lambda: mapchi.rooted_orientable_counts(0),
+        "the orientable census",
+    ),
+    "rooted_locally_orientable_counts(0)": (
+        lambda: mapchi.rooted_locally_orientable_counts(0),
+        "the all-surfaces census",
+    ),
+    "lambda_from_census(1, 1)": (
+        lambda: mapchi.lambda_from_census(1, 1),
+        "Lambda(1,1) from the censuses",
+    ),
+    "xi_from_maps(1, 1, table3)": (
+        lambda: mapchi.xi_from_maps(1, 1, mapchi.map_count_table(3)),
+        "xi(1,1) from map counts",
+    ),
+}
+
+
+@pytest.mark.parametrize(("call", "what"), ZERO_EDGES.values(), ids=ZERO_EDGES)
+def test_zero_edge_requests_raise_value_error(monkeypatch, call, what):
+    from mapchi import eulerchar
+
+    monkeypatch.setattr(eulerchar, "lambda_edges", lambda g, s: range(0, 1))
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == f"{what} needs at least 1 edge, got 0"
 
 
 def test_unknown_attribute_raises_attribute_error():
@@ -262,7 +310,6 @@ def test_table_names_live_in_btutte_alone():
         "ExtractionError",
         "MapCountTable",
         "NonnegativityViolation",
-        "check_truncation",
         "counts_from_cumulant",
         "map_count_table",
         "nonneg_report",
@@ -270,3 +317,66 @@ def test_table_names_live_in_btutte_alone():
     ):
         assert getattr(btutte, name).__module__ == "mapchi.btutte"
         assert not hasattr(mapseries, name), name
+
+
+def _module_scope(body):
+    """The statements of a module's own scope: into if, try, with and for, not into defs."""
+    for node in body:
+        yield node
+        if isinstance(node, (ast.If, ast.Try, ast.With, ast.For, ast.While)):
+            for block in ("body", "orelse", "handlers", "finalbody"):
+                yield from _module_scope(getattr(node, block, ()))
+        elif isinstance(node, ast.ExceptHandler):
+            yield from _module_scope(node.body)
+
+
+def _bound_names(tree: ast.Module) -> set[str]:
+    """Every name the module's own scope binds, `if TYPE_CHECKING:` blocks included."""
+    bound = set()
+    for node in _module_scope(tree.body):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.For, ast.With)):
+            bound |= {
+                name.id
+                for name in ast.walk(node)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+            }
+    return bound
+
+
+def _annotations(body):
+    """Annotations of the module scope, of class bodies and of def signatures, not def bodies."""
+    for node in _module_scope(body):
+        if isinstance(node, ast.AnnAssign):
+            yield node.annotation
+        elif isinstance(node, ast.ClassDef):
+            yield from _annotations(node.body)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg):
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "mapchi").glob("*.py")), ids=lambda p: p.name)
+def test_annotations_name_only_bound_names(path):
+    """Every name in a module-level annotation is a builtin or bound by the module.
+
+    Names bound under `if TYPE_CHECKING:` count.  Postponed annotations are
+    never evaluated at run time, so a name nothing binds goes unnoticed
+    until a type checker or a documentation tool resolves it.
+    """
+    tree = ast.parse(path.read_text())
+    known = _bound_names(tree) | set(dir(builtins))
+    unbound = {
+        name.id
+        for annotation in _annotations(tree.body)
+        for name in ast.walk(annotation)
+        if isinstance(name, ast.Name) and name.id not in known
+    }
+    assert not unbound, f"{path.name} annotates with unbound {sorted(unbound)}"
