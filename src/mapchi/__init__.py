@@ -9,11 +9,12 @@ brute-force enumeration routes cross-check every number the package
 produces.
 
 The exit codes, the table's edge bound, the two errors that several layers
-raise and the one guard that refuses a request past a layer's edge reach
-(`check_truncation`) live here, so any layer can use them without loading
-another.  The other public names are imported from their submodule on
-first access, so ``import mapchi`` alone loads no submodule and each
-command of the ``mapchi`` script pays only for the layers it runs.
+raise, the one guard that refuses a request past a layer's edge reach
+(`check_truncation`) and the one guard that refuses indices outside
+g, s >= 1 (`check_indices`) live here, so any layer can use them without
+loading another.  The other public names are imported from their
+submodule on first access, so ``import mapchi`` alone loads no submodule
+and each command of the ``mapchi`` script pays only for the layers it runs.
 """
 
 from __future__ import annotations
@@ -53,6 +54,17 @@ def check_truncation(n: int, reach: int, what: str) -> None:
         raise ValueError(f"{what} needs at least 1 edge, got {n}")
     if n > reach:
         raise TruncationError(f"{what} needs {n} edges; it reaches {reach}")
+
+
+def check_indices(g: int, s: int, what: str) -> None:
+    """Refuse `what` at genus g with s marked points outside g, s >= 1.
+
+    xi^s_g and the Lambda and chi values read from it are defined on that
+    domain only (s labelled polygons, one per marked point), and every
+    function that serves them refuses through this one guard with ValueError.
+    """
+    if g < 1 or s < 1:
+        raise ValueError(f"{what} needs g >= 1 and s >= 1")
 
 
 #: Home submodule of each public name.
@@ -134,7 +146,9 @@ _EXPORTS = {
 }
 
 __all__ = [
-    *sorted([*_EXPORTS, "RouteMismatchError", "TruncationError", "check_truncation"]),
+    *sorted(
+        [*_EXPORTS, "RouteMismatchError", "TruncationError", "check_indices", "check_truncation"]
+    ),
     "__version__",
 ]
 

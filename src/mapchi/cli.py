@@ -27,7 +27,14 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import EXIT_FAILURE, EXIT_OK, MAX_EDGE_TRUNCATION, __version__, check_truncation
+from . import (
+    EXIT_FAILURE,
+    EXIT_OK,
+    MAX_EDGE_TRUNCATION,
+    __version__,
+    check_indices,
+    check_truncation,
+)
 
 FORMATS = ("pretty", "json", "csv")
 
@@ -163,13 +170,11 @@ def cmd_maps_table(args) -> int:
 
 
 def cmd_euler_xi(args) -> int:
+    check_indices(args.g, args.s, f"xi({args.g},{args.s})")
+
     from .arith import poly_str
     from .eulerchar import lambda_edges, xi_closed, xi_from_logW, xi_from_maps
 
-    if args.g < 1 or args.s < 1:
-        return _refuse("xi is defined here for g >= 1 and s >= 1")
-    if max(args.g, args.s) > MAX_EULER_INDEX:
-        return _refuse(f"euler accepts g and s of at most {MAX_EULER_INDEX}")
     if args.route == "closed":
         poly = xi_closed(args.g, args.s)
     elif args.route == "logw":
@@ -200,8 +205,6 @@ def cmd_euler_chi(args) -> int:
 
     if args.variant != "fixed" and (args.m is not None or args.separating):
         return _refuse("--m and --separating apply only to --variant fixed")
-    if max(args.g, args.s) > MAX_EULER_INDEX:
-        return _refuse(f"euler accepts g and s of at most {MAX_EULER_INDEX}")
     if args.variant == "real":
         value = chi_real(args.g, args.s)
     elif args.variant == "complex":
@@ -294,8 +297,6 @@ def _parse_sides(text: str) -> tuple[int, ...]:
         sides = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValueError(f"bad side list {text!r}") from None
-    if not sides or any(s < 1 for s in sides):
-        raise ValueError("side counts must be positive")
     return sides
 
 
@@ -438,6 +439,14 @@ def _parse_int(text: str) -> int:
         raise ValueError(f"not an integer: {text!r}") from None
 
 
+def _parse_euler_index(text: str) -> int:
+    """An `euler` --g or --s, refused above `MAX_EULER_INDEX` while parsing."""
+    index = _parse_int(text)
+    if index > MAX_EULER_INDEX:
+        raise ValueError(f"euler accepts at most {MAX_EULER_INDEX}, got {index}")
+    return index
+
+
 #: The default of an option that must be given.
 REQUIRED = object()
 
@@ -473,8 +482,8 @@ COMMANDS = {
         "the parametrized xi^s_g, in 1/gamma",
         PRETTY_JSON,
         (
-            ("--g", _parse_int, REQUIRED, f"at most {MAX_EULER_INDEX}"),
-            ("--s", _parse_int, REQUIRED, f"at most {MAX_EULER_INDEX}"),
+            ("--g", _parse_euler_index, REQUIRED, f"at most {MAX_EULER_INDEX}"),
+            ("--s", _parse_euler_index, REQUIRED, f"at most {MAX_EULER_INDEX}"),
             ("--route", ("closed", "logw", "maps"), "closed",
              "which of the three equal computations to run (default: closed)"),
         ),
@@ -485,8 +494,8 @@ COMMANDS = {
         PRETTY_JSON,
         (
             ("--variant", ("real", "complex", "fixed"), REQUIRED, "which moduli space"),
-            ("--g", _parse_int, REQUIRED, f"at most {MAX_EULER_INDEX}"),
-            ("--s", _parse_int, REQUIRED, f"at most {MAX_EULER_INDEX}"),
+            ("--g", _parse_euler_index, REQUIRED, f"at most {MAX_EULER_INDEX}"),
+            ("--s", _parse_euler_index, REQUIRED, f"at most {MAX_EULER_INDEX}"),
             ("--m", _parse_int, None, "fixed-curve count (variant fixed only)"),
             ("--separating", None, False,
              "fixed curves separate the quotient (variant fixed only)"),

@@ -28,7 +28,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
-from . import RouteMismatchError, check_truncation
+from . import RouteMismatchError, check_indices, check_truncation
 from .arith import ALPHA, AlphaFn, TruncatedSeries, UniPoly, bernoulli
 
 if TYPE_CHECKING:
@@ -135,8 +135,7 @@ def xi_from_logW(g: int, s: int) -> UniPoly:
 
     Only that one coefficient of the series is computed.
     """
-    if g < 1 or s < 1:
-        raise ValueError("xi is defined here for g >= 1 and s >= 1")
+    check_indices(g, s, f"xi({g},{s})")
     terms = _logW_coefficient(g + s - 1, s)
     if min(terms, default=0) < -1:
         raise RouteMismatchError(
@@ -164,8 +163,7 @@ def xi_closed(g: int, s: int) -> UniPoly:
     >>> xi_closed(1, 1).coeffs
     (Fraction(1, 12), Fraction(-1, 4), Fraction(1, 12))
     """
-    if g < 1 or s < 1:
-        raise ValueError("xi is defined here for g >= 1 and s >= 1")
+    check_indices(g, s, f"xi({g},{s})")
     if g % 2 == 0:
         base = (
             Fraction(math.factorial(g + s - 2), math.factorial(g))
@@ -222,8 +220,7 @@ def xi_from_maps(g: int, s: int, table: MapCountTable) -> UniPoly:
     is asserted equal to `xi_closed`; requires the table to reach the
     last of `lambda_edges`.
     """
-    if g < 1 or s < 1:
-        raise ValueError("xi is defined here for g >= 1 and s >= 1")
+    check_indices(g, s, f"xi({g},{s})")
     check_truncation(lambda_edges(g, s)[-1], table.max_n, f"xi({g},{s}) from map counts")
     b_from_gamma = UniPoly(INV_GAMMA, (Fraction(-1), Fraction(1)))  # b = 1/gamma - 1
     total = lambda_sum(table.entries, g, s, UniPoly.zero("b")).compose(b_from_gamma)
@@ -259,6 +256,7 @@ def lambda_values(g: int, s: int) -> LambdaTriple:
 
     Any disagreement raises, since it would signal an implementation bug.
     """
+    check_indices(g, s, f"Lambda({g},{s})")
     xi = xi_closed(g, s)
     lam = eval_at_gamma(xi, Fraction(1, 2))
     lam_o = eval_at_gamma(xi, Fraction(1))
@@ -331,8 +329,6 @@ def chi_real(g: int, s: int) -> ChiValue:
 
 def chi_real_from_lambda(g: int, s: int) -> ChiValue:
     """chi of the real moduli space as 2^{s-1} Lambda^N, checked against chi_real."""
-    if g < 1 or s < 1:
-        raise ValueError("the Lambda route needs g >= 1 and s >= 1")
     value = 2 ** (s - 1) * lambda_values(g, s).nonorientable
     direct = chi_real(g, s).value
     if value != direct:
@@ -354,8 +350,6 @@ def chi_complex(g: int, s: int) -> ChiValue:
     >>> chi_complex(3, 1).value
     Fraction(1, 120)
     """
-    if g < 1 or s < 1:
-        raise ValueError("indices must be positive")
     return ChiValue(lambda_values(g, s).orientable, g, s, "complex")
 
 
@@ -370,8 +364,9 @@ def chi_fixed_curves(g: int, s: int, m: int, separating: bool) -> ChiValue:
     >>> chi_fixed_curves(2, 1, 1, separating=True).value
     Fraction(1, 12)
     """
-    if g < 1 or s < 1 or m < 0:
-        raise ValueError("need g >= 1, s >= 1, m >= 0")
+    check_indices(g, s, f"chi({g},{s}) with {m} fixed curves")
+    if m < 0:
+        raise ValueError("the fixed-curve count needs m >= 0")
     if separating:
         if (g - m + 1) % 2:
             raise ParityError(f"g-m+1 = {g - m + 1} must be even for separating curves")

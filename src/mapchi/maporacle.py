@@ -49,10 +49,10 @@ errors this module raises live in the package root.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import RouteMismatchError, check_truncation
+from . import RouteMismatchError, check_indices, check_truncation
 from .partitions import MapKey, Partition, vertex_distribution_of
 
 if TYPE_CHECKING:
@@ -236,6 +236,22 @@ def _checked_side_total(sides: tuple[int, ...]) -> int:
     return total
 
 
+def _gluings(sides: tuple[int, ...]):
+    """Every pairing x twist assignment of the sides, with its glued surface.
+
+    Checks the sides at once and then yields (pairs, twists, `GlueOutcome`)
+    lazily, pairings in `_matchings` order and each pairing's twists in
+    `product` order.
+    """
+    total = _checked_side_total(sides)
+    layout = _polygon_layout(sides)
+    return (
+        (pairs, twists, _evaluate_gluing(sides, layout, pairs, twists))
+        for pairs in _matchings(tuple(range(total)))
+        for twists in product((False, True), repeat=total // 2)
+    )
+
+
 def glue_census(*sides: int, collect_patterns: bool = False) -> GlueCensus:
     """Enumerate every pairing x twist assignment of the given polygon sides.
 
@@ -248,24 +264,21 @@ def glue_census(*sides: int, collect_patterns: bool = False) -> GlueCensus:
     >>> glue_census(4).lambda_nonorientable(1)
     4
     """
-    total = _checked_side_total(sides)
-    census = GlueCensus(sides=tuple(sides), edge_count=total // 2)
-    layout = _polygon_layout(tuple(sides))
-    for pairs in _matchings(tuple(range(total))):
-        for twists in product((False, True), repeat=total // 2):
-            census.raw_count += 1
-            out = _evaluate_gluing(tuple(sides), layout, pairs, twists)
-            if not out.connected:
-                continue
-            census.connected_count += 1
-            key = (out.chi, out.orientable)
-            census.by_chi[key] = census.by_chi.get(key, 0) + 1
-            if out.min_valence >= 3:
-                census.by_chi_filtered[key] = census.by_chi_filtered.get(key, 0) + 1
-                if collect_patterns:
-                    census.patterns_filtered.setdefault(key, []).append(
-                        _pattern_word(tuple(sides), pairs, twists)
-                    )
+    gluings = _gluings(sides)
+    census = GlueCensus(sides=sides, edge_count=sum(sides) // 2)
+    for pairs, twists, out in gluings:
+        census.raw_count += 1
+        if not out.connected:
+            continue
+        census.connected_count += 1
+        key = (out.chi, out.orientable)
+        census.by_chi[key] = census.by_chi.get(key, 0) + 1
+        if out.min_valence >= 3:
+            census.by_chi_filtered[key] = census.by_chi_filtered.get(key, 0) + 1
+            if collect_patterns:
+                census.patterns_filtered.setdefault(key, []).append(
+                    _pattern_word(sides, pairs, twists)
+                )
     return census
 
 
@@ -282,52 +295,47 @@ def double_cover_lift_check(*sides: int) -> int:
     with doubled Euler characteristic.  Returns the number of base gluings
     checked.
     """
-    base_sides = tuple(sides)
-    s = len(base_sides)
-    total = _checked_side_total(base_sides)
-    layout = _polygon_layout(base_sides)
-    cover_sides = tuple(k for k in base_sides for _ in range(2))
+    s = len(sides)
+    gluings = _gluings(sides)
+    cover_sides = tuple(k for k in sides for _ in range(2))
     cover_layout = _polygon_layout(cover_sides)
 
-    # Base polygon p, whose first side is owner.index(p), lifts to cover
+    # Base polygon p, whose k sides start at side `first`, lifts to cover
     # polygons 2p and 2p+1; side u keeps its place in both copies.
-    owner = layout[0]
-    lifted = []
-    for u, p in enumerate(owner):
-        in_copy_0 = u + owner.index(p)
-        lifted.append((in_copy_0, in_copy_0 + base_sides[p]))
+    lifted = [
+        (u + first, u + first + k)
+        for first, k in zip(accumulate((0, *sides)), sides)
+        for u in range(first, first + k)
+    ]
 
     checked = 0
-    n = total // 2
-    for pairs in _matchings(tuple(range(total))):
-        for twists in product((False, True), repeat=n):
-            base = _evaluate_gluing(base_sides, layout, pairs, twists)
-            if not base.connected or base.orientable:
-                continue
-            checked += 1
-            good = 0
-            for choices in product((0, 1), repeat=n):
-                cover_pairs = []
-                cover_twists = []
-                for (a, b), twist, crossed in zip(pairs, twists, choices):
-                    cover_pairs.append((lifted[a][0], lifted[b][crossed]))
-                    cover_twists.append(twist)
-                    cover_pairs.append((lifted[a][1], lifted[b][1 - crossed]))
-                    cover_twists.append(twist)
-                out = _evaluate_gluing(
-                    cover_sides, cover_layout, tuple(cover_pairs), tuple(cover_twists)
-                )
-                if out.connected and out.orientable:
-                    if out.chi != 2 * base.chi:
-                        raise RouteMismatchError(
-                            "orientable lift fails Euler-characteristic doubling"
-                        )
-                    good += 1
-            if good != 2 ** (s - 1):
-                raise RouteMismatchError(
-                    f"gluing {_pattern_word(base_sides, pairs, twists)!r} has "
-                    f"{good} orientable lifts, expected {2 ** (s - 1)}"
-                )
+    for pairs, twists, base in gluings:
+        if not base.connected or base.orientable:
+            continue
+        checked += 1
+        good = 0
+        for choices in product((0, 1), repeat=len(pairs)):
+            cover_pairs = []
+            cover_twists = []
+            for (a, b), twist, crossed in zip(pairs, twists, choices):
+                cover_pairs.append((lifted[a][0], lifted[b][crossed]))
+                cover_twists.append(twist)
+                cover_pairs.append((lifted[a][1], lifted[b][1 - crossed]))
+                cover_twists.append(twist)
+            out = _evaluate_gluing(
+                cover_sides, cover_layout, tuple(cover_pairs), tuple(cover_twists)
+            )
+            if out.connected and out.orientable:
+                if out.chi != 2 * base.chi:
+                    raise RouteMismatchError(
+                        "orientable lift fails Euler-characteristic doubling"
+                    )
+                good += 1
+        if good != 2 ** (s - 1):
+            raise RouteMismatchError(
+                f"gluing {_pattern_word(sides, pairs, twists)!r} has "
+                f"{good} orientable lifts, expected {2 ** (s - 1)}"
+            )
     return checked
 
 
@@ -440,18 +448,15 @@ def lambda_from_census(g: int, s: int) -> LambdaTriple:
     against the closed forms; any disagreement raises.  Both censuses must
     reach the last such n, which only (g, s) = (1, 1) does.
     """
+    what = f"Lambda({g},{s}) from the censuses"
+    check_indices(g, s, what)
+
     from fractions import Fraction
 
     from .eulerchar import LambdaTriple, lambda_edges, lambda_sum, lambda_values
 
-    if g < 1 or s < 1:
-        raise ValueError("need g >= 1 and s >= 1")
     edges = lambda_edges(g, s)
-    check_truncation(
-        edges[-1],
-        min(MAX_ORIENTABLE_EDGES, MAX_LOCALLY_ORIENTABLE_EDGES),
-        f"Lambda({g},{s}) from the censuses",
-    )
+    check_truncation(edges[-1], min(MAX_ORIENTABLE_EDGES, MAX_LOCALLY_ORIENTABLE_EDGES), what)
     allsurf = {k: c for n in edges for k, c in rooted_locally_orientable_counts(n).items()}
     orientable = {k: c for n in edges for k, c in rooted_orientable_counts(n).items()}
     lam = lambda_sum(allsurf, g, s, Fraction(0))

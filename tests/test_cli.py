@@ -188,7 +188,35 @@ def test_euler_xi_routes_refuse_small_indices_alike(capsys, route, g, s):
     code, out, err = run_cli(capsys, "euler", "xi", "--g", g, "--s", s, "--route", route)
     assert code == 2
     assert out == ""
-    assert err == "error: xi is defined here for g >= 1 and s >= 1\n"
+    assert err == f"error: xi({g},{s}) needs g >= 1 and s >= 1\n"
+
+
+#: Commands refused by the library's index guard, with the request it names.
+INDEX_REFUSALS = {
+    "euler chi --variant complex": "Lambda({g},{s})",
+    "euler chi --variant fixed --m 0": "chi({g},{s}) with 0 fixed curves",
+    "oracle lambda": "Lambda({g},{s}) from the censuses",
+}
+
+
+@pytest.mark.parametrize(("g", "s"), [("0", "1"), ("1", "0")])
+@pytest.mark.parametrize(("command", "what"), INDEX_REFUSALS.items(), ids=INDEX_REFUSALS)
+def test_index_refusals_read_alike(capsys, command, what, g, s):
+    """Every (g, s) outside g, s >= 1 is refused by the one index guard, in one line."""
+    code, out, err = run_cli(capsys, *command.split(), "--g", g, "--s", s)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {what.format(g=g, s=s)} needs g >= 1 and s >= 1\n"
+
+
+@pytest.mark.parametrize("command", [["euler", "xi"], ["euler", "chi", "--variant", "real"]])
+@pytest.mark.parametrize("flag", ["--g", "--s"])
+def test_euler_index_bound_is_refused_while_parsing(command, flag):
+    indices = {"--g": "1", "--s": "1", flag: "601"}
+    argv = [*command, *(word for option in indices.items() for word in option)]
+    with pytest.raises(ValueError) as caught:
+        cli.parse_args(argv)
+    assert str(caught.value) == f"option {flag}: euler accepts at most 600, got 601"
 
 
 def test_euler_index_limit_is_inclusive(capsys):
@@ -389,6 +417,8 @@ def _enumeration_started(*args, **kwargs):
         ["oracle", "rooted", "--edges", "6", "--surface", "all"],
         ["oracle", "glue", "--sides", "3"],
         ["oracle", "glue", "--sides", "14"],
+        ["oracle", "glue", "--sides", "0"],
+        ["oracle", "glue", "--sides", "-2,4"],
         ["jack", "--shape", "0"],
         ["jack", "--shape", "15"],
         ["euler", "xi", "--g", "0", "--s", "1"],

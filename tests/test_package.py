@@ -40,7 +40,10 @@ def test_shared_errors_live_in_the_package_root():
 
     for layer in (btutte, cli, eulerchar, maporacle, mapseries, verify):
         assert layer.check_truncation is mapchi.check_truncation
+    for layer in (cli, eulerchar, maporacle):
+        assert layer.check_indices is mapchi.check_indices
     assert mapchi.check_truncation.__module__ == "mapchi"
+    assert mapchi.check_indices.__module__ == "mapchi"
     assert mapchi.RouteMismatchError is eulerchar.RouteMismatchError
     assert mapchi.RouteMismatchError is maporacle.RouteMismatchError
     assert issubclass(mapchi.TruncationError, ValueError)
@@ -52,6 +55,14 @@ def test_the_guard_is_the_only_raise_of_truncation_error():
         for path in (SRC / "mapchi").glob("*.py")
     }
     assert {name: count for name, count in raising.items() if count} == {"__init__.py": 1}
+
+
+def test_the_index_guard_is_the_only_statement_of_the_domain():
+    stating = {
+        path.name: path.read_text().count("g >= 1 and s >= 1")
+        for path in (SRC / "mapchi").glob("*.py")
+    }
+    assert {name: count for name, count in stating.items() if count} == {"__init__.py": 1}
 
 
 def _verify_at(max_edges):
@@ -137,6 +148,41 @@ def test_zero_edge_requests_raise_value_error(monkeypatch, call, what):
     assert str(caught.value) == f"{what} needs at least 1 edge, got 0"
 
 
+#: Each library site of the index guard, as a call at (g, s) and the request
+#: its refusal names.
+DOMAIN = {
+    "xi_closed": (lambda g, s: mapchi.xi_closed(g, s), "xi({g},{s})"),
+    "xi_from_logW": (lambda g, s: mapchi.xi_from_logW(g, s), "xi({g},{s})"),
+    "xi_from_maps": (
+        lambda g, s: mapchi.xi_from_maps(g, s, mapchi.map_count_table(3)),
+        "xi({g},{s})",
+    ),
+    "lambda_values": (lambda g, s: mapchi.lambda_values(g, s), "Lambda({g},{s})"),
+    "chi_complex": (lambda g, s: mapchi.chi_complex(g, s), "Lambda({g},{s})"),
+    "chi_real_from_lambda": (
+        lambda g, s: mapchi.chi_real_from_lambda(g, s),
+        "Lambda({g},{s})",
+    ),
+    "chi_fixed_curves": (
+        lambda g, s: mapchi.chi_fixed_curves(g, s, 0, separating=False),
+        "chi({g},{s}) with 0 fixed curves",
+    ),
+    "lambda_from_census": (
+        lambda g, s: mapchi.lambda_from_census(g, s),
+        "Lambda({g},{s}) from the censuses",
+    ),
+}
+
+
+@pytest.mark.parametrize(("g", "s"), [(0, 1), (1, 0)])
+@pytest.mark.parametrize(("call", "what"), DOMAIN.values(), ids=DOMAIN)
+def test_indices_outside_the_domain_raise_value_error(call, what, g, s):
+    with pytest.raises(ValueError) as caught:
+        call(g, s)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == f"{what.format(g=g, s=s)} needs g >= 1 and s >= 1"
+
+
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         mapchi.no_such_name  # noqa: B018
@@ -197,6 +243,13 @@ def _rows(argvs, code, layers, fractions):
 #: it: (argv, exit code, the `mapchi` submodules, whether `fractions` loads).
 LOADS = [
     *_rows([["--version"], ["-h"]], 0, (), False),
+    # Refused by the index guard and by the option table, before any layer loads.
+    *_rows(
+        [["euler", "xi", "--g", "0", "--s", "1"], ["euler", "xi", "--g", "601", "--s", "1"]],
+        2,
+        (),
+        False,
+    ),
     *_rows(
         [
             ["oracle", "glue", "--sides", "4,2"],
@@ -217,6 +270,8 @@ LOADS = [
         ("maporacle", "partitions"),
         False,
     ),
+    # Refused by the index guard before the oracle loads `eulerchar`.
+    *_rows([["oracle", "lambda", "--g", "0", "--s", "1"]], 2, ("maporacle", "partitions"), False),
     *_rows(
         [["oracle", "lambda", "--g", "1", "--s", "1"]],
         0,
