@@ -170,6 +170,8 @@ def cmd_maps_table(args) -> int:
 
 
 def cmd_euler_xi(args) -> int:
+    # Each xi route makes this check too; made here, it also precedes the
+    # maps route's reach, read off `lambda_edges`, and loads no layer.
     check_indices(args.g, args.s, f"xi({args.g},{args.s})")
 
     from .arith import poly_str

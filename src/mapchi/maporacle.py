@@ -237,18 +237,18 @@ def _checked_side_total(sides: tuple[int, ...]) -> int:
 
 
 def _gluings(sides: tuple[int, ...]):
-    """Every pairing x twist assignment of the sides, with its glued surface.
+    """The edge count and every pairing x twist assignment of the sides.
 
-    Checks the sides at once and then yields (pairs, twists, `GlueOutcome`)
-    lazily, pairings in `_matchings` order and each pairing's twists in
-    `product` order.
+    Checks the sides before returning, then yields (pairs, twists,
+    `GlueOutcome`) lazily, pairings in `_matchings` order and each pairing's
+    twists in `product` order.
     """
-    total = _checked_side_total(sides)
+    edges = _checked_side_total(sides) // 2
     layout = _polygon_layout(sides)
-    return (
+    return edges, (
         (pairs, twists, _evaluate_gluing(sides, layout, pairs, twists))
-        for pairs in _matchings(tuple(range(total)))
-        for twists in product((False, True), repeat=total // 2)
+        for pairs in _matchings(tuple(range(2 * edges)))
+        for twists in product((False, True), repeat=edges)
     )
 
 
@@ -264,8 +264,8 @@ def glue_census(*sides: int, collect_patterns: bool = False) -> GlueCensus:
     >>> glue_census(4).lambda_nonorientable(1)
     4
     """
-    gluings = _gluings(sides)
-    census = GlueCensus(sides=sides, edge_count=sum(sides) // 2)
+    edges, gluings = _gluings(sides)
+    census = GlueCensus(sides=sides, edge_count=edges)
     for pairs, twists, out in gluings:
         census.raw_count += 1
         if not out.connected:
@@ -296,7 +296,7 @@ def double_cover_lift_check(*sides: int) -> int:
     checked.
     """
     s = len(sides)
-    gluings = _gluings(sides)
+    edges, gluings = _gluings(sides)
     cover_sides = tuple(k for k in sides for _ in range(2))
     cover_layout = _polygon_layout(cover_sides)
 
@@ -314,7 +314,7 @@ def double_cover_lift_check(*sides: int) -> int:
             continue
         checked += 1
         good = 0
-        for choices in product((0, 1), repeat=len(pairs)):
+        for choices in product((0, 1), repeat=edges):
             cover_pairs = []
             cover_twists = []
             for (a, b), twist, crossed in zip(pairs, twists, choices):

@@ -57,12 +57,65 @@ def test_the_guard_is_the_only_raise_of_truncation_error():
     assert {name: count for name, count in raising.items() if count} == {"__init__.py": 1}
 
 
-def test_the_index_guard_is_the_only_statement_of_the_domain():
-    stating = {
-        path.name: path.read_text().count("g >= 1 and s >= 1")
-        for path in (SRC / "mapchi").glob("*.py")
-    }
-    assert {name: count for name, count in stating.items() if count} == {"__init__.py": 1}
+def _is_index(node):
+    """`g` or `s` as a name or an attribute, or `min` of such indices."""
+    if isinstance(node, ast.Name):
+        return node.id in ("g", "s")
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("g", "s")
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "min"
+        and all(_is_index(arg) for arg in node.args)
+    )
+
+
+def _below_one(node):
+    """A comparison that holds exactly when an index is below 1."""
+    if not (isinstance(node, ast.Compare) and len(node.ops) == 1):
+        return False
+    (op,), left, (right,) = node.ops, node.left, node.comparators
+    if isinstance(op, (ast.Gt, ast.GtE)):
+        op, left, right = (ast.Lt() if isinstance(op, ast.Gt) else ast.LtE()), right, left
+    bound = {ast.Lt: 1, ast.LtE: 0}.get(type(op))
+    return (
+        bound is not None
+        and _is_index(left)
+        and isinstance(right, ast.Constant)
+        and right.value == bound
+    )
+
+
+def _domain_refusals(tree):
+    """The `if`s that test an index below 1 and raise or return in their body."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If)
+        and any(_below_one(test) for test in ast.walk(node.test))
+        and any(isinstance(leaf, (ast.Raise, ast.Return)) for leaf in ast.walk(node))
+    ]
+
+
+def _raised_text(tree):
+    """Every string piece that a `raise` statement spells out."""
+    return "\n".join(
+        leaf.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        for leaf in ast.walk(node)
+        if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)
+    )
+
+
+def test_the_index_guard_is_the_only_check_of_the_domain():
+    """Only `check_indices` refuses g < 1 or s < 1, and only it raises the template."""
+    trees = {path.name: ast.parse(path.read_text()) for path in (SRC / "mapchi").glob("*.py")}
+    checking = {name: len(_domain_refusals(tree)) for name, tree in trees.items()}
+    assert {name: count for name, count in checking.items() if count} == {"__init__.py": 1}
+    raising = {name: _raised_text(tree).count("g >= 1 and s >= 1") for name, tree in trees.items()}
+    assert {name: count for name, count in raising.items() if count} == {"__init__.py": 1}
 
 
 def _verify_at(max_edges):
