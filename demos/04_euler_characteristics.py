@@ -17,7 +17,6 @@ from mapchi import (
     chi_real,
     eval_at_gamma,
     lambda_values,
-    map_count_table,
     poly_str,
     xi_closed,
     xi_from_logW,
@@ -28,7 +27,7 @@ from mapchi import (
 xi11 = xi_closed(1, 1)
 print(f"xi^1_1 closed form : {poly_str(xi11)}")
 print(f"xi^1_1 from log W  : {poly_str(xi_from_logW(1, 1))}")
-print(f"xi^1_1 from maps   : {poly_str(xi_from_maps(1, 1, map_count_table(3)))}")
+print(f"xi^1_1 from maps   : {poly_str(xi_from_maps(1, 1))}")
 
 # A sweep of closed forms.  Even g has degree g, odd g degree g+1.
 print("\nxi^1_g for g = 1..5:")

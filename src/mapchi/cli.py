@@ -27,14 +27,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import (
-    EXIT_FAILURE,
-    EXIT_OK,
-    MAX_EDGE_TRUNCATION,
-    __version__,
-    check_indices,
-    check_truncation,
-)
+from . import EXIT_FAILURE, EXIT_OK, MAX_EDGE_TRUNCATION, __version__, check_indices
 
 FORMATS = ("pretty", "json", "csv")
 
@@ -52,12 +45,6 @@ MAX_GLUE_SIDES = 12
 #: 2 s, almost all of it the Bernoulli recurrence to B_600, whose cost grows
 #: about like the cube of the index (g = 1000 takes about 9 s).
 MAX_EULER_INDEX = 600
-
-
-def _refuse(message: str) -> int:
-    """Print one ``error:`` line to stderr and return the failure exit code."""
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_FAILURE
 
 
 def _json(value, indent: str = "") -> str:
@@ -170,23 +157,14 @@ def cmd_maps_table(args) -> int:
 
 
 def cmd_euler_xi(args) -> int:
-    # Each xi route makes this check too; made here, it also precedes the
-    # maps route's reach, read off `lambda_edges`, and loads no layer.
+    # The xi routes make this check too; made here, a refused `euler xi` loads no layer.
     check_indices(args.g, args.s, f"xi({args.g},{args.s})")
 
     from .arith import poly_str
-    from .eulerchar import lambda_edges, xi_closed, xi_from_logW, xi_from_maps
+    from .eulerchar import xi_closed, xi_from_logW, xi_from_maps
 
-    if args.route == "closed":
-        poly = xi_closed(args.g, args.s)
-    elif args.route == "logw":
-        poly = xi_from_logW(args.g, args.s)
-    else:
-        needed = lambda_edges(args.g, args.s)[-1]
-        check_truncation(needed, MAX_EDGE_TRUNCATION, f"xi({args.g},{args.s}) from map counts")
-        from .btutte import map_count_table
-
-        poly = xi_from_maps(args.g, args.s, map_count_table(needed))
+    route = {"closed": xi_closed, "logw": xi_from_logW, "maps": xi_from_maps}[args.route]
+    poly = route(args.g, args.s)
     if args.format == "json":
         _print_json(
             {
@@ -203,17 +181,18 @@ def cmd_euler_xi(args) -> int:
 
 
 def cmd_euler_chi(args) -> int:
+    if args.variant != "fixed" and (args.m is not None or args.separating):
+        raise ValueError("--m and --separating apply only to --variant fixed")
+    if args.variant == "fixed" and args.m is None:
+        raise ValueError("--variant fixed requires --m")
+
     from .eulerchar import chi_complex, chi_fixed_curves, chi_real
 
-    if args.variant != "fixed" and (args.m is not None or args.separating):
-        return _refuse("--m and --separating apply only to --variant fixed")
     if args.variant == "real":
         value = chi_real(args.g, args.s)
     elif args.variant == "complex":
         value = chi_complex(args.g, args.s)
     else:
-        if args.m is None:
-            return _refuse("--variant fixed requires --m")
         value = chi_fixed_curves(args.g, args.s, args.m, separating=args.separating)
     if args.format == "json":
         payload: dict[str, object] = {
@@ -237,24 +216,26 @@ def cmd_euler_chi(args) -> int:
 
 
 def _parse_shape(text: str):
-    """`text` as a `partitions.Partition`."""
-    from .partitions import Partition
-
+    """`text` as a `partitions.Partition`; its weight is checked before `partitions` loads."""
     text = text.strip()
-    if not text:
-        return Partition(())
     try:
-        return Partition(tuple(int(p) for p in text.split(",")))
+        parts = tuple(int(p) for p in text.split(",")) if text else ()
+        if sum(parts) <= MAX_JACK_WEIGHT:
+            from .partitions import Partition
+
+            return Partition(parts)
     except ValueError as exc:
         raise ValueError(f"bad shape {text!r}: {exc}") from None
+    raise ValueError(f"jack solves shapes of weight at most {MAX_JACK_WEIGHT}, got {sum(parts)}")
 
 
 def cmd_jack(args) -> int:
     from .arith import poly_str
     from .symfunc import jack
 
-    if args.shape.weight > MAX_JACK_WEIGHT:
-        return _refuse(f"jack solves shapes of weight at most {MAX_JACK_WEIGHT}")
+    def bracket(parts) -> str:
+        return "[" + ",".join(str(p) for p in parts) + "]"
+
     rec = jack(args.shape)
     ordered = sorted(
         rec.expansion.terms.items(), key=lambda t: t[0].parts, reverse=True
@@ -263,19 +244,13 @@ def cmd_jack(args) -> int:
         _print_json(
             {
                 "shape": list(rec.shape.parts),
-                "expansion": {
-                    "[" + ",".join(str(p) for p in mu.parts) + "]": poly_str(c)
-                    for mu, c in ordered
-                },
+                "expansion": {bracket(mu.parts): poly_str(c) for mu, c in ordered},
                 "norm": poly_str(rec.norm),
                 "principal": [poly_str(c) for c in rec.principal.coeffs],
                 "p2coeff": poly_str(rec.p2coeff),
             }
         )
     else:
-        def bracket(parts) -> str:
-            return "[" + ",".join(str(p) for p in parts) + "]"
-
         terms = " + ".join(f"({poly_str(c)}) p_{bracket(mu.parts)}" for mu, c in ordered)
         principal = " + ".join(
             f"({poly_str(c)})" + ("" if k == 0 else " x" if k == 1 else f" x^{k}")
@@ -295,18 +270,21 @@ def cmd_jack(args) -> int:
 
 
 def _parse_sides(text: str) -> tuple[int, ...]:
+    """`text` as side counts, refused above `MAX_GLUE_SIDES` in total."""
     try:
         sides = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValueError(f"bad side list {text!r}") from None
+    if sum(sides) > MAX_GLUE_SIDES:
+        raise ValueError(
+            f"oracle glue enumerates at most {MAX_GLUE_SIDES} sides in total, got {sum(sides)}"
+        )
     return sides
 
 
 def cmd_oracle_glue(args) -> int:
     from .maporacle import glue_census
 
-    if sum(args.sides) > MAX_GLUE_SIDES:
-        return _refuse(f"oracle glue enumerates at most {MAX_GLUE_SIDES} sides in total")
     census = glue_census(*args.sides, collect_patterns=args.patterns)
     classes = [
         {
@@ -453,6 +431,9 @@ def _parse_euler_index(text: str) -> int:
 REQUIRED = object()
 
 PRETTY_JSON = ("pretty", "json")
+
+#: The help switches, taken at every level.
+HELP = ("-h", "--help")
 
 #: Help text of each two-word command's first word.
 GROUPS = {
@@ -622,6 +603,12 @@ def _split(token: str) -> tuple[str, str | None]:
     return flag, (inline if eq else None)
 
 
+def _no_value(flag: str, inline: str | None) -> None:
+    """Refuse a switch given ``=value``."""
+    if inline is not None:
+        raise ValueError(f"option {flag} takes no value")
+
+
 def _value(flag: str, inline: str | None, tokens: list[str]) -> str:
     """An option's value: after ``=`` in its own token, else the next token."""
     if inline is not None:
@@ -658,16 +645,16 @@ def parse_args(argv: list[str]) -> SimpleNamespace | str:
     tokens = list(argv)
     values: dict[str, object] = {"format": "pretty", "verbosity": 0}
     while tokens and tokens[0].startswith("-"):
-        token = tokens.pop(0)
-        if token in ("-h", "--help"):
-            return _help("")
-        if token == "--version":
-            return f"mapchi {__version__}"
-        flag, inline = _split(token)
-        if token == "--verbose" or set(token[1:]) == {"v"}:
-            values["verbosity"] += 1 if token == "--verbose" else len(token) - 1
-        elif flag == "--format":
+        flag, inline = _split(tokens.pop(0))
+        if flag == "--format":
             values["format"] = _convert(flag, FORMATS, _value(flag, inline, tokens))
+        elif flag in (*HELP, "--version", "--verbose") or set(flag[1:]) == {"v"}:
+            _no_value(flag, inline)
+            if flag in HELP:
+                return _help("")
+            if flag == "--version":
+                return f"mapchi {__version__}"
+            values["verbosity"] += 1 if flag == "--verbose" else len(flag) - 1
         else:
             raise ValueError(
                 f"unknown option {flag}; before the command mapchi takes only "
@@ -679,10 +666,12 @@ def parse_args(argv: list[str]) -> SimpleNamespace | str:
     name = group = tokens.pop(0)
     prefix = f"{group} " if group in GROUPS else ""
     if prefix:
-        if tokens[:1] in (["-h"], ["--help"]):
-            return _help(group)
         if not tokens:
             raise ValueError(f"{group} needs a command (choose from {_choices(prefix)})")
+        flag, inline = _split(tokens[0])
+        if flag in HELP:
+            _no_value(flag, inline)
+            return _help(group)
         name = prefix + tokens.pop(0)
     if name not in COMMANDS:
         raise ValueError(f"unknown command {name!r} (choose from {_choices(prefix)})")
@@ -698,12 +687,13 @@ def parse_args(argv: list[str]) -> SimpleNamespace | str:
         if not token.startswith("-"):
             raise ValueError(f"unexpected argument {token!r}")
         flag, inline = _split(token)
+        if flag in HELP:  # a bare one returned the help above
+            _no_value(flag, inline)
         if flag not in by_flag:
             raise ValueError(f"{name} has no option {flag} (it takes {', '.join(by_flag)})")
         convert = by_flag[flag][1]
         if convert is None:
-            if inline is not None:
-                raise ValueError(f"option {flag} takes no value")
+            _no_value(flag, inline)
             values[_dest(flag)] = True
         else:
             values[_dest(flag)] = _convert(flag, convert, _value(flag, inline, tokens))
@@ -730,7 +720,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a closed pipe raises here, not in the exit-time flush
         return code
     except (ValueError, RuntimeError) as exc:
-        return _refuse(str(exc))
+        print(f"error: {exc}", file=sys.stderr)  # every refusal: one line, exit 2
+        return EXIT_FAILURE
     except BrokenPipeError:
         # The reader closed stdout early.  Point stdout at the null device so
         # the interpreter's final flush cannot fail again, and exit quietly.

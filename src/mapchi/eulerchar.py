@@ -28,7 +28,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
-from . import RouteMismatchError, check_indices, check_truncation
+from . import MAX_EDGE_TRUNCATION, RouteMismatchError, check_indices, check_truncation
 from .arith import ALPHA, AlphaFn, TruncatedSeries, UniPoly, bernoulli
 
 if TYPE_CHECKING:
@@ -212,16 +212,22 @@ def lambda_edges(g: int, s: int) -> range:
     return range(g + s, 3 * g + 3 * s - 2)
 
 
-def xi_from_maps(g: int, s: int, table: MapCountTable) -> UniPoly:
+def xi_from_maps(g: int, s: int, table: MapCountTable | None = None) -> UniPoly:
     """xi^s_g summed from refined map counts with b = 1/gamma - 1.
 
     xi^s_g is `lambda_sum` over the b-polynomials of the table, with
     b = 1/gamma - 1 substituted afterwards (the sum is linear).  The result
-    is asserted equal to `xi_closed`; requires the table to reach the
-    last of `lambda_edges`.
+    is asserted equal to `xi_closed`.  The table, built when none is given,
+    must reach the last of `lambda_edges`.
     """
     check_indices(g, s, f"xi({g},{s})")
-    check_truncation(lambda_edges(g, s)[-1], table.max_n, f"xi({g},{s}) from map counts")
+    needed = lambda_edges(g, s)[-1]
+    reach = MAX_EDGE_TRUNCATION if table is None else table.max_n
+    check_truncation(needed, reach, f"xi({g},{s}) from map counts")
+    if table is None:
+        from .btutte import map_count_table
+
+        table = map_count_table(needed)
     b_from_gamma = UniPoly(INV_GAMMA, (Fraction(-1), Fraction(1)))  # b = 1/gamma - 1
     total = lambda_sum(table.entries, g, s, UniPoly.zero("b")).compose(b_from_gamma)
     closed = xi_closed(g, s)

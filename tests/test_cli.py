@@ -417,10 +417,12 @@ def _enumeration_started(*args, **kwargs):
         ["oracle", "rooted", "--edges", "6", "--surface", "all"],
         ["oracle", "glue", "--sides", "3"],
         ["oracle", "glue", "--sides", "14"],
+        ["oracle", "glue", "--sides", "8,6"],
         ["oracle", "glue", "--sides", "0"],
         ["oracle", "glue", "--sides", "-2,4"],
         ["jack", "--shape", "0"],
         ["jack", "--shape", "15"],
+        ["jack", "--shape", "8,7"],
         ["euler", "xi", "--g", "0", "--s", "1"],
         ["euler", "xi", "--g", "0", "--s", "1", "--route", "maps"],
         ["euler", "xi", "--g", "1", "--s", "0", "--route", "maps"],
@@ -433,6 +435,7 @@ def _enumeration_started(*args, **kwargs):
         ["euler", "chi", "--variant", "fixed", "--g", "601", "--s", "1", "--m", "0"],
         ["euler", "chi", "--variant", "real", "--g", "1", "--s", "1", "--m", "2"],
         ["euler", "chi", "--variant", "complex", "--g", "1", "--s", "1", "--separating"],
+        ["euler", "chi", "--variant", "fixed", "--g", "1", "--s", "1"],
         ["--format", "csv", "jack", "--shape", "2"],
         ["--format", "csv", "euler", "xi", "--g", "1", "--s", "1"],
         ["--format", "csv", "euler", "chi", "--variant", "real", "--g", "1", "--s", "1"],
@@ -452,6 +455,14 @@ def _enumeration_started(*args, **kwargs):
         ["maps", "table", "--max", "2"],
         ["maps", "table", "--format", "json"],
         ["--bogus", "maps", "table"],
+        ["--version=1"],
+        ["--help=x"],
+        ["-h=1"],
+        ["--verbose=1"],
+        ["-v=1"],
+        ["euler", "--help=1"],
+        ["maps", "table", "--help=1"],
+        ["maps", "table", "-h=1"],
         ["foo"],
         ["euler"],
         ["euler", "psi"],
@@ -486,6 +497,23 @@ def test_bad_arguments_exit_2_with_one_error_line(capsys, monkeypatch, argv):
     assert "raise the bound" not in captured.err
     if "--b" in argv:
         assert "--b" in captured.err
+
+
+#: Refusals whose text the parse fixes, word for word.
+PARSE_REFUSALS = {
+    "--version=1": "option --version takes no value",
+    "maps table --help=1": "option --help takes no value",
+    "jack --shape 8,7": "option --shape: jack solves shapes of weight at most 14, got 15",
+    "oracle glue --sides 8,6": (
+        "option --sides: oracle glue enumerates at most 12 sides in total, got 14"
+    ),
+}
+
+
+@pytest.mark.parametrize(("argv", "message"), PARSE_REFUSALS.items(), ids=PARSE_REFUSALS)
+def test_parse_refusals_read_exactly(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

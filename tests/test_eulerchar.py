@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from mapchi import TruncationError, eulerchar
+from mapchi import MAX_EDGE_TRUNCATION, TruncationError, btutte, eulerchar
 from mapchi.arith import AlphaFn, UniPoly, bernoulli
 from mapchi.btutte import map_count_table
 from mapchi.eulerchar import (
@@ -115,6 +115,25 @@ def test_xi_from_maps_requires_deep_table():
     assert str(caught.value) == "xi(1,1) from map counts needs 3 edges; it reaches 2"
     with pytest.raises(TruncationError):
         xi_from_maps(2, 1, map_count_table(3))
+
+
+def test_xi_from_maps_builds_its_table_when_given_none():
+    """Every (g, s) the largest table reaches, 3g + 3s - 3 <= 10, agrees three ways."""
+    top = map_count_table(MAX_EDGE_TRUNCATION)
+    reached = [(g, s) for g in range(1, 4) for s in range(1, 4) if 3 * g + 3 * s - 3 <= 10]
+    assert reached == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
+    for g, s in reached:
+        assert xi_from_maps(g, s) == xi_from_maps(g, s, top) == xi_closed(g, s)
+
+
+def test_xi_from_maps_refuses_past_the_largest_table_before_building_one(monkeypatch):
+    def built(max_n):
+        raise AssertionError("a refused request built a table")
+
+    monkeypatch.setattr(btutte, "map_count_table", built)
+    with pytest.raises(TruncationError) as caught:
+        xi_from_maps(3, 2)
+    assert str(caught.value) == "xi(3,2) from map counts needs 12 edges; it reaches 10"
 
 
 def test_eval_at_gamma():

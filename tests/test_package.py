@@ -35,11 +35,16 @@ def test_star_import_binds_all():
 
 
 def test_shared_errors_live_in_the_package_root():
-    """The shared errors and the reach guard live in the root; every layer binds that guard."""
+    """The shared errors and the reach guard live in the root; every layer binds that guard.
+
+    The CLI checks no reach itself: each request past one is refused by the
+    layer that serves it.
+    """
     from mapchi import btutte, cli, eulerchar, maporacle, mapseries, verify
 
-    for layer in (btutte, cli, eulerchar, maporacle, mapseries, verify):
+    for layer in (btutte, eulerchar, maporacle, mapseries, verify):
         assert layer.check_truncation is mapchi.check_truncation
+    assert not hasattr(cli, "check_truncation")
     for layer in (cli, eulerchar, maporacle):
         assert layer.check_indices is mapchi.check_indices
     assert mapchi.check_truncation.__module__ == "mapchi"
@@ -206,10 +211,7 @@ def test_zero_edge_requests_raise_value_error(monkeypatch, call, what):
 DOMAIN = {
     "xi_closed": (lambda g, s: mapchi.xi_closed(g, s), "xi({g},{s})"),
     "xi_from_logW": (lambda g, s: mapchi.xi_from_logW(g, s), "xi({g},{s})"),
-    "xi_from_maps": (
-        lambda g, s: mapchi.xi_from_maps(g, s, mapchi.map_count_table(3)),
-        "xi({g},{s})",
-    ),
+    "xi_from_maps": (lambda g, s: mapchi.xi_from_maps(g, s), "xi({g},{s})"),
     "lambda_values": (lambda g, s: mapchi.lambda_values(g, s), "Lambda({g},{s})"),
     "chi_complex": (lambda g, s: mapchi.chi_complex(g, s), "Lambda({g},{s})"),
     "chi_real_from_lambda": (
@@ -296,9 +298,17 @@ def _rows(argvs, code, layers, fractions):
 #: it: (argv, exit code, the `mapchi` submodules, whether `fractions` loads).
 LOADS = [
     *_rows([["--version"], ["-h"]], 0, (), False),
-    # Refused by the index guard and by the option table, before any layer loads.
+    # Refused by the index guard, by an option's converter or by the handler's
+    # option-mix check, before any layer loads.
     *_rows(
-        [["euler", "xi", "--g", "0", "--s", "1"], ["euler", "xi", "--g", "601", "--s", "1"]],
+        [
+            ["euler", "xi", "--g", "0", "--s", "1"],
+            ["euler", "xi", "--g", "601", "--s", "1"],
+            ["jack", "--shape", "8,7"],
+            ["oracle", "glue", "--sides", "8,6"],
+            ["euler", "chi", "--variant", "real", "--g", "1", "--s", "1", "--m", "2"],
+            ["euler", "chi", "--variant", "fixed", "--g", "1", "--s", "1"],
+        ],
         2,
         (),
         False,
