@@ -5,8 +5,8 @@ Refined map counts from the b-Tutte recursion
 Per (vertex distribution, face count, edge count), the number of rooted
 maps weighted by crosscaps is a polynomial in b whose value at b=0 counts
 orientable maps and at b=1 counts maps on all surfaces.  The table comes
-from the root-edge-deletion recursion for the joint cumulants of the
-b-deformed Gaussian ensemble; the Jack generating series
+from the root-edge-deletion recursion for the moments of the b-deformed
+Gaussian ensemble, converted to joint cumulants; the Jack generating series
 M(z) = 2 alpha z d/dz log S(z) gives the same numbers by a second route.
 """
 

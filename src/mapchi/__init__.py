@@ -30,7 +30,7 @@ EXIT_FAILURE = 2
 EXIT_CONJECTURE = 3
 
 #: Largest truncation of `btutte.map_count_table`: the 10-edge table (6454
-#: rows) takes 0.57-0.70 s in process (2 vCPUs, Python 3.11.7), and each
+#: rows) takes 0.32-0.40 s in process (2 vCPUs, Python 3.11.7), and each
 #: further edge two to three times as much.
 MAX_EDGE_TRUNCATION = 10
 

@@ -15,22 +15,27 @@ b with `int` coefficients, so building the table needs no `fractions`.  The
 Jack series of `mapseries` gives the same rows by a second route.
 
 The ensemble's loop equation deletes the root edge of a map and gives a
-recursion for the joint cumulants kappa(p_{k+1}, R) of the power sums, R a
-multiset of the other vertex degrees (La Croix 2009; Chapuy and Dolega
-2022, "b-deformed Tutte equations"):
+recursion for the moments E(p_{k+1}, R) = E[tr H^(k+1) prod_{r in R} tr H^r],
+R a multiset of the other vertex degrees (Goulden and Jackson 1997; Chapuy
+and Dolega 2022, "b-deformed Tutte equations"):
 
-    kappa(p_{k+1}, R) = b k kappa(p_{k-1}, R)                   twisted loop
-        + sum_{a + c = k - 1} [ kappa(p_a, p_c, R)              root splits
-                              + sum_{R1 + R2 = R} kappa(p_a, R1) kappa(p_c, R2) ]
-        + (1 + b) sum_{r in R} r kappa(p_{k+r-1}, R - r)        edge to r
+    E(p_{k+1}, R) = b k E(p_{k-1}, R)                           twisted loop
+        + sum_{a + c = k - 1} E(p_a, p_c, R)                    root splits
+        + (1 + b) sum_{r in R} r E(p_{k+r-1}, R - r)            edge to r
 
-with kappa(p_0) = N and every other cumulant with a p_0 entry zero.  The
-R1 + R2 sum runs over the vertices of R as distinct objects, so each
-sub-multiset is weighted by binomials, and the last sum weights each
-distinct degree r by its multiplicity.  Every kappa is a polynomial in N
-(the face variable) and b with nonnegative integer coefficients.  Each
-step is a ring operation, so `cumulant` runs at an integer point and
-`face_rows` reads the coefficients off one such value.
+with E() = 1 and each p_0 a factor N; the last sum weights each distinct
+degree r by its multiplicity.  The joint cumulants follow by one
+conversion, with the root a and the rest R:
+
+    kappa(p_a, R) = E(p_a, R) - sum_{L + T = R, T nonempty} kappa(p_a, L) E(T),
+
+L + T running over the vertices of R as distinct objects, so each
+sub-multiset is weighted by binomials.  Both are polynomials in N (the face
+variable) and b with nonnegative integer coefficients: the recursion has
+only nonnegative terms, and so has its connected form, which adds a product
+over the splits of R.  Each step is a ring operation, so `moment` and
+`cumulant` run at an integer point and `face_rows` reads the coefficients
+off one such value.
 
 >>> cumulant((2,), 3, 5)  # N^2 + N b
 24
@@ -59,9 +64,34 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-def _kappa(N: int, b: int, *parts: int) -> int:
-    """kappa of the entries in any order; the largest becomes the root."""
-    return cumulant(tuple(sorted(parts, reverse=True)), N, b)
+def _moment(N: int, b: int, *parts: int) -> int:
+    """E of the entries in any order; the largest becomes the root."""
+    return moment(tuple(sorted(parts, reverse=True)), N, b)
+
+
+@lru_cache(maxsize=None)
+def moment(parts: tuple[int, ...], N: int, b: int) -> int:
+    """E(p_{parts[0]}, p_{parts[1]}, ...) at the integer point (N, b).
+
+    Ordered, memoized and refused like `cumulant`, except that E() = 1.
+    """
+    if min(parts, default=0) < 0:
+        raise ValueError(f"the multiset of degrees {parts} has a negative degree")
+    if sum(parts) % 2:
+        return 0
+    if not parts:
+        return 1
+    if parts[-1] == 0:
+        return N * moment(parts[:-1], N, b)
+    k, rest = parts[0] - 1, parts[1:]
+    out = b * k * _moment(N, b, k - 1, *rest) if k else 0
+    for a in range(k):
+        out += _moment(N, b, a, k - 1 - a, *rest)
+    for r, mult in Counter(rest).items():
+        reduced = list(rest)
+        reduced.remove(r)
+        out += r * mult * (1 + b) * _moment(N, b, k + r - 1, *reduced)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -91,19 +121,10 @@ def cumulant(parts: tuple[int, ...], N: int, b: int) -> int:
         raise ValueError(f"the multiset of degrees {parts} has a negative degree")
     if sum(parts) % 2 or (len(parts) > 1 and parts[-1] == 0):
         return 0
-    if parts == (0,):
-        return N
-    k, rest = parts[0] - 1, parts[1:]
-    out = b * k * _kappa(N, b, k - 1, *rest) if k else 0
-    for a in range(k):
-        c = k - 1 - a
-        out += _kappa(N, b, a, c, *rest)
-        for left, right, ways in _splits(rest):
-            out += ways * _kappa(N, b, a, *left) * _kappa(N, b, c, *right)
-    for r, mult in Counter(rest).items():
-        reduced = list(rest)
-        reduced.remove(r)
-        out += r * mult * (1 + b) * _kappa(N, b, k + r - 1, *reduced)
+    out = moment(parts, N, b)
+    for left, right, ways in _splits(parts[1:]):
+        if right:
+            out -= ways * cumulant((parts[0], *left), N, b) * moment(right, N, b)
     return out
 
 
@@ -112,11 +133,10 @@ def face_rows(parts: tuple[int, ...], max_n: int) -> dict[int, list[int]]:
 
     One evaluation at b = 2^W, N = 2^(W (max_n + 1)), split into W-bit
     fields (Kronecker substitution).  No field carries: a coefficient is
-    at most kappa_mu(1, 1) <= kappa_(2n)(1, 1) < 2^W (at N = 1, p_mu =
-    p_(2n), and the cumulant is one nonnegative term of that moment), and
+    at most kappa_mu(1, 1), one nonnegative term of E_mu(1, 1) < 2^W, and
     the b-degree is at most n < max_n + 1.  W needs no recursion: at N = 1
-    the ensemble is one Gaussian of variance 1 + b, so kappa_(2n)(1, 1) =
-    E[x^(2n)] = 2^n (2n - 1)!! = (2n)! / n!.
+    the ensemble is one Gaussian x of variance 1 + b, so E_mu(1, 1) =
+    E[x^(2n)] = 2^n (2n - 1)!! = (2n)! / n! for every mu of 2n.
     """
     if sum(parts) > 2 * max_n:
         raise ValueError(f"{parts} weighs more than 2 * {max_n}")

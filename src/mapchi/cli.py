@@ -618,6 +618,18 @@ def _value(flag: str, inline: str | None, tokens: list[str]) -> str:
     return tokens.pop(0)
 
 
+def _asks_help(tokens: list[str], by_flag: dict) -> bool:
+    """Whether a bare help switch stands where an option may, not as an option's value."""
+    rest = iter(tokens)
+    for token in rest:
+        if token in HELP:
+            return True
+        flag, inline = _split(token)
+        if flag in by_flag and by_flag[flag][1] is not None and inline is None:
+            next(rest, None)  # its value, whatever it reads
+    return False
+
+
 def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
@@ -676,10 +688,10 @@ def parse_args(argv: list[str]) -> SimpleNamespace | str:
     if name not in COMMANDS:
         raise ValueError(f"unknown command {name!r} (choose from {_choices(prefix)})")
     run, _, formats, options = COMMANDS[name]
-    if "-h" in tokens or "--help" in tokens:
+    by_flag = {option[0]: option for option in options}
+    if _asks_help(tokens, by_flag):
         return _help(name)
 
-    by_flag = {option[0]: option for option in options}
     for flag, _, default, _ in options:
         values[_dest(flag)] = default
     while tokens:

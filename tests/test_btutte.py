@@ -1,4 +1,4 @@
-"""The b-Tutte recursion at integer points, and the packed decoding."""
+"""The b-Tutte moments and cumulants at integer points, and the packed decoding."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 import pytest
 
 from mapchi import MAX_EDGE_TRUNCATION
-from mapchi.btutte import cumulant, face_rows
+from mapchi.btutte import cumulant, face_rows, moment
 from mapchi.partitions import partitions_of
 
 
@@ -17,6 +17,24 @@ def test_hand_decodings():
     assert face_rows((1, 1), 1) == {1: [1, 1]}
     assert cumulant((2,), 3, 5) == 24
     assert cumulant((1, 1), 3, 5) == 18
+
+
+def test_moments_match_closed_forms():
+    """Closed forms of the Gaussian ensemble, none read through the cumulants.
+
+    E_(2) = N^2 + N b and E_(1,1) = N + N b.  At N = 1 the ensemble is one
+    Gaussian x of variance 1 + b, and every mu of 2n has E_mu = E[x^(2n)].
+    tr H is Gaussian of variance N (1 + b), which fixes E_(1^2n).
+    """
+    assert moment((2,), 3, 5) == 24
+    assert moment((1, 1), 3, 5) == 18
+    for n in range(1, 8):
+        double_factorial = math.prod(range(1, 2 * n, 2))
+        for b in (0, 1, 2, 5):
+            for mu in partitions_of(2 * n):
+                assert moment(tuple(mu), 1, b) == (1 + b) ** n * double_factorial, mu
+            for N in (1, 2, 3, 7):
+                assert moment((1,) * (2 * n), N, b) == (N * (1 + b)) ** n * double_factorial
 
 
 def test_decoding_matches_point_values():
@@ -58,8 +76,9 @@ def test_face_rows_refuses_too_heavy_parts():
         lambda: face_rows((), 1),
         lambda: cumulant((-2, 4), 3, 5),
         lambda: face_rows((-2, 4), 1),
+        lambda: moment((4, -2), 3, 5),
     ],
-    ids=["cumulant()", "face_rows()", "cumulant(-2,4)", "face_rows(-2,4)"],
+    ids=["cumulant()", "face_rows()", "cumulant(-2,4)", "face_rows(-2,4)", "moment(4,-2)"],
 )
 def test_empty_or_negative_multiset_is_refused(call):
     """No root, or a degree no vertex has: refused, not recursed on without end."""

@@ -466,6 +466,10 @@ def _enumeration_started(*args, **kwargs):
         ["foo"],
         ["euler"],
         ["euler", "psi"],
+        ["euler", "xi", "--g", "-h", "--s", "1"],
+        ["euler", "xi", "--g", "--help", "--s", "1"],
+        ["maps", "table", "--b", "-h"],
+        ["jack", "--shape", "-h"],
     ],
     ids=" ".join,
 )
@@ -503,6 +507,8 @@ def test_bad_arguments_exit_2_with_one_error_line(capsys, monkeypatch, argv):
 PARSE_REFUSALS = {
     "--version=1": "option --version takes no value",
     "maps table --help=1": "option --help takes no value",
+    "euler xi --g -h --s 1": "option --g: not an integer: '-h'",
+    "euler xi --g --help --s 1": "option --g needs a value",
     "jack --shape 8,7": "option --shape: jack solves shapes of weight at most 14, got 15",
     "oracle glue --sides 8,6": (
         "option --sides: oracle glue enumerates at most 12 sides in total, got 14"
@@ -547,6 +553,23 @@ def test_help_names_every_option_of_its_level(capsys, level, names):
     assert out.startswith("usage: mapchi ")
     for name in names:
         assert name in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "maps table --max-edges 2 -h",
+        "maps table --max-edges 11 --help",
+        "maps table --b=-h -h",
+        "euler chi --separating -h",
+    ],
+)
+def test_help_where_an_option_may_stand_prints_the_help(capsys, argv):
+    """A help switch in an option's place wins over every other option; as a value it is not one."""
+    words = argv.split()
+    name = " ".join(words[:2]) if words[0] in cli.GROUPS else words[0]
+    code, out, err = run_cli(capsys, *words)
+    assert (code, out, err) == (0, cli._help(name) + "\n", "")
 
 
 def test_version_flag(capsys):
