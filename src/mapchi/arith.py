@@ -25,10 +25,11 @@ Conventions
   coefficient ring, so polynomials over `int`, over `Fraction`, over
   `AlphaFn`, or over other polynomials all share one implementation.  The
   constructors `UniPoly.one`, `gen` and `monomial` build `int` coefficients.
-* `AlphaFn` is the field of rational functions in alpha.  Instances are
-  normalized on construction (numerator and denominator coprime, denominator
-  monic), so equal values have equal representations and ``==`` is
-  structural.
+* `AlphaFn` holds reduced rational functions in alpha under ``+``, ``-``
+  and ``*``, for the Jack series S(z) and log W, until the Jack route no
+  longer needs it; nothing divides by one.  Instances are normalized on
+  construction (numerator and denominator coprime, denominator monic), so
+  equal values have equal representations and ``==`` is structural.
 """
 
 from __future__ import annotations
@@ -425,10 +426,6 @@ class AlphaFn:
     def zero(cls) -> AlphaFn:
         return cls(0)
 
-    @classmethod
-    def one(cls) -> AlphaFn:
-        return cls(1)
-
     # -- coercion -----------------------------------------------------
 
     @staticmethod
@@ -490,39 +487,6 @@ class AlphaFn:
         return AlphaFn(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o:
-            raise ZeroDivisionError("division by zero AlphaFn")
-        return AlphaFn(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def inv(self) -> AlphaFn:
-        if not self:
-            raise ZeroDivisionError("inverse of zero AlphaFn")
-        return AlphaFn(self.den, self.num)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise ValueError("AlphaFn powers must be integers")
-        if n < 0:
-            return self.inv() ** (-n)
-        result = AlphaFn.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -88,10 +88,6 @@ def _print_json(payload) -> None:
 # ---------------------------------------------------------------------------
 
 
-#: The longest rational accepted on the command line.
-MAX_RATIONAL_CHARS = 100
-
-
 def _parse_rational(text: str):
     """`text` as an `int` if it is an ASCII integer literal, else a `fractions.Fraction`.
 
@@ -99,8 +95,6 @@ def _parse_rational(text: str):
     which needs no `fractions`; it accepts exactly what `Fraction` accepts
     there, with the same value.
     """
-    if len(text) > MAX_RATIONAL_CHARS:
-        raise ValueError(f"rationals are at most {MAX_RATIONAL_CHARS} characters, got {len(text)}")
     stripped = text.strip()
     digits = stripped[1:] if stripped[:1] in ("+", "-") else stripped
     if digits.isascii() and digits.isdigit():
@@ -412,6 +406,10 @@ def cmd_verify_all(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: The longest value any option accepts; `_convert` refuses a longer one.
+MAX_VALUE_CHARS = 100
+
+
 def _parse_int(text: str) -> int:
     try:
         return int(text)
@@ -635,6 +633,15 @@ def _dest(flag: str) -> str:
 
 
 def _convert(flag: str, convert, text: str):
+    """`text` read by `convert` (a function or a tuple of choices), after its length check.
+
+    The length is checked first, so no converter sees an oversized value and
+    no refusal echoes one.
+    """
+    if len(text) > MAX_VALUE_CHARS:
+        raise ValueError(
+            f"option {flag}: values are at most {MAX_VALUE_CHARS} characters, got {len(text)}"
+        )
     if isinstance(convert, tuple):
         if text not in convert:
             raise ValueError(

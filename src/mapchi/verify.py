@@ -276,7 +276,6 @@ def _check_exact_arith(max_edges: int) -> str:
         "AlphaFn cancellation (alpha^2-1)/(alpha-1) failed",
     )
     _require(AlphaFn.alpha(-2) * AlphaFn.alpha(3) == alpha, "alpha power law failed")
-    _require((alpha + 1) * (alpha + 1).inv() == 1, "AlphaFn inverse failed")
     b = UniPoly.gen("b")
     _require((1 + b) ** 3 == UniPoly("b", (1, 3, 3, 1)), "UniPoly power failed")
     try:
@@ -545,8 +544,8 @@ def _check_census_lambda(max_edges: int) -> str:
 
 
 def _check_xi_routes(max_edges: int) -> str:
-    for g in range(1, 7):
-        for s in range(1, 5):
+    for g in range(1, 21):
+        for s in range(1, 21):
             closed = xi_closed(g, s)
             series = xi_from_logW(g, s)
             _require(
@@ -565,7 +564,7 @@ def _check_xi_routes(max_edges: int) -> str:
         xi_closed(1, 1) == expected_11,
         f"xi(1,1) = {xi_closed(1, 1)!r}, expected {expected_11!r}",
     )
-    return "closed and series routes agree for g <= 6, s <= 4"
+    return "closed and series routes agree for g <= 20, s <= 20"
 
 
 def _check_xi_map_route(max_edges: int) -> str:

@@ -395,6 +395,15 @@ def test_verify_all_detects_corrupted_bernoulli_cache(capsys):
     assert any(line.startswith("FAIL exact-arith") for line in out.splitlines())
 
 
+#: A 5001-digit integer, past the 4300 digits Python's `int(str)` reads.
+HUGE = "1" + "0" * 5000
+
+
+def param_id(words: str) -> str:
+    """A parameter id: the words of a command line, with `HUGE` named, not spelled."""
+    return words.replace(HUGE, "HUGE")
+
+
 def _enumeration_started(*args, **kwargs):
     raise AssertionError("a guard let an oversized request start enumerating")
 
@@ -407,6 +416,8 @@ def _enumeration_started(*args, **kwargs):
         ["maps", "table", "--max-edges", "3", "--b", "1e30000000"],
         ["maps", "table", "--b", "1e-5000"],
         ["maps", "table", "--b", "1" * 101],
+        ["euler", "xi", "--g", HUGE, "--s", "1"],
+        ["jack", "--shape", HUGE],
         ["maps", "table", "--b", "+-1"],
         ["maps", "table", "--b", "1e5"],
         ["maps", "table", "--max-edges", "0"],
@@ -471,7 +482,7 @@ def _enumeration_started(*args, **kwargs):
         ["maps", "table", "--b", "-h"],
         ["jack", "--shape", "-h"],
     ],
-    ids=" ".join,
+    ids=lambda argv: param_id(" ".join(argv)),
 )
 def test_bad_arguments_exit_2_with_one_error_line(capsys, monkeypatch, argv):
     """Malformed or oversized arguments are refused before any enumeration.
@@ -509,6 +520,7 @@ PARSE_REFUSALS = {
     "maps table --help=1": "option --help takes no value",
     "euler xi --g -h --s 1": "option --g: not an integer: '-h'",
     "euler xi --g --help --s 1": "option --g needs a value",
+    f"euler xi --g {HUGE} --s 1": "option --g: values are at most 100 characters, got 5001",
     "jack --shape 8,7": "option --shape: jack solves shapes of weight at most 14, got 15",
     "oracle glue --sides 8,6": (
         "option --sides: oracle glue enumerates at most 12 sides in total, got 14"
@@ -516,7 +528,9 @@ PARSE_REFUSALS = {
 }
 
 
-@pytest.mark.parametrize(("argv", "message"), PARSE_REFUSALS.items(), ids=PARSE_REFUSALS)
+@pytest.mark.parametrize(
+    ("argv", "message"), PARSE_REFUSALS.items(), ids=[param_id(a) for a in PARSE_REFUSALS]
+)
 def test_parse_refusals_read_exactly(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -3,7 +3,8 @@
 Argument lists are drawn over `cli.COMMANDS` and run in process through
 `cli.main`.  Values come valid and invalid: signs, a 5000-digit integer,
 ``1/0``, decimals, Arabic-Indic digits, empty lists, ``--flag=value``,
-switches given a value and help switches given as values.
+switches given a value and help switches given as values.  Every
+``error:`` line is at most 400 characters, so none echoes the 5000 digits.
 
 Valid draws are capped so that none is heavy: ``maps table --max-edges``
 at most 5, ``verify-all --max-edges`` at most 2, ``--sides`` at most 8 in
@@ -98,6 +99,8 @@ def test_seeded_argument_fuzz(capsys):
         except Exception as exc:
             raise AssertionError(f"{argv} raised {exc!r}") from exc
         out, err = capsys.readouterr()
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert all(len(line) <= 400 for line in errors), (argv, [len(e) for e in errors])
         assert code in (EXIT_OK, EXIT_FAILURE, EXIT_CONJECTURE), argv
         if code == EXIT_FAILURE and "verify-all" not in argv:
             assert out == "", argv

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from mapchi import MAX_EDGE_TRUNCATION, TruncationError, btutte, eulerchar
 from mapchi.arith import AlphaFn, UniPoly, bernoulli
 from mapchi.btutte import map_count_table
+from mapchi.cli import MAX_EULER_INDEX
 from mapchi.eulerchar import (
     INV_GAMMA,
     LambdaTriple,
@@ -86,6 +88,18 @@ def test_xi_routes_agree():
     for g in range(1, 6):
         for s in range(1, 4):
             assert xi_from_logW(g, s) == xi_closed(g, s)
+
+
+def test_xi_routes_agree_up_to_the_admitted_top():
+    """The closed form and log W agree at the top (g, s) that `euler xi` admits.
+
+    Seven seeded pairs from 1..600 join (600, 600).
+    """
+    rng = random.Random(5)
+    top = MAX_EULER_INDEX
+    pairs = [(top, top)] + [(rng.randint(1, top), rng.randint(1, top)) for _ in range(7)]
+    for g, s in pairs:
+        assert xi_from_logW(g, s) == xi_closed(g, s), (g, s)
 
 
 def test_xi_from_logW_is_one_coefficient_of_the_series():

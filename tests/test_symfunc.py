@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from mapchi import symfunc
-from mapchi.arith import ALPHA, AlphaFn, UniPoly
+from mapchi.arith import ALPHA, UniPoly
 from mapchi.partitions import Partition, partitions_of, z_of
 from mapchi.symfunc import (
     PowerSumExpr,
@@ -19,7 +19,7 @@ from mapchi.symfunc import (
     jack,
 )
 
-ALPHA_GEN = AlphaFn.alpha()
+ALPHA_GEN = UniPoly.gen(ALPHA)
 
 
 def psum(coeff_by_parts: dict[tuple[int, ...], object]) -> PowerSumExpr:
@@ -45,7 +45,7 @@ def test_inner_product_is_diagonal_in_power_sums():
             for mu in partitions_of(n):
                 got = inner_product(PowerSumExpr.basis(lam), PowerSumExpr.basis(mu))
                 if lam == mu:
-                    assert got == AlphaFn.alpha(lam.length) * z_of(lam)
+                    assert got == UniPoly.monomial(ALPHA, lam.length, z_of(lam))
                 else:
                     assert got == 0
 
@@ -103,7 +103,7 @@ def test_jack_hand_values():
     assert jack((2,)).expansion == psum({(1, 1): 1, (2,): ALPHA_GEN})
     assert jack((1, 1)).expansion == psum({(1, 1): 1, (2,): -1})
     assert jack((3,)).expansion == psum(
-        {(1, 1, 1): 1, (2, 1): ALPHA_GEN * 3, (3,): AlphaFn.alpha(2) * 2}
+        {(1, 1, 1): 1, (2, 1): ALPHA_GEN * 3, (3,): UniPoly.monomial(ALPHA, 2, 2)}
     )
     assert jack((1, 1, 1)).expansion == psum({(1, 1, 1): 1, (2, 1): -3, (3,): 2})
     assert jack((2, 1)).expansion == psum(
@@ -113,11 +113,8 @@ def test_jack_hand_values():
 
 def test_jack_norms():
     assert jack((1,)).norm == ALPHA_GEN
-    assert jack((2,)).norm == AlphaFn.alpha(2) * 2 + AlphaFn.alpha(3) * 2
-    expected_21 = (
-        AlphaFn.alpha(4) * 2 + AlphaFn.alpha(3) * 5 + AlphaFn.alpha(2) * 2
-    )
-    assert jack((2, 1)).norm == expected_21
+    assert jack((2,)).norm == UniPoly(ALPHA, (0, 0, 2, 2))
+    assert jack((2, 1)).norm == UniPoly(ALPHA, (0, 0, 2, 5, 2))
     for n in range(1, 9):
         for shape in partitions_of(n):
             rec = jack(shape)
@@ -125,12 +122,14 @@ def test_jack_norms():
             assert rec.norm != 0
 
 
-def gram_schmidt_jack_oracle(n: int) -> dict[Partition, PowerSumExpr]:
-    """Independent Jack construction: Gram-Schmidt on monomials in reverse-lex order.
+def gram_schmidt_jack_oracle(n: int, a: Fraction) -> dict[Partition, dict[Partition, Fraction]]:
+    """Independent Jack construction at alpha = a: Gram-Schmidt on monomials.
 
     Expresses each m_theta in the power-sum basis by inverting the transition
     table with exact Gaussian elimination, orthogonalizes in increasing
-    reverse-lex order, then rescales so the m_(1^n) coefficient equals n!.
+    reverse-lex order under the pairing <p_mu, p_mu> = z_mu * a^l(mu), which
+    is positive definite for a > 0, then rescales so the m_(1^n) coefficient
+    equals n!.  Returns {theta: {mu: [p_mu] J_theta(a)}}, nonzero values only.
     """
     order = list(reversed(partitions_of(n)))  # ascending reverse-lex
     rows = monomial_rows(n)
@@ -149,35 +148,44 @@ def gram_schmidt_jack_oracle(n: int) -> dict[Partition, PowerSumExpr]:
         for r in range(size):
             if r != col and matrix[r][col]:
                 f = matrix[r][col]
-                matrix[r] = [a - f * b for a, b in zip(matrix[r], matrix[col])]
-                inverse[r] = [a - f * b for a, b in zip(inverse[r], inverse[col])]
-    # AlphaFn coefficients, since the projections divide by inner products.
-    monomials = {
-        order[i]: psum(
-            {order[j].parts: AlphaFn(inverse[i][j]) for j in range(size) if inverse[i][j]}
+                matrix[r] = [u - f * v for u, v in zip(matrix[r], matrix[col])]
+                inverse[r] = [u - f * v for u, v in zip(inverse[r], inverse[col])]
+
+    def pairing(f: dict, g: dict) -> Fraction:
+        return sum(
+            (c * g[mu] * z_of(mu) * a**mu.length for mu, c in f.items() if mu in g), Fraction(0)
         )
-        for i in range(size)
-    }
-    out: dict[Partition, PowerSumExpr] = {}
-    for theta in order:
-        g = monomials[theta]
-        for sigma, prev in out.items():
-            overlap = inner_product(g, prev)
-            if overlap != 0:
-                g = g - prev * (overlap / inner_product(prev, prev))
-        ones = Partition((1,) * n)
-        ones_coeff = sum(
-            c * rows[mu].get(ones, Fraction(0)) for mu, c in g.terms.items()
-        )
-        out[theta] = g * (Fraction(math.factorial(n)) / ones_coeff)
+
+    ones = Partition((1,) * n)
+    out: dict[Partition, dict[Partition, Fraction]] = {}
+    for i, theta in enumerate(order):
+        g = {order[j]: inverse[i][j] for j in range(size)}
+        for prev in out.values():
+            overlap = pairing(g, prev)
+            if overlap:
+                scale = overlap / pairing(prev, prev)
+                g = {mu: c - scale * prev.get(mu, 0) for mu, c in g.items()}
+        ones_coeff = sum(c * rows[mu].get(ones, 0) for mu, c in g.items())
+        scale = math.factorial(n) / ones_coeff
+        out[theta] = {mu: c * scale for mu, c in g.items() if c}
     return out
 
 
 def test_jack_matches_gram_schmidt_oracle():
-    for n in range(1, 5):
-        oracle = gram_schmidt_jack_oracle(n)
-        for shape, expected in oracle.items():
-            assert jack(shape).expansion == expected
+    """J_theta(a) equals the Gram-Schmidt oracle at a = k/2 for k = 1..n.
+
+    Every [p_mu] J_theta of weight n is an integer polynomial in alpha of
+    degree at most n - 1, so agreement at n points is the identity.
+    """
+    for n in range(1, 7):
+        records = {shape: jack(shape) for shape in partitions_of(n)}
+        for rec in records.values():
+            assert all(c.degree <= n - 1 for c in rec.expansion.terms.values()), rec.shape
+        for k in range(1, n + 1):
+            a = Fraction(k, 2)
+            for shape, expected in gram_schmidt_jack_oracle(n, a).items():
+                values = {mu: c.eval(a) for mu, c in records[shape].expansion.terms.items()}
+                assert {mu: v for mu, v in values.items() if v} == expected, (shape, a)
 
 
 def test_jack_coefficients_are_integer_alpha_polynomials():
@@ -215,7 +223,7 @@ def test_inexact_division_raises_jack_system_error():
 def test_jack_principal_specializations():
     x = UniPoly.gen("x")
     assert jack((1,)).principal == x
-    assert jack((2,)).principal == x**2 + x * ALPHA_GEN
+    assert jack((2,)).principal == UniPoly("x", (0, ALPHA_GEN, 1))
     assert jack((1, 1)).principal == x**2 - x
     for n in range(1, 9):
         for shape in partitions_of(n):
