@@ -78,7 +78,6 @@ _EXPORTS = {
             "VariableMixError",
             "bernoulli",
             "poly_str",
-            "sum_of_powers_poly",
         ),
         "arith",
     ),

@@ -8,8 +8,8 @@ form, and power series are truncated at a fixed order.  There is no
 floating-point mode and no numerical tolerance anywhere.
 
 `fractions` is imported inside the code that divides (`bernoulli`,
-`sum_of_powers_poly`, `poly_divmod`, `poly_gcd`, `AlphaFn` and
-`TruncatedSeries.log`), so integer polynomial arithmetic runs without it.
+`poly_divmod`, `poly_gcd`, `AlphaFn` and `TruncatedSeries.log`), so integer
+polynomial arithmetic runs without it.
 Exact division of integer polynomials is `int_poly_divmod`, a long division
 over the integers that the Jack solve and the map-count extraction share.
 Since ``int / int`` is a float, nothing here divides two coefficients with
@@ -17,8 +17,8 @@ Since ``int / int`` is a float, nothing here divides two coefficients with
 
 Conventions
 -----------
-* A `UniPoly` carries a variable tag (``"alpha"``, ``"b"``, ``"x"``, ``"N"``,
-  ``"t"``, ``"z"``, ``"1/gamma"``).  Arithmetic between polynomials with
+* A `UniPoly` carries a variable tag (``"alpha"``, ``"b"``, ``"x"``, ``"t"``,
+  ``"z"``, ``"1/gamma"``).  Arithmetic between polynomials with
   distinct tags raises `VariableMixError`; a polynomial is never silently
   reinterpreted in another variable.
 * Anything that is not a `UniPoly` is treated as a scalar from the
@@ -477,9 +477,6 @@ class AlphaFn:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -573,12 +570,6 @@ class TruncatedSeries:
             self.var, [a + b for a, b in zip(self.coeffs, o.coeffs)], self.max_order
         )
 
-    def __sub__(self, other):
-        o = self._peer(other)
-        return TruncatedSeries(
-            self.var, [a - b for a, b in zip(self.coeffs, o.coeffs)], self.max_order
-        )
-
     def __mul__(self, other):
         o = self._peer(other)
         out = [0] * (self.max_order + 1)
@@ -631,34 +622,3 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries({self.var!r}, {list(self.coeffs)!r}, max_order={self.max_order})"
-
-
-# ---------------------------------------------------------------------------
-# Power sums of integers
-# ---------------------------------------------------------------------------
-
-
-def sum_of_powers_poly(k: int) -> UniPoly:
-    """The polynomial S_k(N) with S_k(n) = sum_{j=1}^{n} j**k for all n >= 0.
-
-    Built from the Bernoulli closed form
-    S_k(N) = (1/(k+1)) * sum_{r=1}^{k+1} C(k+1, r) * B_{k+1-r} * (-1)^{k+1-r} * N**r,
-    so the result is exact with zero constant term.
-
-    >>> sum_of_powers_poly(0).coeffs
-    (Fraction(0, 1), Fraction(1, 1))
-    >>> sum_of_powers_poly(1).eval(10)
-    Fraction(55, 1)
-    """
-    from fractions import Fraction
-
-    if k < 0:
-        raise ValueError("power must be nonnegative")
-    coeffs = [Fraction(0)] * (k + 2)
-    for r in range(1, k + 2):
-        coeffs[r] = (
-            Fraction(math.comb(k + 1, r), k + 1)
-            * bernoulli(k + 1 - r)
-            * (-1) ** (k + 1 - r)
-        )
-    return UniPoly("N", coeffs)

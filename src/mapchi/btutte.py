@@ -218,11 +218,14 @@ def map_count_table(max_n: int) -> MapCountTable:
     return MapCountTable(entries=entries, max_n=max_n)
 
 
-def specialize_counts(table: MapCountTable, b_value: Fraction) -> dict[MapKey, Fraction]:
-    """Evaluate every entry at a rational b (0 = orientable, 1 = all surfaces)."""
-    from fractions import Fraction
+def specialize_counts(
+    table: MapCountTable, b_value: int | Fraction
+) -> dict[MapKey, int | Fraction]:
+    """Evaluate every entry at a rational b (0 = orientable, 1 = all surfaces).
 
-    return {key: Fraction(poly.eval(Fraction(b_value))) for key, poly in table.entries.items()}
+    An `int` b gives `int` counts and a `Fraction` b gives `Fraction`s.
+    """
+    return {key: poly.eval(b_value) for key, poly in table.entries.items()}
 
 
 class NonnegativityViolation(NamedTuple):

@@ -105,37 +105,36 @@ def _parse_rational(text: str):
     # Fraction builds the whole integer of an exponent like 1e30000000
     # before anything could check its size, so refuse those first.
     if "e" in text.lower():
-        raise ValueError(f"exponent notation is not accepted: {text!r}")
+        raise ValueError(f"exponent notation is not accepted: {_quote(text)}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"not a rational number: {text!r}") from None
+        raise ValueError(f"not a rational number: {_quote(text)}") from None
 
 
 def cmd_maps_table(args) -> int:
     from .arith import poly_str
-    from .btutte import map_count_table
+    from .btutte import map_count_table, specialize_counts
 
     table = map_count_table(args.max_edges)
+    counts = None if args.b is None else specialize_counts(table, args.b)
     keys = table.keys_sorted()
     if args.format == "json":
         rows = []
         for key in keys:
-            poly = table.entries[key]
             row: dict[str, object] = {"i": list(key.i), "j": key.j, "n": key.n}
-            if args.b is None:
-                row["poly"] = poly.coeff_strings()
+            if counts is None:
+                row["poly"] = table.entries[key].coeff_strings()
             else:
-                row["count"] = str(poly.eval(args.b))
+                row["count"] = str(counts[key])
             rows.append(row)
         _print_json({"max_edges": table.max_n, "rows": rows})
         return 0
 
     if args.format == "csv":
-        print("n,j,i," + ("count" if args.b is not None else "poly"))
+        print("n,j,i," + ("poly" if counts is None else "count"))
     for key in keys:
-        poly = table.entries[key]
-        tail = poly_str(poly) if args.b is None else str(poly.eval(args.b))
+        tail = poly_str(table.entries[key]) if counts is None else str(counts[key])
         if args.format == "csv":
             i_str = " ".join(str(k) for k in key.i)
             print(f"{key.n},{key.j},{i_str},{tail}")
@@ -213,13 +212,13 @@ def _parse_shape(text: str):
     """`text` as a `partitions.Partition`; its weight is checked before `partitions` loads."""
     text = text.strip()
     try:
-        parts = tuple(int(p) for p in text.split(",")) if text else ()
+        parts = tuple(map(_parse_int, text.split(","))) if text else ()
         if sum(parts) <= MAX_JACK_WEIGHT:
             from .partitions import Partition
 
             return Partition(parts)
     except ValueError as exc:
-        raise ValueError(f"bad shape {text!r}: {exc}") from None
+        raise ValueError(f"bad shape {_quote(text)}: {exc}") from None
     raise ValueError(f"jack solves shapes of weight at most {MAX_JACK_WEIGHT}, got {sum(parts)}")
 
 
@@ -268,7 +267,7 @@ def _parse_sides(text: str) -> tuple[int, ...]:
     try:
         sides = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise ValueError(f"bad side list {text!r}") from None
+        raise ValueError(f"bad side list {_quote(text)}") from None
     if sum(sides) > MAX_GLUE_SIDES:
         raise ValueError(
             f"oracle glue enumerates at most {MAX_GLUE_SIDES} sides in total, got {sum(sides)}"
@@ -410,11 +409,23 @@ def cmd_verify_all(args) -> int:
 MAX_VALUE_CHARS = 100
 
 
+def _quote(token: str) -> str:
+    """A user's token as every refusal shows it: its repr, or its length if that is long.
+
+    The repr escapes a newline, so the refusal stays one line; a repr of more
+    than `MAX_VALUE_CHARS` bytes within its quotes gives way to the length.
+    """
+    shown = repr(token)
+    if len(shown.encode()) > MAX_VALUE_CHARS + 2:
+        return f"<{len(token)} characters>"
+    return shown
+
+
 def _parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"not an integer: {text!r}") from None
+        raise ValueError(f"not an integer: {_quote(text)}") from None
 
 
 def _parse_euler_index(text: str) -> int:
@@ -604,7 +615,7 @@ def _split(token: str) -> tuple[str, str | None]:
 def _no_value(flag: str, inline: str | None) -> None:
     """Refuse a switch given ``=value``."""
     if inline is not None:
-        raise ValueError(f"option {flag} takes no value")
+        raise ValueError(f"option {_quote(flag)} takes no value")
 
 
 def _value(flag: str, inline: str | None, tokens: list[str]) -> str:
@@ -645,7 +656,7 @@ def _convert(flag: str, convert, text: str):
     if isinstance(convert, tuple):
         if text not in convert:
             raise ValueError(
-                f"option {flag}: invalid choice {text!r} (choose from {', '.join(convert)})"
+                f"option {flag}: invalid choice {_quote(text)} (choose from {', '.join(convert)})"
             )
         return text
     try:
@@ -676,7 +687,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace | str:
             values["verbosity"] += 1 if flag == "--verbose" else len(flag) - 1
         else:
             raise ValueError(
-                f"unknown option {flag}; before the command mapchi takes only "
+                f"unknown option {_quote(flag)}; before the command mapchi takes only "
                 "-h, --version, -v and --format"
             )
 
@@ -693,7 +704,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace | str:
             return _help(group)
         name = prefix + tokens.pop(0)
     if name not in COMMANDS:
-        raise ValueError(f"unknown command {name!r} (choose from {_choices(prefix)})")
+        raise ValueError(f"unknown command {_quote(name)} (choose from {_choices(prefix)})")
     run, _, formats, options = COMMANDS[name]
     by_flag = {option[0]: option for option in options}
     if _asks_help(tokens, by_flag):
@@ -704,12 +715,14 @@ def parse_args(argv: list[str]) -> SimpleNamespace | str:
     while tokens:
         token = tokens.pop(0)
         if not token.startswith("-"):
-            raise ValueError(f"unexpected argument {token!r}")
+            raise ValueError(f"unexpected argument {_quote(token)}")
         flag, inline = _split(token)
         if flag in HELP:  # a bare one returned the help above
             _no_value(flag, inline)
         if flag not in by_flag:
-            raise ValueError(f"{name} has no option {flag} (it takes {', '.join(by_flag)})")
+            raise ValueError(
+                f"{name} has no option {_quote(flag)} (it takes {', '.join(by_flag)})"
+            )
         convert = by_flag[flag][1]
         if convert is None:
             _no_value(flag, inline)

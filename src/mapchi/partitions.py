@@ -63,16 +63,6 @@ class Partition(tuple):
     def __repr__(self):
         return f"Partition{self.parts!r}"
 
-    def rlex_le(self, other: Partition) -> bool:
-        """Reverse-lexicographic comparison for equal-weight partitions.
-
-        Returns True when self comes no later than other in the order where
-        (n) is largest and (1^n) smallest, i.e. self.parts <= other.parts.
-        """
-        if self.weight != other.weight:
-            raise ValueError("reverse-lex comparison needs equal weights")
-        return self <= other
-
 
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:

@@ -29,7 +29,6 @@ from .arith import (
     UniPoly,
     VariableMixError,
     bernoulli,
-    sum_of_powers_poly,
 )
 from .btutte import map_count_table, nonneg_report
 from .eulerchar import (
@@ -253,15 +252,6 @@ def _check_exact_arith(max_edges: int) -> str:
         if m >= 3 and m % 2:
             _require(not cached[m], f"odd Bernoulli number B_{m} is nonzero")
 
-    for k in range(5):
-        poly = sum_of_powers_poly(k)
-        for upper in range(9):
-            direct = sum(Fraction(j) ** k for j in range(1, upper + 1))
-            _require(
-                poly.eval(Fraction(upper)) == direct,
-                f"sum-of-powers polynomial wrong at k={k}, N={upper}",
-            )
-
     # Truncated series: log turns products into sums, and the Euler
     # operator satisfies f * (z d/dz log f) = z d/dz f.
     f = TruncatedSeries("z", [Fraction(c) for c in (1, 1, 2, 3, 0, 1)], 6)
@@ -346,7 +336,7 @@ def _check_jack_conditions(max_edges: int) -> str:
             mono = expand_in_variables(rec.expansion)
             for mu in mono:
                 _require(
-                    mu.rlex_le(rec.shape),
+                    mu <= rec.shape,
                     f"J_{rec.shape.parts} has monomial support above it: {mu.parts}",
                 )
             bottom = Partition((1,) * weight)
@@ -400,7 +390,7 @@ def _check_cauchy_kernel(max_edges: int) -> str:
 
 def _check_reference_counts(max_edges: int) -> str:
     limit = min(max_edges, max(key.n for key in REFERENCE_COUNTS))
-    table = map_count_table(limit)
+    table = map_count_table(max_edges)
     expected = {k: v for k, v in REFERENCE_COUNTS.items() if k.n <= limit}
     got = {key: poly.coeffs for key, poly in table.entries.items() if key.n <= limit}
     for key in sorted(set(expected) | set(got)):

@@ -20,7 +20,6 @@ from mapchi.arith import (
     poly_divmod,
     poly_gcd,
     poly_str,
-    sum_of_powers_poly,
 )
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
@@ -63,19 +62,6 @@ def test_bernoulli_odd_indices_vanish():
 def test_bernoulli_rejects_negative_index():
     with pytest.raises(ValueError):
         bernoulli(-1)
-
-
-@given(st.integers(0, 6), st.integers(0, 25))
-@settings(max_examples=120)
-def test_sum_of_powers_poly_matches_direct_sum(k, upper):
-    """S_k(N) evaluates to the literal sum of k-th powers."""
-    poly = sum_of_powers_poly(k)
-    assert poly.eval(Fraction(upper)) == sum(Fraction(j) ** k for j in range(1, upper + 1))
-
-
-def test_sum_of_powers_poly_has_zero_constant_term():
-    for k in range(8):
-        assert sum_of_powers_poly(k).coeff(0) == 0
 
 
 # -- UniPoly ----------------------------------------------------------------

@@ -397,11 +397,12 @@ def test_verify_all_detects_corrupted_bernoulli_cache(capsys):
 
 #: A 5001-digit integer, past the 4300 digits Python's `int(str)` reads.
 HUGE = "1" + "0" * 5000
+VRUN = "v" * 5000
 
 
 def param_id(words: str) -> str:
-    """A parameter id: the words of a command line, with `HUGE` named, not spelled."""
-    return words.replace(HUGE, "HUGE")
+    """A parameter id: the words of a command line, with `HUGE` and `VRUN` named, not spelled."""
+    return words.replace(HUGE, "HUGE").replace(VRUN, "VRUN")
 
 
 def _enumeration_started(*args, **kwargs):
@@ -481,6 +482,14 @@ def _enumeration_started(*args, **kwargs):
         ["euler", "xi", "--g", "--help", "--s", "1"],
         ["maps", "table", "--b", "-h"],
         ["jack", "--shape", "-h"],
+        ["jack", HUGE],
+        [HUGE],
+        ["maps", HUGE],
+        ["jack", "--shape=2", "--x" + HUGE],
+        ["--x" + HUGE],
+        ["-" + VRUN + "=1"],
+        ["--x\ny"],
+        ["jack", "--sh\nape", "2"],
     ],
     ids=lambda argv: param_id(" ".join(argv)),
 )
@@ -508,6 +517,7 @@ def test_bad_arguments_exit_2_with_one_error_line(capsys, monkeypatch, argv):
     assert code == 2
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+    assert len(captured.err.encode()) <= 400
     assert captured.err.startswith("error: ") and captured.err.endswith("\n")
     assert "raise the bound" not in captured.err
     if "--b" in argv:
@@ -516,8 +526,8 @@ def test_bad_arguments_exit_2_with_one_error_line(capsys, monkeypatch, argv):
 
 #: Refusals whose text the parse fixes, word for word.
 PARSE_REFUSALS = {
-    "--version=1": "option --version takes no value",
-    "maps table --help=1": "option --help takes no value",
+    "--version=1": "option '--version' takes no value",
+    "maps table --help=1": "option '--help' takes no value",
     "euler xi --g -h --s 1": "option --g: not an integer: '-h'",
     "euler xi --g --help --s 1": "option --g needs a value",
     f"euler xi --g {HUGE} --s 1": "option --g: values are at most 100 characters, got 5001",
@@ -525,6 +535,8 @@ PARSE_REFUSALS = {
     "oracle glue --sides 8,6": (
         "option --sides: oracle glue enumerates at most 12 sides in total, got 14"
     ),
+    f"jack {HUGE}": "unexpected argument <5001 characters>",
+    HUGE: "unknown command <5001 characters> (choose from maps, euler, jack, oracle, verify-all)",
 }
 
 
@@ -533,6 +545,35 @@ PARSE_REFUSALS = {
 )
 def test_parse_refusals_read_exactly(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_value_with_a_long_repr_is_named_by_its_length(capsys):
+    """A value of 100 characters passes the length check, but its repr is long.
+
+    100 four-byte characters, or 100 control characters escaped as ``\\x01``,
+    would make a line of over 400 bytes, so the refusal names the length.
+    """
+    for argv, message in [
+        (
+            ["jack", "--shape", "\U0001f600" * 100],
+            "option --shape: bad shape <100 characters>: not an integer: <100 characters>",
+        ),
+        (
+            ["euler", "xi", "--g", "1", "--s", "1", "--route", "\x01" * 100],
+            "option --route: invalid choice <100 characters> (choose from closed, logw, maps)",
+        ),
+    ]:
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_newline_in_an_unknown_option_is_escaped(capsys):
+    """`PARSE_REFUSALS` splits its keys on whitespace, so this refusal reads exactly here."""
+    code, out, err = run_cli(capsys, "--x\ny")
+    message = (
+        "unknown option '--x\\ny'; before the command mapchi takes only "
+        "-h, --version, -v and --format"
+    )
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 

@@ -43,17 +43,11 @@ def test_partitions_listed_in_descending_reverse_lex():
         assert parts[0] == Partition((n,))
         assert parts[-1] == Partition((1,) * n)
         for a, b in zip(parts, parts[1:]):
-            assert b.rlex_le(a) and a != b
+            assert b < a
 
 
 def test_partitions_of_zero():
     assert partitions_of(0) == (Partition(()),)
-
-
-def test_rlex_compares_by_reversed_part_tuples():
-    assert Partition((2, 2)).rlex_le(Partition((3, 1)))
-    assert Partition((1, 1, 1)).rlex_le(Partition((2, 1)))
-    assert not Partition((4,)).rlex_le(Partition((2, 2)))
 
 
 def test_z_of_known_values():
