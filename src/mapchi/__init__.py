@@ -10,11 +10,12 @@ produces.
 
 The exit codes, the table's edge bound, the two errors that several layers
 raise, the one guard that refuses a request past a layer's edge reach
-(`check_truncation`) and the one guard that refuses indices outside
-g, s >= 1 (`check_indices`) live here, so any layer can use them without
-loading another.  The other public names are imported from their
-submodule on first access, so ``import mapchi`` alone loads no submodule
-and each command of the ``mapchi`` script pays only for the layers it runs.
+(`check_truncation`), the one guard that refuses indices outside
+g, s >= 1 (`check_indices`) and the one guard that compares two routes
+(`check_agreement`) live here, so any layer can use them without loading
+another.  The other public names are imported from their submodule on
+first access, so ``import mapchi`` alone loads no submodule and each
+command of the ``mapchi`` script pays only for the layers it runs.
 """
 
 from __future__ import annotations
@@ -65,6 +66,27 @@ def check_indices(g: int, s: int, what: str) -> None:
     """
     if g < 1 or s < 1:
         raise ValueError(f"{what} needs g >= 1 and s >= 1")
+
+
+def check_agreement(what: str, first: str, got, second: str, want) -> int:
+    """Require route `first`'s `got` to equal route `second`'s `want`.
+
+    Every comparison of two routes goes through this one guard.  Two dicts
+    are compared key by key over the union of their keys, in sorted order,
+    a key that one side lacks reading as 0; any other values are compared
+    whole.  A difference raises `RouteMismatchError` naming `what`, the
+    first differing key and both values.  Returns the number of keys
+    compared, or 1 for whole values.
+    """
+    if not (isinstance(got, dict) and isinstance(want, dict)):
+        got, want = {None: got}, {None: want}
+    keys = sorted(got.keys() | want.keys())
+    for key in keys:
+        mine, theirs = got.get(key, 0), want.get(key, 0)
+        if mine != theirs:
+            where = "" if key is None else f" at {key}"
+            raise RouteMismatchError(f"{what}{where}: {first} {mine!r}, {second} {theirs!r}")
+    return len(keys)
 
 
 #: Home submodule of each public name.
@@ -132,7 +154,6 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "CauchyReport",
             "JackRecord",
             "JackSystemError",
             "PowerSumExpr",
@@ -146,7 +167,14 @@ _EXPORTS = {
 
 __all__ = [
     *sorted(
-        [*_EXPORTS, "RouteMismatchError", "TruncationError", "check_indices", "check_truncation"]
+        [
+            *_EXPORTS,
+            "RouteMismatchError",
+            "TruncationError",
+            "check_agreement",
+            "check_indices",
+            "check_truncation",
+        ]
     ),
     "__version__",
 ]

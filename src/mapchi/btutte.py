@@ -37,6 +37,11 @@ over the splits of R.  Each step is a ring operation, so `moment` and
 `cumulant` run at an integer point and `face_rows` reads the coefficients
 off one such value.
 
+`moment` and `cumulant` memoize every value they reach for the life of the
+process.  Building `map_count_table(10)` in a fresh process leaves 2814
+`moment` and 2713 `cumulant` entries and peaks at 22.5 MB resident, against
+13.1 MB for the bare interpreter (2 vCPUs, Python 3.11.7).
+
 >>> cumulant((2,), 3, 5)  # N^2 + N b
 24
 """

@@ -13,7 +13,9 @@ side, gamma = 1/2 the real (fixed-point-free involution) side.  Routes:
 * `xi_from_maps`-- an alternating sum over refined map counts with
                    b = 1/gamma - 1.
 
-All three agree exactly; the cross-checks here raise on any mismatch.
+All three agree exactly: `xi_from_logW` and `xi_from_maps` compare their
+result with `xi_closed` through `check_agreement`, which raises on any
+mismatch.
 Downstream values: Lambda = xi(1/2), Lambda^O = xi(1), Lambda^N their
 difference, and the chi variants for real, complex and fixed-curve cases.
 
@@ -28,7 +30,13 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
-from . import MAX_EDGE_TRUNCATION, RouteMismatchError, check_indices, check_truncation
+from . import (
+    MAX_EDGE_TRUNCATION,
+    RouteMismatchError,
+    check_agreement,
+    check_indices,
+    check_truncation,
+)
 from .arith import ALPHA, AlphaFn, TruncatedSeries, UniPoly, bernoulli
 
 if TYPE_CHECKING:
@@ -133,7 +141,9 @@ def logW_series(max_delta: int) -> TruncatedSeries:
 def xi_from_logW(g: int, s: int) -> UniPoly:
     """xi^s_g extracted as s! (-1)^s [x^s t^{g+s-1}] alpha * log W.
 
-    Only that one coefficient of the series is computed.
+    Only that one coefficient of the series is computed.  The result is
+    asserted equal to `xi_closed`, which reuses the Bernoulli numbers this
+    extraction cached.
     """
     check_indices(g, s, f"xi({g},{s})")
     terms = _logW_coefficient(g + s - 1, s)
@@ -142,7 +152,9 @@ def xi_from_logW(g: int, s: int) -> UniPoly:
             f"xi({g},{s}) extraction left a negative power of 1/gamma: {terms!r}"
         )
     scale = (-1) ** s * math.factorial(s)
-    return UniPoly(INV_GAMMA, [c * scale for c in _dense(terms, 1)])
+    series = UniPoly(INV_GAMMA, [c * scale for c in _dense(terms, 1)])
+    check_agreement(f"xi({g},{s})", "log W route", series, "closed form", xi_closed(g, s))
+    return series
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +242,7 @@ def xi_from_maps(g: int, s: int, table: MapCountTable | None = None) -> UniPoly:
         table = map_count_table(needed)
     b_from_gamma = UniPoly(INV_GAMMA, (Fraction(-1), Fraction(1)))  # b = 1/gamma - 1
     total = lambda_sum(table.entries, g, s, UniPoly.zero("b")).compose(b_from_gamma)
-    closed = xi_closed(g, s)
-    if total != closed:
-        raise RouteMismatchError(
-            f"map-sum route for xi({g},{s}) gives {total!r}, closed form {closed!r}"
-        )
+    check_agreement(f"xi({g},{s})", "map-sum route", total, "closed form", xi_closed(g, s))
     return total
 
 
@@ -279,11 +287,13 @@ def lambda_values(g: int, s: int) -> LambdaTriple:
             (g + 1) * math.factorial(g - 1),
         ) * bernoulli(g + 1)
         closed_lam_o = closed_lam
-    if lam != closed_lam or lam_o != closed_lam_o:
-        raise RouteMismatchError(
-            f"Lambda({g},{s}): evaluation gives ({lam}, {lam_o}), "
-            f"closed forms give ({closed_lam}, {closed_lam_o})"
-        )
+    check_agreement(
+        f"(Lambda, Lambda^O)({g},{s})",
+        "evaluation",
+        (lam, lam_o),
+        "closed forms",
+        (closed_lam, closed_lam_o),
+    )
     return LambdaTriple(total=lam, orientable=lam_o, nonorientable=lam - lam_o)
 
 
@@ -336,11 +346,7 @@ def chi_real(g: int, s: int) -> ChiValue:
 def chi_real_from_lambda(g: int, s: int) -> ChiValue:
     """chi of the real moduli space as 2^{s-1} Lambda^N, checked against chi_real."""
     value = 2 ** (s - 1) * lambda_values(g, s).nonorientable
-    direct = chi_real(g, s).value
-    if value != direct:
-        raise RouteMismatchError(
-            f"chi_real({g},{s}): Lambda route gives {value}, formula gives {direct}"
-        )
+    check_agreement(f"chi_real({g},{s})", "Lambda route", value, "formula", chi_real(g, s).value)
     return ChiValue(Fraction(value), g, s, "real")
 
 

@@ -43,7 +43,8 @@ surfaces up to `MAX_LOCALLY_ORIENTABLE_EDGES` (5); larger requests raise
 
 The censuses are integer counts, so the rational layers (`eulerchar`,
 `fractions`) load only where they run, in `lambda_from_census`; the
-errors this module raises live in the package root.
+errors this module raises, and the guards that raise them, live in the
+package root.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from functools import lru_cache
 from itertools import accumulate, product
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import RouteMismatchError, check_indices, check_truncation
+from . import check_agreement, check_indices, check_truncation
 from .partitions import MapKey, Partition, vertex_distribution_of
 
 if TYPE_CHECKING:
@@ -292,8 +293,9 @@ def double_cover_lift_check(*sides: int) -> int:
     the gluing homeomorphism lifts verbatim; the orientation double cover
     is the choice that crosses exactly at the parallel identifications).
     Exactly 2^{s-1} lifts must glue to a connected orientable surface, each
-    with doubled Euler characteristic.  Returns the number of base gluings
-    checked.
+    with doubled Euler characteristic; `check_agreement` compares the list
+    of their Euler characteristics with that expectation.  Returns the
+    number of base gluings checked.
     """
     s = len(sides)
     edges, gluings = _gluings(sides)
@@ -313,7 +315,7 @@ def double_cover_lift_check(*sides: int) -> int:
         if not base.connected or base.orientable:
             continue
         checked += 1
-        good = 0
+        lift_chis = []
         for choices in product((0, 1), repeat=edges):
             cover_pairs = []
             cover_twists = []
@@ -326,16 +328,14 @@ def double_cover_lift_check(*sides: int) -> int:
                 cover_sides, cover_layout, tuple(cover_pairs), tuple(cover_twists)
             )
             if out.connected and out.orientable:
-                if out.chi != 2 * base.chi:
-                    raise RouteMismatchError(
-                        "orientable lift fails Euler-characteristic doubling"
-                    )
-                good += 1
-        if good != 2 ** (s - 1):
-            raise RouteMismatchError(
-                f"gluing {_pattern_word(sides, pairs, twists)!r} has "
-                f"{good} orientable lifts, expected {2 ** (s - 1)}"
-            )
+                lift_chis.append(out.chi)
+        check_agreement(
+            f"orientable lifts of {_pattern_word(sides, pairs, twists)!r}",
+            "Euler characteristics",
+            lift_chis,
+            "the double cover",
+            [2 * base.chi] * 2 ** (s - 1),
+        )
     return checked
 
 
@@ -462,10 +462,5 @@ def lambda_from_census(g: int, s: int) -> LambdaTriple:
     lam = lambda_sum(allsurf, g, s, Fraction(0))
     lam_o = lambda_sum(orientable, g, s, Fraction(0))
     triple = LambdaTriple(total=lam, orientable=lam_o, nonorientable=lam - lam_o)
-    algebraic = lambda_values(g, s)
-    if triple != algebraic:
-        raise RouteMismatchError(
-            f"census route for Lambda({g},{s}) gives {triple}, "
-            f"closed forms give {algebraic}"
-        )
+    check_agreement(f"Lambda({g},{s})", "census route", triple, "closed form", lambda_values(g, s))
     return triple

@@ -47,6 +47,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
+from . import check_agreement
 from .arith import ALPHA, UniPoly, int_poly_divmod
 from .partitions import Partition, partitions_of, z_of
 
@@ -484,18 +485,7 @@ def _level(n: int) -> Columns:
 # ---------------------------------------------------------------------------
 
 
-class CauchyReport(NamedTuple):
-    """Outcome of comparing both sides of the alpha-deformed Cauchy identity.
-
-    A mismatch holds the power-sum pair (rho, sigma) and both cleared sides.
-    """
-
-    ok: bool
-    degree: int
-    mismatch: tuple[Partition, Partition, str, str] | None = None
-
-
-def cauchy_check(n: int) -> CauchyReport:
+def cauchy_check(n: int) -> int:
     """Verify the degree-n component of the Cauchy identity for Jack functions,
 
         prod_{i,j} (1 - x_i y_j)^(-1/alpha)
@@ -512,8 +502,9 @@ def cauchy_check(n: int) -> CauchyReport:
         sum_theta [p_rho] J * [p_sigma] J * (D / <J, J>) * z_rho * alpha**length(rho)
 
     is D for rho = sigma and 0 otherwise, an identity of integer
-    polynomials in alpha.  Returns a report carrying the first discrepant
-    pair (rho, sigma) if any.
+    polynomials in alpha.  `check_agreement` compares the two sides and
+    raises `RouteMismatchError` naming the first pair (rho, sigma) where
+    they differ.  Returns the number of pairs compared, p(n)^2.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -528,13 +519,11 @@ def cauchy_check(n: int) -> CauchyReport:
             for sigma, c_sigma in terms.items():
                 sums[rho, sigma] = sums.get((rho, sigma), 0) + scaled * c_sigma
 
-    for rho in shapes:
-        kernel_weight = UniPoly.monomial(ALPHA, rho.length, z_of(rho))
-        for sigma in shapes:
-            lhs = den if rho == sigma else UniPoly.zero(ALPHA)
-            rhs = sums.get((rho, sigma), 0) * kernel_weight
-            if lhs != rhs:
-                return CauchyReport(
-                    ok=False, degree=n, mismatch=(rho, sigma, repr(lhs), repr(rhs))
-                )
-    return CauchyReport(ok=True, degree=n)
+    jack_terms = {
+        (rho, sigma): sums.get((rho, sigma), 0) * UniPoly.monomial(ALPHA, rho.length, z_of(rho))
+        for rho in shapes
+        for sigma in shapes
+    }
+    kernel = {(rho, rho): den for rho in shapes}
+    what = f"Cauchy kernel at degree {n}"
+    return check_agreement(what, "Jack side", jack_terms, "kernel", kernel)

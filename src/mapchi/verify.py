@@ -1,8 +1,11 @@
 """The self-verification suite behind the ``verify-all`` command.
 
 Each check re-derives a slice of the package's output by an independent
-route and fails loudly on any disagreement.  Results are collected rather
-than raised so a single run reports every broken invariant.  Exit-code
+route and fails loudly on any disagreement.  Every comparison of two
+routes, or of a route with tabulated values, goes through
+`check_agreement`; `_require` states only invariants (bounds, parity,
+nonzero values, order).  Results are collected rather than raised so a
+single run reports every broken invariant.  Exit-code
 policy: 0 when everything passes, 3 when the only failures are violations
 of the (conjectural) coefficient-nonnegativity report, 2 otherwise.
 """
@@ -19,8 +22,8 @@ from . import (
     EXIT_FAILURE,
     EXIT_OK,
     MAX_EDGE_TRUNCATION,
-    RouteMismatchError,
     arith,
+    check_agreement,
     check_truncation,
 )
 from .arith import (
@@ -240,8 +243,8 @@ def _check_exact_arith(max_edges: int) -> str:
         4: Fraction(-1, 30),
         12: Fraction(-691, 2730),
     }
-    for j, value in frozen.items():
-        _require(bernoulli(j) == value, f"B_{j} = {bernoulli(j)}, expected {value}")
+    computed = {j: bernoulli(j) for j in frozen}
+    check_agreement("Bernoulli numbers", "computed", computed, "tabulated", frozen)
     # Re-run the defining recurrence over every cached value, so that any
     # corruption of the cache is caught regardless of where it sits.
     bernoulli(max(len(arith._bernoulli_cache) - 1, 16))
@@ -256,18 +259,22 @@ def _check_exact_arith(max_edges: int) -> str:
     # operator satisfies f * (z d/dz log f) = z d/dz f.
     f = TruncatedSeries("z", [Fraction(c) for c in (1, 1, 2, 3, 0, 1)], 6)
     g = TruncatedSeries("z", [Fraction(c) for c in (1, -1, 1)], 6)
-    _require((f * g).log() == f.log() + g.log(), "series log is not additive")
-    _require(f * f.log().z_ddz() == f.z_ddz(), "series log derivative identity fails")
+    check_agreement("log(fg)", "log of the product", (f * g).log(), "sum", f.log() + g.log())
+    check_agreement("z d/dz f", "f z d/dz log f", f * f.log().z_ddz(), "direct", f.z_ddz())
 
     alpha = AlphaFn.alpha()
-    _require(
-        AlphaFn(UniPoly(arith.ALPHA, (-1, 0, 1)), UniPoly(arith.ALPHA, (-1, 1)))
-        == alpha + 1,
-        "AlphaFn cancellation (alpha^2-1)/(alpha-1) failed",
+    check_agreement(
+        "(alpha^2-1)/(alpha-1)",
+        "AlphaFn",
+        AlphaFn(UniPoly(arith.ALPHA, (-1, 0, 1)), UniPoly(arith.ALPHA, (-1, 1))),
+        "tabulated",
+        alpha + 1,
     )
-    _require(AlphaFn.alpha(-2) * AlphaFn.alpha(3) == alpha, "alpha power law failed")
+    check_agreement(
+        "alpha^-2 alpha^3", "AlphaFn", AlphaFn.alpha(-2) * AlphaFn.alpha(3), "tabulated", alpha
+    )
     b = UniPoly.gen("b")
-    _require((1 + b) ** 3 == UniPoly("b", (1, 3, 3, 1)), "UniPoly power failed")
+    check_agreement("(1+b)^3", "UniPoly", (1 + b) ** 3, "tabulated", UniPoly("b", (1, 3, 3, 1)))
     try:
         b + UniPoly.gen("x")
         raise CheckFailure("mixing variable tags did not raise")
@@ -277,12 +284,9 @@ def _check_exact_arith(max_edges: int) -> str:
 
 
 def _check_partitions(max_edges: int) -> str:
-    known = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
-    for n, expected in enumerate(known):
-        _require(
-            len(partitions_of(n)) == expected,
-            f"p({n}) = {len(partitions_of(n))}, expected {expected}",
-        )
+    known = dict(enumerate([1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]))
+    counts = {n: len(partitions_of(n)) for n in known}
+    check_agreement("partition counts p(n)", "partitions_of", counts, "tabulated", known)
     for n in range(1, 10):
         mus = partitions_of(n)
         _require(mus[0] == (n,) and mus[-1] == (1,) * n, f"ordering broken at n={n}")
@@ -301,7 +305,7 @@ def _check_partitions(max_edges: int) -> str:
             class_sizes == math.factorial(n),
             f"conjugacy classes of S_{n} do not fill the group",
         )
-    return f"counts, order and statistics agree through n={len(known) - 1}"
+    return f"counts, order and statistics agree through n={max(known)}"
 
 
 def _monomial_orbit_size(mu: Partition, nvars: int) -> int:
@@ -324,7 +328,7 @@ def _check_jack_conditions(max_edges: int) -> str:
     for shape, coeffs in hand.items():
         rec = jack(shape)
         got = {mu.parts: c for mu, c in rec.expansion.terms.items()}
-        _require(got == coeffs, f"J_{shape} = {rec.expansion!r}, expected {coeffs}")
+        check_agreement(f"J_{shape} in power sums", "jack", got, "by hand", coeffs)
 
     # The Jack route at max_edges reads every shape of weight 2 * max_edges,
     # as far as it goes; weight 10 takes about 2 s on 2 vCPUs (Python 3.11.7).
@@ -344,23 +348,24 @@ def _check_jack_conditions(max_edges: int) -> str:
                 mono.get(bottom) == math.factorial(weight),
                 f"[m_(1^{weight})] J_{rec.shape.parts} != {weight}!",
             )
-            _require(
-                inner_product(rec.expansion, rec.expansion) == rec.norm,
-                f"stored norm of J_{rec.shape.parts} is stale",
-            )
+            norm = inner_product(rec.expansion, rec.expansion)
+            check_agreement(f"norm of J_{rec.shape.parts}", "<J, J>", norm, "stored", rec.norm)
             _require(bool(rec.norm), f"J_{rec.shape.parts} has zero norm")
             # Principal specialization p_k -> x against the monomial
             # expansion: at x = N both evaluate J at N equal variables.
-            for nvars in range(1, 5):
-                viamono = sum(
-                    (c * _monomial_orbit_size(mu, nvars) for mu, c in mono.items()),
-                    UniPoly.zero(arith.ALPHA),
-                )
-                _require(
-                    rec.principal.eval(nvars) == viamono,
-                    f"principal specialization of J_{rec.shape.parts} wrong at "
-                    f"N={nvars}",
-                )
+            check_agreement(
+                f"J_{rec.shape.parts} at N equal variables",
+                "principal specialization",
+                {nvars: rec.principal.eval(nvars) for nvars in range(1, 5)},
+                "monomial expansion",
+                {
+                    nvars: sum(
+                        (c * _monomial_orbit_size(mu, nvars) for mu, c in mono.items()),
+                        UniPoly.zero(arith.ALPHA),
+                    )
+                    for nvars in range(1, 5)
+                },
+            )
             for other in records[:idx]:
                 pairing = inner_product(rec.expansion, other.expansion)
                 _require(
@@ -378,13 +383,7 @@ def _check_jack_conditions(max_edges: int) -> str:
 
 def _check_cauchy_kernel(max_edges: int) -> str:
     for degree in range(5):
-        report = cauchy_check(degree)
-        if not report.ok:
-            rho, sigma, lhs, rhs = report.mismatch
-            raise CheckFailure(
-                f"Cauchy kernel mismatch at degree {degree}, power sums "
-                f"p_{rho.parts}(x) p_{sigma.parts}(y): kernel {lhs}, Jack side {rhs}"
-            )
+        cauchy_check(degree)  # raises unless the kernel matches the Jack side
     return "kernel equals the Jack expansion in power sums through degree 4"
 
 
@@ -393,21 +392,16 @@ def _check_reference_counts(max_edges: int) -> str:
     table = map_count_table(max_edges)
     expected = {k: v for k, v in REFERENCE_COUNTS.items() if k.n <= limit}
     got = {key: poly.coeffs for key, poly in table.entries.items() if key.n <= limit}
-    for key in sorted(set(expected) | set(got)):
-        _require(
-            got.get(key) == expected.get(key),
-            f"row {key}: computed {got.get(key)}, reference {expected.get(key)}",
-        )
-    return f"{len(expected)} tabulated rows reproduced exactly"
+    rows = check_agreement("map counts", "computed", got, "reference", expected)
+    return f"{rows} tabulated rows reproduced exactly"
 
 
 def _check_series_invariants(max_edges: int) -> str:
     table = map_count_table(max_edges)
     reach = min(max_edges, JACK_ROUTE_MAX_EDGES)
+    recursion_rows = {key: poly for key, poly in table.entries.items() if key.n <= reach}
     jack_rows = extract_map_counts(map_series(reach)).entries
-    for key in sorted({key for key in table.entries if key.n <= reach} | set(jack_rows)):
-        got, want = table.entries.get(key), jack_rows.get(key)
-        _require(got == want, f"row {key}: recursion {got!r}, Jack route {want!r}")
+    check_agreement("map counts", "recursion", recursion_rows, "Jack route", jack_rows)
     sums_orientable: dict[int, int] = {}
     sums_all: dict[int, int] = {}
     for key, poly in table.entries.items():
@@ -426,79 +420,60 @@ def _check_series_invariants(max_edges: int) -> str:
             )
         sums_orientable[key.n] = sums_orientable.get(key.n, 0) + poly.eval(0)
         sums_all[key.n] = sums_all.get(key.n, 0) + poly.eval(1)
-    for n, total in ROOTED_TOTALS_ORIENTABLE.items():
-        if n <= table.max_n:
-            _require(
-                sums_orientable[n] == total,
-                f"b=0 column sum at n={n} is {sums_orientable[n]}, expected {total}",
-            )
-    for n, total in ROOTED_TOTALS_ALL.items():
-        if n <= table.max_n:
-            _require(
-                sums_all[n] == total,
-                f"b=1 column sum at n={n} is {sums_all[n]}, expected {total}",
-            )
+    for b, sums, totals in (
+        (0, sums_orientable, ROOTED_TOTALS_ORIENTABLE),
+        (1, sums_all, ROOTED_TOTALS_ALL),
+    ):
+        reached = {n: total for n, total in totals.items() if n <= table.max_n}
+        column = {n: sums[n] for n in reached}
+        check_agreement(f"b={b} column sums", "table", column, "rooted-map totals", reached)
     one_vertex = harer_zagier_rows(table.max_n)
-    for key, eps in one_vertex.items():
-        got = table.entries[key].coeff(0) if key in table.entries else 0
-        _require(got == eps, f"row {key}: b^0 coefficient {got}, Harer-Zagier {eps}")
+    b_free = {key: poly.coeff(0) for key, poly in table.entries.items() if key in one_vertex}
+    hz_rows = check_agreement("b^0 coefficients", "table", b_free, "Harer-Zagier", one_vertex)
     planar = slicing_rows(table.max_n)
-    for key, count in planar.items():
-        got = table.entries.get(key)
-        _require(
-            got is not None and got == UniPoly("b", [count]),
-            f"row {key}: {got!r}, Tutte's slicings formula {count}",
-        )
+    slicings = check_agreement(
+        "planar rows",
+        "table",
+        {key: poly for key, poly in table.entries.items() if key in planar},
+        "Tutte's slicings formula",
+        {key: UniPoly("b", [count]) for key, count in planar.items()},
+    )
     return (
         f"the recursion equals the Jack route row for row through n={reach}; "
-        f"Euler, crosscap, parity and column-sum invariants, {len(one_vertex)} "
-        f"Harer-Zagier rows and {len(planar)} slicing rows hold to n={table.max_n}"
+        f"Euler, crosscap, parity and column-sum invariants, {hz_rows} "
+        f"Harer-Zagier rows and {slicings} slicing rows hold to n={table.max_n}"
     )
 
 
 def _check_polygon_gluings(max_edges: int) -> str:
     census2 = glue_census(2)
-    _require(census2.raw_count == 2, "a 2-gon has exactly two self-gluings")
-    _require(
-        census2.by_chi == {(2, True): 1, (1, False): 1},
-        f"2-gon census came out as {census2.by_chi}",
-    )
-
     census4 = glue_census(4, collect_patterns=True)
-    _require(census4.raw_count == 12, f"square raw count {census4.raw_count} != 12")
-    _require(census4.connected_count == 12, "single-polygon gluings are connected")
-    _require(
-        census4.by_chi == {(2, True): 2, (1, False): 5, (0, False): 4, (0, True): 1},
-        f"square census came out as {census4.by_chi}",
-    )
-    _require(
-        census4.by_chi_filtered == {(0, False): 4, (0, True): 1},
-        f"filtered square census came out as {census4.by_chi_filtered}",
-    )
-    _require(census4.lambda_nonorientable(1) == 4, "Klein-bottle gluing count != 4")
-    klein = sorted(census4.patterns_filtered[(0, False)])
-    _require(
-        klein == ["a a b b", "a b a b^-1", "a b a^-1 b", "a b b a"],
-        f"Klein-bottle boundary words came out as {klein}",
-    )
-    _require(
-        census4.patterns_filtered[(0, True)] == ["a b a^-1 b^-1"],
-        "the torus word should be the commutator",
-    )
-    for (chi, orientable), _count in census4.by_chi.items():
+    lifts = {sides: double_cover_lift_check(*sides) for sides in ((2,), (4,), (2, 2), (4, 2))}
+    found = {
+        "2-gon": (census2.raw_count, census2.by_chi),
+        "square": (census4.raw_count, census4.connected_count, census4.by_chi),
+        "square, valences >= 3": (census4.by_chi_filtered, census4.lambda_nonorientable(1)),
+        "square words, valences >= 3": {
+            key: sorted(words) for key, words in census4.patterns_filtered.items()
+        },
+        "nonorientable 2-gon and square gluings": (lifts[(2,)], lifts[(4,)]),
+    }
+    tabulated = {
+        "2-gon": (2, {(2, True): 1, (1, False): 1}),
+        "square": (12, 12, {(2, True): 2, (1, False): 5, (0, False): 4, (0, True): 1}),
+        "square, valences >= 3": ({(0, False): 4, (0, True): 1}, 4),
+        "square words, valences >= 3": {
+            (0, False): ["a a b b", "a b a b^-1", "a b a^-1 b", "a b b a"],
+            (0, True): ["a b a^-1 b^-1"],
+        },
+        "nonorientable 2-gon and square gluings": (1, 9),
+    }
+    check_agreement("polygon censuses", "census", found, "tabulated", tabulated)
+    for chi, orientable in census4.by_chi:
         _require(
             not (orientable and chi % 2),
             f"orientable class with odd Euler characteristic {chi}",
         )
-
-    lifts = {
-        (2,): double_cover_lift_check(2),
-        (4,): double_cover_lift_check(4),
-        (2, 2): double_cover_lift_check(2, 2),
-        (4, 2): double_cover_lift_check(4, 2),
-    }
-    _require(lifts[(2,)] == 1, "the 2-gon has one nonorientable gluing")
-    _require(lifts[(4,)] == 9, "the square has nine nonorientable gluings")
     _require(lifts[(2, 2)] > 0 and lifts[(4, 2)] > 0, "no two-polygon lift cases ran")
     total = sum(lifts.values())
     return f"censuses match and {total} double-cover lift cases passed"
@@ -513,15 +488,9 @@ def _check_oracle_agreement(max_edges: int) -> str:
     ):
         reach = min(max_edges, limit)
         counts = {key: c for n in range(1, reach + 1) for key, c in census(n).items()}
-        rows = sorted({key for key in table.entries if key.n <= reach} | set(counts))
-        for key in rows:
-            got = table.entries[key].eval(b) if key in table.entries else 0
-            _require(
-                got == counts.get(key, 0),
-                f"b={b} disagrees with the {model} oracle at {key}: "
-                f"{got} vs {counts.get(key, 0)}",
-            )
-        found.append(f"b={b} agrees with the {model} oracle on {len(rows)} rows through n={reach}")
+        at_b = {key: poly.eval(b) for key, poly in table.entries.items() if key.n <= reach}
+        rows = check_agreement(f"b={b} map counts", "table", at_b, f"{model} oracle", counts)
+        found.append(f"b={b} agrees with the {model} oracle on {rows} rows through n={reach}")
     return ", ".join(found)
 
 
@@ -536,24 +505,16 @@ def _check_census_lambda(max_edges: int) -> str:
 def _check_xi_routes(max_edges: int) -> str:
     for g in range(1, 21):
         for s in range(1, 21):
-            closed = xi_closed(g, s)
-            series = xi_from_logW(g, s)
-            _require(
-                closed == series,
-                f"xi({g},{s}): closed form {closed!r} vs series {series!r}",
-            )
+            xi = xi_from_logW(g, s)  # raises unless it equals the closed form
             expected_degree = g if g % 2 == 0 else g + 1
             _require(
-                closed.degree == expected_degree,
-                f"xi({g},{s}) has degree {closed.degree}, expected {expected_degree}",
+                xi.degree == expected_degree,
+                f"xi({g},{s}) has degree {xi.degree}, expected {expected_degree}",
             )
             if g % 2 == 0:
-                _require(not closed.coeff(0), f"xi({g},{s}) has a constant term")
+                _require(not xi.coeff(0), f"xi({g},{s}) has a constant term")
     expected_11 = gamma_poly((Fraction(1, 12), Fraction(-1, 4), Fraction(1, 12)))
-    _require(
-        xi_closed(1, 1) == expected_11,
-        f"xi(1,1) = {xi_closed(1, 1)!r}, expected {expected_11!r}",
-    )
+    check_agreement("xi(1,1)", "closed form", xi_closed(1, 1), "tabulated", expected_11)
     return "closed and series routes agree for g <= 20, s <= 20"
 
 
@@ -577,32 +538,34 @@ def _check_xi_map_route(max_edges: int) -> str:
 
 
 def _check_chi_identities(max_edges: int) -> str:
-    for g in range(1, 11):
-        for s in range(1, 5):
-            chi_real_from_lambda(g, s)  # raises unless 2^{s-1} Lambda^N matches
-            chi_complex(g, s)  # raises unless Lambda^O = xi(1) matches its closed form
-            if g % 2:
-                _require(
-                    chi_fixed_curves(g, s, 0, separating=True).value
-                    == chi_complex(g, s).value,
-                    f"m=0 separating reduction fails at ({g},{s})",
-                )
-            _require(
-                chi_fixed_curves(g, s, 0, separating=False).value
-                == chi_real(g, s).value,
-                f"m=0 non-separating reduction fails at ({g},{s})",
-            )
-    _require(
-        chi_fixed_curves(2, 1, 1, separating=True).value == Fraction(1, 12),
-        "chi for one separating fixed curve at g=2 is 1/12",
+    indices = [(g, s) for g in range(1, 11) for s in range(1, 5)]
+    for g, s in indices:
+        chi_real_from_lambda(g, s)  # raises unless 2^{s-1} Lambda^N and Lambda match
+    odd = [(g, s) for g, s in indices if g % 2]
+    check_agreement(
+        "chi with m=0 separating fixed curves",
+        "chi_fixed_curves",
+        {(g, s): chi_fixed_curves(g, s, 0, separating=True).value for g, s in odd},
+        "chi_complex",
+        {(g, s): chi_complex(g, s).value for g, s in odd},
     )
-    _require(chi_real(1, 0).value == Fraction(1, 2), "chi_real(1,0) must be 1/2")
-    _require(
-        chi_real(0, 0).value == chi_real(0, 1).value == 1,
-        "chi_real(0,0) and chi_real(0,1) must be 1",
+    check_agreement(
+        "chi with m=0 non-separating fixed curves",
+        "chi_fixed_curves",
+        {(g, s): chi_fixed_curves(g, s, 0, separating=False).value for g, s in indices},
+        "chi_real",
+        {(g, s): chi_real(g, s).value for g, s in indices},
     )
-    for s in range(2, 6):
-        _require(not chi_real(0, s).value, f"chi_real(0,{s}) must vanish")
+    check_agreement(
+        "chi with one separating fixed curve at (2,1)",
+        "chi_fixed_curves",
+        chi_fixed_curves(2, 1, 1, separating=True).value,
+        "tabulated",
+        Fraction(1, 12),
+    )
+    specials = {(g, s): chi_real(g, s).value for g, s in [(1, 0), *((0, s) for s in range(6))]}
+    tabulated = {(1, 0): Fraction(1, 2), (0, 0): 1, (0, 1): 1}  # (0, s >= 2) read as 0
+    check_agreement("chi_real at special indices", "chi_real", specials, "tabulated", tabulated)
     try:
         chi_fixed_curves(2, 1, 2, separating=True)
         raise CheckFailure("odd g-m+1 must raise ParityError")

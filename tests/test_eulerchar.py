@@ -11,7 +11,7 @@ import pytest
 from mapchi import MAX_EDGE_TRUNCATION, TruncationError, btutte, eulerchar
 from mapchi.arith import AlphaFn, UniPoly, bernoulli
 from mapchi.btutte import map_count_table
-from mapchi.cli import MAX_EULER_INDEX
+from mapchi.cli import MAX_EULER_INDEX, main
 from mapchi.eulerchar import (
     INV_GAMMA,
     LambdaTriple,
@@ -116,6 +116,23 @@ def test_xi_from_logW_refuses_a_leftover_negative_power(monkeypatch):
     monkeypatch.setattr(eulerchar, "_logW_coefficient", lambda delta, s: {-2: Fraction(1)})
     with pytest.raises(RouteMismatchError, match="negative power"):
         xi_from_logW(1, 1)
+
+
+def test_xi_from_logW_compares_itself_with_the_closed_form(monkeypatch, capsys):
+    solved = eulerchar._logW_coefficient
+
+    def perturbed(delta, s):
+        terms = dict(solved(delta, s))
+        terms[-1] = terms.get(-1, 0) + 1  # a power the negative-power invariant admits
+        return terms
+
+    monkeypatch.setattr(eulerchar, "_logW_coefficient", perturbed)
+    with pytest.raises(RouteMismatchError, match=r"^xi\(2,1\): log W route .*, closed form "):
+        xi_from_logW(2, 1)
+    assert main(["euler", "xi", "--route", "logw", "--g", "2", "--s", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("error: xi(2,1): log W route ") and err.count("\n") == 1
 
 
 def test_xi_from_maps_matches_closed_form():

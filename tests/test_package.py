@@ -35,12 +35,12 @@ def test_star_import_binds_all():
 
 
 def test_shared_errors_live_in_the_package_root():
-    """The shared errors and the reach guard live in the root; every layer binds that guard.
+    """The shared errors and the guards live in the root; every layer binds those guards.
 
     The CLI checks no reach itself: each request past one is refused by the
     layer that serves it.
     """
-    from mapchi import btutte, cli, eulerchar, maporacle, mapseries, verify
+    from mapchi import btutte, cli, eulerchar, maporacle, mapseries, symfunc, verify
 
     for layer in (btutte, eulerchar, maporacle, mapseries, verify):
         assert layer.check_truncation is mapchi.check_truncation
@@ -49,8 +49,10 @@ def test_shared_errors_live_in_the_package_root():
         assert layer.check_indices is mapchi.check_indices
     assert mapchi.check_truncation.__module__ == "mapchi"
     assert mapchi.check_indices.__module__ == "mapchi"
+    for layer in (eulerchar, maporacle, symfunc, verify):
+        assert layer.check_agreement is mapchi.check_agreement
+    assert mapchi.check_agreement.__module__ == "mapchi"
     assert mapchi.RouteMismatchError is eulerchar.RouteMismatchError
-    assert mapchi.RouteMismatchError is maporacle.RouteMismatchError
     assert issubclass(mapchi.TruncationError, ValueError)
 
 
@@ -60,6 +62,45 @@ def test_the_guard_is_the_only_raise_of_truncation_error():
         for path in (SRC / "mapchi").glob("*.py")
     }
     assert {name: count for name, count in raising.items() if count} == {"__init__.py": 1}
+
+
+def test_the_guard_is_the_only_raise_of_route_mismatch_error():
+    """Apart from the guard, only log W's negative-power invariant raises it."""
+    raising = {
+        path.name: path.read_text().count("raise RouteMismatchError")
+        for path in (SRC / "mapchi").glob("*.py")
+    }
+    assert {name: count for name, count in raising.items() if count} == {
+        "__init__.py": 1,
+        "eulerchar.py": 1,
+    }
+
+
+def test_agreement_guard_names_the_first_differing_key_in_sorted_order():
+    # Both the insertion order and the set order of these keys put 9 first.
+    with pytest.raises(mapchi.RouteMismatchError) as caught:
+        mapchi.check_agreement("rows", "left", {9: 1, 1: 5, 2: 7}, "right", {9: 2, 1: 5, 2: 8})
+    assert str(caught.value) == "rows at 2: left 7, right 8"
+
+
+def test_agreement_guard_reads_an_absent_key_as_zero():
+    assert mapchi.check_agreement("rows", "left", {1: 5, 2: 0}, "right", {1: 5, 3: 0}) == 3
+    with pytest.raises(mapchi.RouteMismatchError, match=r"^rows at 4: left 0, right 1$"):
+        mapchi.check_agreement("rows", "left", {1: 5}, "right", {1: 5, 4: 1})
+
+
+def test_agreement_guard_compares_other_values_whole():
+    assert mapchi.check_agreement("pair", "left", (1, 2), "right", (1, 2)) == 1
+    assert mapchi.check_agreement("list", "left", [], "right", []) == 1
+    with pytest.raises(mapchi.RouteMismatchError, match=r"^pair: left \(1, 2\), right \(2, 1\)$"):
+        mapchi.check_agreement("pair", "left", (1, 2), "right", (2, 1))
+    with pytest.raises(mapchi.RouteMismatchError, match="^mixed: "):
+        mapchi.check_agreement("mixed", "left", {1: 2}, "right", 2)
+
+
+def test_agreement_guard_returns_the_number_of_keys_compared():
+    assert mapchi.check_agreement("none", "left", {}, "right", {}) == 0
+    assert mapchi.check_agreement("rows", "left", {"a": 1, "b": 2}, "right", {"b": 2, "a": 1}) == 2
 
 
 def _is_index(node):

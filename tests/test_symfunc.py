@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from mapchi import symfunc
+from mapchi import RouteMismatchError, symfunc
 from mapchi.arith import ALPHA, UniPoly
 from mapchi.partitions import Partition, partitions_of, z_of
 from mapchi.symfunc import (
@@ -282,14 +282,7 @@ def test_jack_weight_zero():
 
 def test_cauchy_kernel_matches_product_expansion():
     for n in range(7):
-        report = cauchy_check(n)
-        assert report.ok, report
-
-
-def test_cauchy_report_carries_degree_and_vars():
-    report = cauchy_check(2)
-    assert report.degree == 2 and report.ok
-    assert report.mismatch is None
+        assert cauchy_check(n) == len(partitions_of(n)) ** 2
 
 
 def test_cauchy_check_catches_a_perturbed_power_sum_coefficient(monkeypatch):
@@ -305,11 +298,10 @@ def test_cauchy_check_catches_a_perturbed_power_sum_coefficient(monkeypatch):
         return rec._replace(expansion=PowerSumExpr(terms))
 
     monkeypatch.setattr(symfunc, "jack", perturbed)
-    report = cauchy_check(3)
-    assert not report.ok and report.degree == 3
-    rho, sigma, lhs, rhs = report.mismatch
-    assert rho.weight == sigma.weight == 3
-    assert Partition((3,)) in (rho, sigma) and lhs != rhs
+    # The message names the first differing pair (rho, sigma) before its colon.
+    pair_with_p3 = r"\([^:]*\(3,\)[^:]*\)"
+    with pytest.raises(RouteMismatchError, match=rf"^Cauchy kernel at degree 3 at {pair_with_p3}:"):
+        cauchy_check(3)
 
 
 def test_cleared_norms_clear_every_norm():

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from mapchi import verify
+from mapchi.btutte import MapCountTable, map_count_table
+from mapchi.partitions import MapKey
 from mapchi.verify import (
     EXIT_CONJECTURE,
     EXIT_FAILURE,
     EXIT_OK,
     CheckResult,
     VerifyReport,
+    run_check,
     run_verify,
 )
 
@@ -69,3 +73,19 @@ def test_exit_code_policy():
         == EXIT_FAILURE
     )
     assert VerifyReport([_result("xi-map-route", "skip")]).exit_code == EXIT_OK
+
+
+def test_a_corrupted_table_row_fails_every_check_that_reads_it(monkeypatch):
+    """Raising one small row's b^0 coefficient by one is caught by the
+    reference table, the Jack route and the orientable census alike."""
+    table = map_count_table(4)
+    key = MapKey((0, 0, 2), 1, 3)
+    entries = dict(table.entries)
+    entries[key] = entries[key] + 1
+    monkeypatch.setattr(verify, "map_count_table", lambda n: MapCountTable(entries, table.max_n))
+    checks = dict(verify.CHECKS)
+    for name in ("reference-counts", "series-invariants", "rooted-oracle-agreement"):
+        result = run_check(name, checks[name], 4)
+        assert result.status == "fail", name
+        assert result.detail.startswith("RouteMismatchError: "), result.detail
+        assert f" at {key}: " in result.detail, result.detail
