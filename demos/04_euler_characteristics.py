@@ -42,17 +42,17 @@ for g, s in ((1, 1), (2, 1), (2, 2), (3, 1)):
     print(f"  (g={g}, s={s}): {tuple(str(v) for v in lam)}")
 
 print("\nEuler characteristics of moduli spaces:")
-print(f"  real    (g=2, s=1): {chi_real(2, 1).value}")
-print(f"  real    (g=1, s=0): {chi_real(1, 0).value}")
-print(f"  complex (g=1, s=1): {chi_complex(1, 1).value}")
-print(f"  complex (g=3, s=1): {chi_complex(3, 1).value}")
-print(f"  complex (g=5, s=1): {chi_complex(5, 1).value}")
+print(f"  real    (g=2, s=1): {chi_real(2, 1)}")
+print(f"  real    (g=1, s=0): {chi_real(1, 0)}")
+print(f"  complex (g=1, s=1): {chi_complex(1, 1)}")
+print(f"  complex (g=3, s=1): {chi_complex(3, 1)}")
+print(f"  complex (g=5, s=1): {chi_complex(5, 1)}")
 
 # With fixed curves: m = 0 recovers the two specializations above.
 v = chi_fixed_curves(2, 1, 1, separating=True)
-print(f"  fixed separating (g=2, s=1, m=1): {v.value}")
-assert chi_fixed_curves(2, 1, 0, separating=False).value == chi_real(2, 1).value
-assert chi_fixed_curves(3, 1, 0, separating=True).value == chi_complex(3, 1).value
+print(f"  fixed separating (g=2, s=1, m=1): {v}")
+assert chi_fixed_curves(2, 1, 0, separating=False) == chi_real(2, 1)
+assert chi_fixed_curves(3, 1, 0, separating=True) == chi_complex(3, 1)
 print("  m=0 reductions agree with the real/complex values.")
 
 # gamma = 1 on even g vanishes identically; the odd-g values alternate with

@@ -31,8 +31,9 @@ EXIT_FAILURE = 2
 EXIT_CONJECTURE = 3
 
 #: Largest truncation of `btutte.map_count_table`: the 10-edge table (6454
-#: rows) takes 0.32-0.40 s in process (2 vCPUs, Python 3.11.7), and each
-#: further edge two to three times as much.
+#: rows) took 0.28-0.53 s in process, median 0.41 s, over 20 fresh processes
+#: (2 vCPUs, Python 3.11.7), and each further edge takes two to three times
+#: as much.
 MAX_EDGE_TRUNCATION = 10
 
 
@@ -117,7 +118,6 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "INV_GAMMA",
-            "ChiValue",
             "LambdaTriple",
             "ParityError",
             "chi_complex",

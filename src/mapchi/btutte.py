@@ -40,7 +40,11 @@ off one such value.
 `moment` and `cumulant` memoize every value they reach for the life of the
 process.  Building `map_count_table(10)` in a fresh process leaves 2814
 `moment` and 2713 `cumulant` entries and peaks at 22.5 MB resident, against
-13.1 MB for the bare interpreter (2 vCPUs, Python 3.11.7).
+13.1 MB for the bare interpreter (2 vCPUs, Python 3.11.7).  The
+`cumulant` memo carries the build: without it the same table took
+1.9-3.5 s over 7 fresh processes instead of 0.28-0.53 s over 20, at
+21.7 MB peak instead of 22.5 MB, so it costs under 1 MB.  The memory the
+memos hold past 10 edges is mostly the `moment` cache's.
 
 >>> cumulant((2,), 3, 5)  # N^2 + N b
 24
@@ -237,7 +241,6 @@ class NonnegativityViolation(NamedTuple):
     """The first negative b-coefficient of one table entry."""
 
     key: MapKey
-    poly: UniPoly
     degree: int
     coefficient: int
 
@@ -250,11 +253,8 @@ def nonneg_report(table: MapCountTable) -> list[NonnegativityViolation]:
     """
     violations = []
     for key in table.keys_sorted():
-        poly = table.entries[key]
-        for deg, c in enumerate(poly.coeffs):
+        for deg, c in enumerate(table.entries[key].coeffs):
             if c < 0:
-                violations.append(
-                    NonnegativityViolation(key=key, poly=poly, degree=deg, coefficient=c)
-                )
+                violations.append(NonnegativityViolation(key=key, degree=deg, coefficient=c))
                 break
     return violations

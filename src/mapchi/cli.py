@@ -189,17 +189,17 @@ def cmd_euler_chi(args) -> int:
         value = chi_fixed_curves(args.g, args.s, args.m, separating=args.separating)
     if args.format == "json":
         payload: dict[str, object] = {
-            "variant": value.variant,
-            "g": value.g,
-            "s": value.s,
-            "value": str(value.value),
+            "variant": "fixed-curves" if args.variant == "fixed" else args.variant,
+            "g": args.g,
+            "s": args.s,
+            "value": str(value),
         }
-        if value.m is not None:
-            payload["m"] = value.m
-            payload["separating"] = value.separating
+        if args.variant == "fixed":
+            payload["m"] = args.m
+            payload["separating"] = args.separating
         _print_json(payload)
     else:
-        print(str(value.value))
+        print(str(value))
     return 0
 
 
@@ -290,7 +290,7 @@ def cmd_oracle_glue(args) -> int:
     ]
     if args.format == "json":
         payload: dict[str, object] = {
-            "sides": list(census.sides),
+            "sides": list(args.sides),
             "edges": census.edge_count,
             "raw_count": census.raw_count,
             "connected_count": census.connected_count,
@@ -306,7 +306,7 @@ def cmd_oracle_glue(args) -> int:
         _print_json(payload)
     else:
         print(
-            f"polygons {list(census.sides)}: {census.raw_count} gluings, "
+            f"polygons {list(args.sides)}: {census.raw_count} gluings, "
             f"{census.connected_count} connected"
         )
         for cls in classes:

@@ -52,11 +52,6 @@ class ParityError(ValueError):
     """Separating fixed curves require g - m + 1 to be even."""
 
 
-def gamma_poly(coeffs) -> UniPoly:
-    """A polynomial in 1/gamma from a coefficient sequence."""
-    return UniPoly(INV_GAMMA, [Fraction(c) for c in coeffs])
-
-
 def eval_at_gamma(poly: UniPoly, gamma: Fraction) -> Fraction:
     """Evaluate a polynomial in 1/gamma at a rational gamma."""
     if poly.var != INV_GAMMA:
@@ -297,17 +292,6 @@ def lambda_values(g: int, s: int) -> LambdaTriple:
     return LambdaTriple(total=lam, orientable=lam_o, nonorientable=lam - lam_o)
 
 
-class ChiValue(NamedTuple):
-    """An Euler characteristic with its defining indices."""
-
-    value: Fraction
-    g: int
-    s: int
-    variant: str
-    m: int | None = None
-    separating: bool | None = None
-
-
 _CHI_REAL_SPECIALS: dict[tuple[int, int], Fraction] = {
     (1, 0): Fraction(1, 2),
     (0, 0): Fraction(1),
@@ -315,7 +299,7 @@ _CHI_REAL_SPECIALS: dict[tuple[int, int], Fraction] = {
 }
 
 
-def chi_real(g: int, s: int) -> ChiValue:
+def chi_real(g: int, s: int) -> Fraction:
     """Euler characteristic of the real (fixed-point-free involution) moduli space.
 
     For g >= 1 and g + s > 1:
@@ -323,49 +307,48 @@ def chi_real(g: int, s: int) -> ChiValue:
     with tabulated special values at (1,0), (0,0), (0,1) and zero for
     (0, s >= 2).
 
-    >>> chi_real(1, 0).value
+    >>> chi_real(1, 0)
     Fraction(1, 2)
-    >>> chi_real(2, 1).value
+    >>> chi_real(2, 1)
     Fraction(-1, 12)
     """
     if g < 0 or s < 0:
         raise ValueError("indices must be nonnegative")
     if (g, s) in _CHI_REAL_SPECIALS:
-        return ChiValue(_CHI_REAL_SPECIALS[(g, s)], g, s, "real")
+        return _CHI_REAL_SPECIALS[(g, s)]
     if g == 0:
-        return ChiValue(Fraction(0), g, s, "real")
-    value = (
+        return Fraction(0)
+    return (
         Fraction(-2) ** (s - 1)
         * (1 - 2 ** (g - 1))
         * Fraction(math.factorial(g + s - 2), math.factorial(g))
         * bernoulli(g)
     )
-    return ChiValue(Fraction(value), g, s, "real")
 
 
-def chi_real_from_lambda(g: int, s: int) -> ChiValue:
+def chi_real_from_lambda(g: int, s: int) -> Fraction:
     """chi of the real moduli space as 2^{s-1} Lambda^N, checked against chi_real."""
     value = 2 ** (s - 1) * lambda_values(g, s).nonorientable
-    check_agreement(f"chi_real({g},{s})", "Lambda route", value, "formula", chi_real(g, s).value)
-    return ChiValue(Fraction(value), g, s, "real")
+    check_agreement(f"chi_real({g},{s})", "Lambda route", value, "formula", chi_real(g, s))
+    return value
 
 
-def chi_complex(g: int, s: int) -> ChiValue:
+def chi_complex(g: int, s: int) -> Fraction:
     """Euler characteristic of the moduli space of complex curves.
 
     Lambda^O = xi^s_g(1), from `lambda_values`, which checks its closed
     form: zero for even g; for odd g
         chi = (-1)^s (g+s-2)! B_{g+1} / ((g+1) (g-1)!).
 
-    >>> chi_complex(1, 1).value
+    >>> chi_complex(1, 1)
     Fraction(-1, 12)
-    >>> chi_complex(3, 1).value
+    >>> chi_complex(3, 1)
     Fraction(1, 120)
     """
-    return ChiValue(lambda_values(g, s).orientable, g, s, "complex")
+    return lambda_values(g, s).orientable
 
 
-def chi_fixed_curves(g: int, s: int, m: int, separating: bool) -> ChiValue:
+def chi_fixed_curves(g: int, s: int, m: int, separating: bool) -> Fraction:
     """Euler characteristic for involutions with m fixed curves.
 
     Non-separating fixed-curve system (m <= g):
@@ -373,7 +356,7 @@ def chi_fixed_curves(g: int, s: int, m: int, separating: bool) -> ChiValue:
     Separating (g-m+1 even, g-m-1 >= 0):
         chi = (-1)^{s+m} ((g-m+s-2)! / (m! (g-m+1) (g-m-1)!)) B_{g-m+1}.
 
-    >>> chi_fixed_curves(2, 1, 1, separating=True).value
+    >>> chi_fixed_curves(2, 1, 1, separating=True)
     Fraction(1, 12)
     """
     check_indices(g, s, f"chi({g},{s}) with {m} fixed curves")
@@ -384,17 +367,15 @@ def chi_fixed_curves(g: int, s: int, m: int, separating: bool) -> ChiValue:
             raise ParityError(f"g-m+1 = {g - m + 1} must be even for separating curves")
         if g - m - 1 < 0:
             raise ValueError("separating case needs g - m - 1 >= 0")
-        value = Fraction(
+        return Fraction(
             (-1) ** (s + m) * math.factorial(g - m + s - 2),
             math.factorial(m) * (g - m + 1) * math.factorial(g - m - 1),
         ) * bernoulli(g - m + 1)
-    else:
-        if m > g:
-            raise ValueError("non-separating case needs m <= g")
-        value = (
-            Fraction(-2) ** (s + m - 1)
-            * (1 - Fraction(2) ** (g - m - 1))
-            * Fraction(math.factorial(g + s - 2), math.factorial(m) * math.factorial(g - m))
-            * bernoulli(g - m)
-        )
-    return ChiValue(Fraction(value), g, s, "fixed-curves", m=m, separating=separating)
+    if m > g:
+        raise ValueError("non-separating case needs m <= g")
+    return (
+        Fraction(-2) ** (s + m - 1)
+        * (1 - Fraction(2) ** (g - m - 1))
+        * Fraction(math.factorial(g + s - 2), math.factorial(m) * math.factorial(g - m))
+        * bernoulli(g - m)
+    )

@@ -212,8 +212,7 @@ class GlueCensus:
     filled by `glue_census`.
     """
 
-    def __init__(self, sides: tuple[int, ...], edge_count: int):
-        self.sides = sides
+    def __init__(self, edge_count: int):
         self.edge_count = edge_count
         self.raw_count = 0
         self.connected_count = 0
@@ -266,7 +265,7 @@ def glue_census(*sides: int, collect_patterns: bool = False) -> GlueCensus:
     4
     """
     edges, gluings = _gluings(sides)
-    census = GlueCensus(sides=sides, edge_count=edges)
+    census = GlueCensus(edge_count=edges)
     for pairs, twists, out in gluings:
         census.raw_count += 1
         if not out.connected:

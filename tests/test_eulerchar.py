@@ -22,7 +22,6 @@ from mapchi.eulerchar import (
     chi_real,
     chi_real_from_lambda,
     eval_at_gamma,
-    gamma_poly,
     lambda_values,
     logW_series,
     xi_closed,
@@ -171,7 +170,7 @@ def test_eval_at_gamma():
     xi = xi_closed(1, 1)
     assert eval_at_gamma(xi, Fraction(1, 2)) == Fraction(-1, 12)
     assert eval_at_gamma(xi, Fraction(1)) == Fraction(-1, 12)
-    assert eval_at_gamma(gamma_poly((0, 1)), Fraction(1, 3)) == 3
+    assert eval_at_gamma(UniPoly(INV_GAMMA, (0, 1)), Fraction(1, 3)) == 3
     with pytest.raises(ValueError):
         eval_at_gamma(UniPoly("b", (1,)), Fraction(1))
 
@@ -197,12 +196,12 @@ def test_lambda_values():
 
 
 def test_chi_real_values():
-    assert chi_real(1, 0).value == Fraction(1, 2)
-    assert chi_real(0, 0).value == 1
-    assert chi_real(0, 1).value == 1
-    assert chi_real(0, 5).value == 0
-    assert chi_real(2, 1).value == Fraction(-1, 12)
-    assert chi_real(3, 1).value == 0  # odd g >= 3 kills B_g
+    assert chi_real(1, 0) == Fraction(1, 2)
+    assert chi_real(0, 0) == 1
+    assert chi_real(0, 1) == 1
+    assert chi_real(0, 5) == 0
+    assert chi_real(2, 1) == Fraction(-1, 12)
+    assert chi_real(3, 1) == 0  # odd g >= 3 kills B_g
     with pytest.raises(ValueError):
         chi_real(-1, 0)
 
@@ -210,35 +209,54 @@ def test_chi_real_values():
 def test_chi_real_lambda_route():
     for g in range(1, 9):
         for s in range(1, 4):
-            assert chi_real_from_lambda(g, s).value == chi_real(g, s).value
+            assert chi_real_from_lambda(g, s) == chi_real(g, s)
     with pytest.raises(ValueError):
         chi_real_from_lambda(1, 0)
 
 
 def test_chi_complex_values():
-    assert chi_complex(1, 1).value == Fraction(-1, 12)
-    assert chi_complex(3, 1).value == Fraction(1, 120)
-    assert chi_complex(5, 1).value == Fraction(-1, 252)
+    assert chi_complex(1, 1) == Fraction(-1, 12)
+    assert chi_complex(3, 1) == Fraction(1, 120)
+    assert chi_complex(5, 1) == Fraction(-1, 252)
     for g in (2, 4, 6):
-        assert chi_complex(g, 1).value == 0
+        assert chi_complex(g, 1) == 0
     for g in range(1, 8):
         for s in range(1, 4):
-            assert chi_complex(g, s).value == eval_at_gamma(xi_closed(g, s), Fraction(1))
+            assert chi_complex(g, s) == eval_at_gamma(xi_closed(g, s), Fraction(1))
 
 
 def test_chi_fixed_curves_values():
-    assert chi_fixed_curves(2, 1, 1, separating=True).value == Fraction(1, 12)
-    assert chi_fixed_curves(3, 1, 1, separating=False).value == Fraction(1, 3)
+    assert chi_fixed_curves(2, 1, 1, separating=True) == Fraction(1, 12)
+    assert chi_fixed_curves(3, 1, 1, separating=False) == Fraction(1, 3)
 
 
 def test_chi_fixed_curves_reduces_at_m_zero():
     for g in range(1, 7):
         for s in range(1, 4):
             nonsep = chi_fixed_curves(g, s, 0, separating=False)
-            assert nonsep.value == chi_real(g, s).value
+            assert nonsep == chi_real(g, s)
             if (g + 1) % 2 == 0:
                 sep = chi_fixed_curves(g, s, 0, separating=True)
-                assert sep.value == chi_complex(g, s).value
+                assert sep == chi_complex(g, s)
+
+
+@pytest.mark.parametrize(
+    "chi, args, expected",
+    [
+        (chi_real, (1, 0), Fraction(1, 2)),
+        (chi_real, (0, 5), Fraction(0)),
+        (chi_real, (4, 0), Fraction(-7, 720)),
+        (chi_real_from_lambda, (4, 3), Fraction(14, 3)),
+        (chi_complex, (2, 1), Fraction(0)),
+        (chi_complex, (3, 1), Fraction(1, 120)),
+        (chi_fixed_curves, (2, 1, 1, True), Fraction(1, 12)),
+        (chi_fixed_curves, (3, 1, 1, False), Fraction(1, 3)),
+    ],
+)
+def test_chi_functions_return_plain_fractions(chi, args, expected):
+    value = chi(*args)
+    assert type(value) is Fraction
+    assert value == expected
 
 
 def test_chi_fixed_curves_guards():
@@ -250,9 +268,3 @@ def test_chi_fixed_curves_guards():
         chi_fixed_curves(2, 1, 3, separating=False)  # m > g
     with pytest.raises(ValueError):
         chi_fixed_curves(0, 1, 0, separating=False)
-
-
-def test_chi_value_metadata():
-    v = chi_fixed_curves(2, 1, 1, separating=True)
-    assert (v.g, v.s, v.m, v.separating, v.variant) == (2, 1, 1, True, "fixed-curves")
-    assert chi_real(2, 1).variant == "real"
