@@ -43,8 +43,9 @@ print("  all surfaces (b=1):", [
 same = extract_map_counts(map_series(3)).entries == table.entries
 print(f"\nJack partition sum gives the same table: {same}")
 
-# Each row also respects the surface constraints: the b-degree is bounded by
-# the crosscap budget 2 - chi.
+# Each row at b = alpha - 1 is its own alpha <-> 1/alpha dual at its Euler
+# genus k = 2 - chi (verify.alpha_dual): its alpha-coefficients satisfy
+# p_i = (-1)^k p_{k-i}.  So its b-degree is at most k, the crosscap budget.
 key = max(table.keys_sorted(), key=lambda k: table[k].degree)
 chi = key.euler_characteristic
 print(f"\nDeepest row {list(key.i)}, j={key.j}, n={key.n}: chi={chi}, "

@@ -29,7 +29,10 @@ print(f"xi^1_1 closed form : {poly_str(xi11)}")
 print(f"xi^1_1 from log W  : {poly_str(xi_from_logW(1, 1))}")
 print(f"xi^1_1 from maps   : {poly_str(xi_from_maps(1, 1))}")
 
-# A sweep of closed forms.  Even g has degree g, odd g degree g+1.
+# A sweep of closed forms.  Even g has degree g, odd g degree g+1.  Each is
+# its own alpha <-> 1/alpha dual at k = g + 1 in alpha = 1/gamma, so the
+# coefficients of alpha^r and alpha^{g+1-r} agree up to the sign (-1)^{g+1},
+# and even g has no constant term.
 print("\nxi^1_g for g = 1..5:")
 for g in range(1, 6):
     print(f"  g={g}: {poly_str(xi_closed(g, 1))}")

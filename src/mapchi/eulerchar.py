@@ -165,7 +165,11 @@ def xi_closed(g: int, s: int) -> UniPoly:
              + sum_{r=0}^{g+1} C(g+1, r) B_{g+1-r} B_r (1/gamma)^r ].
 
     The result has degree g for even g and degree g+1 for odd g (the top
-    coefficient is then a nonzero multiple of B_{g+1}).
+    coefficient is then a nonzero multiple of B_{g+1}).  In alpha = 1/gamma
+    it is its own alpha <-> 1/alpha dual at k = g + 1 (`verify.alpha_dual`):
+    alpha^{g+1} xi(1/alpha) = (-1)^{g+1} xi(alpha), so its coefficients
+    satisfy c_r = (-1)^{g+1} c_{g+1-r}.  At even g that makes c_0 = -c_{g+1}
+    = 0 and, at alpha = 1, Lambda^O = xi(1) = -xi(1) = 0.
 
     >>> xi_closed(1, 1).coeffs
     (Fraction(1, 12), Fraction(-1, 4), Fraction(1, 12))

@@ -3,11 +3,12 @@
 Each check re-derives a slice of the package's output by an independent
 route and fails loudly on any disagreement.  Every comparison of two
 routes, or of a route with tabulated values, goes through
-`check_agreement`; `_require` states only invariants (bounds, parity,
-nonzero values, order).  Results are collected rather than raised so a
-single run reports every broken invariant.  Exit-code
-policy: 0 when everything passes, 3 when the only failures are violations
-of the (conjectural) coefficient-nonnegativity report, 2 otherwise.
+`check_agreement`; `_require` states only invariants (the alpha <-> 1/alpha
+duality of `alpha_dual`, bounds, nonzero values, order).  Results are
+collected rather than raised so a single run reports every broken
+invariant.  Exit-code policy: 0 when everything passes, 3 when the only
+failures are violations of the (conjectural) coefficient-nonnegativity
+report, 2 otherwise.
 """
 
 from __future__ import annotations
@@ -229,6 +230,33 @@ def _require(condition: bool, message: str) -> None:
         raise CheckFailure(message)
 
 
+def alpha_dual(poly: UniPoly, k: int) -> UniPoly:
+    """(-1)^k alpha^k P(1/alpha) for P = `poly`, keeping only degrees 0..k.
+
+    The Gaussian beta-ensemble is dual under beta <-> 4/beta, that is
+    alpha <-> 1/alpha (Desrosiers 2009, Nucl. Phys. B 817).  A map-count row
+    at b = alpha - 1 is its own dual at k = 2 - chi, its Euler genus, and
+    xi^s_g in alpha = 1/gamma at k = g + 1.  ``poly == alpha_dual(poly, k)``
+    holds exactly when P has degree <= k and coefficients
+    p_i = (-1)^k p_{k-i}.  For a nonzero P that implies k >= 0 (the Euler
+    bound), degree <= k (the crosscap bound, so sphere rows are b-free) and,
+    for odd k, P(1) = 0 (no orientable maps, b = 0, at odd chi).
+
+    The row 1 + b + 3b^2 (one vertex, one face, two edges: the torus or
+    the Klein bottle, k = 2) is 3 - 5 alpha + 3 alpha^2 at b = alpha - 1:
+
+    >>> row = UniPoly("b", (1, 1, 3)).compose(UniPoly(arith.ALPHA, (-1, 1)))
+    >>> row.coeffs, alpha_dual(row, 2) == row
+    ((3, -5, 3), True)
+
+    Degrees above k, and every degree when k < 0, are dropped:
+
+    >>> alpha_dual(row, 1).coeffs, alpha_dual(row, -1).coeffs
+    ((5, -3), ())
+    """
+    return UniPoly(poly.var, [(-1) ** k * poly.coeff(k - i) for i in range(k + 1)])
+
+
 # ---------------------------------------------------------------------------
 # Individual checks
 # ---------------------------------------------------------------------------
@@ -404,20 +432,14 @@ def _check_series_invariants(max_edges: int) -> str:
     check_agreement("map counts", "recursion", recursion_rows, "Jack route", jack_rows)
     sums_orientable: dict[int, int] = {}
     sums_all: dict[int, int] = {}
+    b_at_alpha = UniPoly(arith.ALPHA, (-1, 1))  # b = alpha - 1
     for key, poly in table.entries.items():
-        chi = key.euler_characteristic
-        _require(chi <= 2, f"{key} exceeds the Euler bound")
+        genus = 2 - key.euler_characteristic
+        at_alpha = poly.compose(b_at_alpha)
         _require(
-            poly.degree <= 2 - chi,
-            f"{key} has b-degree {poly.degree} above the crosscap bound {2 - chi}",
+            at_alpha == alpha_dual(at_alpha, genus),
+            f"{key} row {poly} breaks the alpha <-> 1/alpha duality at k = {genus}",
         )
-        if chi == 2:
-            _require(poly.degree == 0, f"sphere row {key} is not b-free")
-        if chi % 2:
-            _require(
-                not poly.coeff(0),
-                f"odd Euler characteristic {key} reports orientable maps",
-            )
         sums_orientable[key.n] = sums_orientable.get(key.n, 0) + poly.eval(0)
         sums_all[key.n] = sums_all.get(key.n, 0) + poly.eval(1)
     for b, sums, totals in (
@@ -440,8 +462,9 @@ def _check_series_invariants(max_edges: int) -> str:
     )
     return (
         f"the recursion equals the Jack route row for row through n={reach}; "
-        f"Euler, crosscap, parity and column-sum invariants, {hz_rows} "
-        f"Harer-Zagier rows and {slicings} slicing rows hold to n={table.max_n}"
+        f"the alpha <-> 1/alpha duality on {len(table.entries)} rows, the "
+        f"column sums, {hz_rows} Harer-Zagier rows and {slicings} slicing rows "
+        f"hold to n={table.max_n}"
     )
 
 
@@ -511,11 +534,16 @@ def _check_xi_routes(max_edges: int) -> str:
                 xi.degree == expected_degree,
                 f"xi({g},{s}) has degree {xi.degree}, expected {expected_degree}",
             )
-            if g % 2 == 0:
-                _require(not xi.coeff(0), f"xi({g},{s}) has a constant term")
+            _require(
+                xi == alpha_dual(xi, g + 1),
+                f"xi({g},{s}) breaks the alpha <-> 1/alpha duality at k = {g + 1}",
+            )
     expected_11 = UniPoly(INV_GAMMA, (Fraction(1, 12), Fraction(-1, 4), Fraction(1, 12)))
     check_agreement("xi(1,1)", "closed form", xi_closed(1, 1), "tabulated", expected_11)
-    return "closed and series routes agree for g <= 20, s <= 20"
+    return (
+        "closed and series routes agree and are alpha <-> 1/alpha dual "
+        "for g <= 20, s <= 20"
+    )
 
 
 def _check_xi_map_route(max_edges: int) -> str:

@@ -11,6 +11,7 @@ import mapchi.maporacle
 import mapchi.mapseries
 import mapchi.partitions
 import mapchi.symfunc
+import mapchi.verify
 
 MODULES = (
     mapchi.arith,
@@ -20,6 +21,7 @@ MODULES = (
     mapchi.mapseries,
     mapchi.eulerchar,
     mapchi.maporacle,
+    mapchi.verify,
 )
 
 

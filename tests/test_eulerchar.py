@@ -28,6 +28,7 @@ from mapchi.eulerchar import (
     xi_from_logW,
     xi_from_maps,
 )
+from mapchi.verify import alpha_dual
 
 
 def test_logW_first_order_coefficient():
@@ -68,15 +69,15 @@ def test_xi_closed_known_values():
 
 
 def test_xi_degree_law():
-    """Degree g for even g, degree g+1 for odd g, with predictable top term."""
+    """Degree g for even g, degree g+1 for odd g, with predictable top term;
+    its own alpha <-> 1/alpha dual at k = g + 1 in alpha = 1/gamma."""
     for g in range(1, 9):
         for s in range(1, 4):
             xi = xi_closed(g, s)
             assert xi.var == "1/gamma"
+            assert xi == alpha_dual(xi, g + 1)
             if g % 2 == 0:
                 assert xi.degree == g
-                assert xi.coeff(0) == 0
-                assert xi.coeff(g) == -xi.coeff(1)
                 assert all(xi.coeff(k) == 0 for k in range(2, g))
             else:
                 assert xi.degree == g + 1

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from mapchi.arith import AlphaFn, UniPoly
+from mapchi.arith import ALPHA, AlphaFn, UniPoly
 from mapchi.btutte import (
     ExtractionError,
     MapCountTable,
@@ -22,6 +22,7 @@ from mapchi.verify import (
     REFERENCE_COUNTS,
     ROOTED_TOTALS_ALL,
     ROOTED_TOTALS_ORIENTABLE,
+    alpha_dual,
     harer_zagier_rows,
     rooted_orientable_totals,
     slicing_rows,
@@ -157,17 +158,13 @@ def test_mapkey_euler_characteristic():
 
 
 def test_table_rows_satisfy_surface_constraints():
-    """Euler bound, crosscap degree bound, orientable rows free of b."""
-    table = map_count_table(3)
-    for key, poly in table.entries.items():
-        chi = key.euler_characteristic
-        assert chi <= 2
-        assert poly.degree <= 2 - chi
-        if chi == 2:
-            assert poly.degree <= 0
-        if chi % 2:
-            assert poly.coeff(0) == 0
-        assert all(c.denominator == 1 and c >= 0 for c in poly.coeffs)
+    """Every row through 10 edges, at b = alpha - 1, is its own alpha <-> 1/alpha
+    dual at its Euler genus 2 - chi; that implies the Euler and crosscap
+    bounds, b-free sphere rows and no orientable maps at odd chi."""
+    b_at_alpha = UniPoly(ALPHA, (-1, 1))
+    for key, poly in map_count_table(10).entries.items():
+        at_alpha = poly.compose(b_at_alpha)
+        assert at_alpha == alpha_dual(at_alpha, 2 - key.euler_characteristic), (key, poly)
 
 
 def test_nonneg_report_empty_for_real_counts():

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from mapchi import verify
+from mapchi.arith import UniPoly
 from mapchi.btutte import MapCountTable, map_count_table
+from mapchi.eulerchar import INV_GAMMA
 from mapchi.partitions import MapKey
 from mapchi.verify import (
     EXIT_CONJECTURE,
@@ -89,3 +91,34 @@ def test_a_corrupted_table_row_fails_every_check_that_reads_it(monkeypatch):
         assert result.status == "fail", name
         assert result.detail.startswith("RouteMismatchError: "), result.detail
         assert f" at {key}: " in result.detail, result.detail
+
+
+def test_a_row_corrupted_at_its_b0_and_b1_values_breaks_the_duality(monkeypatch):
+    """Adding b - b^2 to a 6-edge row keeps its b = 0 and b = 1 values and
+    its degree, so only the alpha <-> 1/alpha duality sees the change."""
+    table = map_count_table(6)
+    key = MapKey((0, 0, 0, 0, 0, 2), 1, 6)
+    entries = dict(table.entries)
+    entries[key] = entries[key] + UniPoly("b", (0, 1, -1))
+    assert entries[key].degree == table.entries[key].degree
+    monkeypatch.setattr(verify, "map_count_table", lambda n: MapCountTable(entries, table.max_n))
+    result = run_check("series-invariants", dict(verify.CHECKS)["series-invariants"], 6)
+    assert result.status == "fail"
+    assert result.detail.startswith("CheckFailure: "), result.detail
+    assert f"{key} row " in result.detail, result.detail
+
+
+def test_xi_routes_catch_a_term_that_keeps_degree_and_constant(monkeypatch):
+    """xi^1_2 + 1/gamma keeps degree 2 and no constant term, but is not
+    its own alpha <-> 1/alpha dual at k = 3."""
+    real = verify.xi_from_logW
+    shift = UniPoly.gen(INV_GAMMA)
+    monkeypatch.setattr(
+        verify, "xi_from_logW", lambda g, s: real(g, s) + shift if (g, s) == (2, 1) else real(g, s)
+    )
+    result = run_check("xi-routes", dict(verify.CHECKS)["xi-routes"], 1)
+    assert result.status == "fail"
+    assert result.detail == (
+        "CheckFailure: xi(2,1) breaks the alpha <-> 1/alpha duality at k = 3"
+    ), result.detail
+
