@@ -51,12 +51,13 @@ print(f"  complex (g=1, s=1): {chi_complex(1, 1)}")
 print(f"  complex (g=3, s=1): {chi_complex(3, 1)}")
 print(f"  complex (g=5, s=1): {chi_complex(5, 1)}")
 
-# With fixed curves: m = 0 recovers the two specializations above.
+# With fixed curves: cutting along the m curves leaves genus g - m, so at
+# m = 1 the values are the specializations above one genus down.
 v = chi_fixed_curves(2, 1, 1, separating=True)
 print(f"  fixed separating (g=2, s=1, m=1): {v}")
-assert chi_fixed_curves(2, 1, 0, separating=False) == chi_real(2, 1)
-assert chi_fixed_curves(3, 1, 0, separating=True) == chi_complex(3, 1)
-print("  m=0 reductions agree with the real/complex values.")
+assert v == -chi_complex(1, 1)
+assert chi_fixed_curves(3, 1, 1, separating=False) == chi_real(2, 2)
+print("  m=1 reductions agree with the real/complex values at genus g-1.")
 
 # gamma = 1 on even g vanishes identically; the odd-g values alternate with
 # the Bernoulli numbers.

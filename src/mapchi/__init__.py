@@ -123,7 +123,6 @@ _EXPORTS = {
             "chi_complex",
             "chi_fixed_curves",
             "chi_real",
-            "chi_real_from_lambda",
             "eval_at_gamma",
             "lambda_values",
             "logW_series",

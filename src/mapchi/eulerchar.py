@@ -256,42 +256,47 @@ class LambdaTriple(NamedTuple):
     nonorientable: Fraction  # Lambda^N     = Lambda - Lambda^O
 
 
+def _real_formula(g: int, s: int) -> Fraction:
+    """(-2)^{s-1} (1 - 2^{g-1}) ((g+s-2)!/g!) B_g, for g >= 0 and g + s >= 2.
+
+    >>> _real_formula(2, 1), _real_formula(0, 3)
+    (Fraction(-1, 12), Fraction(2, 1))
+    """
+    return (
+        Fraction(-2) ** (s - 1)
+        * (1 - Fraction(2) ** (g - 1))
+        * Fraction(math.factorial(g + s - 2), math.factorial(g))
+        * bernoulli(g)
+    )
+
+
+def _complex_formula(g: int, s: int) -> Fraction:
+    """(-1)^s (g+s-2)! B_{g+1} / ((g+1) (g-1)!) for odd g, 0 for even g; g, s >= 1."""
+    if g % 2 == 0:
+        return Fraction(0)
+    return Fraction(
+        (-1) ** s * math.factorial(g + s - 2), (g + 1) * math.factorial(g - 1)
+    ) * bernoulli(g + 1)
+
+
 def lambda_values(g: int, s: int) -> LambdaTriple:
-    """(Lambda, Lambda^O, Lambda^N), cross-checked against their closed forms.
+    """(Lambda, Lambda^O, Lambda^N), cross-checked against the two closed forms.
 
-    Lambda is xi at gamma = 1/2, Lambda^O is xi at gamma = 1.  Both are
-    re-derived from independent Bernoulli formulas:
-
-        even g:  Lambda = (-1)^s ((g+s-2)!/g!) (2^{g-1} - 1) B_g,
-                 Lambda^O = 0;
-        odd g:   Lambda = Lambda^O
-                        = (-1)^s ((g+s-2)! / ((g+1) (g-1)!)) B_{g+1}.
-
-    Any disagreement raises, since it would signal an implementation bug.
+    Lambda is xi at gamma = 1/2, Lambda^O is xi at gamma = 1.  The real
+    Euler characteristic 2^{s-1} Lambda^N must equal `chi_real` and the
+    complex one Lambda^O must equal `_complex_formula`; any disagreement
+    raises, since it would signal an implementation bug.
     """
     check_indices(g, s, f"Lambda({g},{s})")
     xi = xi_closed(g, s)
     lam = eval_at_gamma(xi, Fraction(1, 2))
     lam_o = eval_at_gamma(xi, Fraction(1))
-    if g % 2 == 0:
-        closed_lam = (
-            Fraction((-1) ** s * math.factorial(g + s - 2), math.factorial(g))
-            * (2 ** (g - 1) - 1)
-            * bernoulli(g)
-        )
-        closed_lam_o = Fraction(0)
-    else:
-        closed_lam = Fraction(
-            (-1) ** s * math.factorial(g + s - 2),
-            (g + 1) * math.factorial(g - 1),
-        ) * bernoulli(g + 1)
-        closed_lam_o = closed_lam
     check_agreement(
-        f"(Lambda, Lambda^O)({g},{s})",
+        f"(2^(s-1) Lambda^N, Lambda^O)({g},{s})",
         "evaluation",
-        (lam, lam_o),
+        (2 ** (s - 1) * (lam - lam_o), lam_o),
         "closed forms",
-        (closed_lam, closed_lam_o),
+        (chi_real(g, s), _complex_formula(g, s)),
     )
     return LambdaTriple(total=lam, orientable=lam_o, nonorientable=lam - lam_o)
 
@@ -306,10 +311,8 @@ _CHI_REAL_SPECIALS: dict[tuple[int, int], Fraction] = {
 def chi_real(g: int, s: int) -> Fraction:
     """Euler characteristic of the real (fixed-point-free involution) moduli space.
 
-    For g >= 1 and g + s > 1:
-        chi = (-2)^{s-1} (1 - 2^{g-1}) ((g+s-2)!/g!) B_g,
-    with tabulated special values at (1,0), (0,0), (0,1) and zero for
-    (0, s >= 2).
+    `_real_formula` for g >= 1 and g + s > 1, with tabulated special values
+    at (1,0), (0,0), (0,1) and zero for (0, s >= 2).
 
     >>> chi_real(1, 0)
     Fraction(1, 2)
@@ -321,28 +324,15 @@ def chi_real(g: int, s: int) -> Fraction:
     if (g, s) in _CHI_REAL_SPECIALS:
         return _CHI_REAL_SPECIALS[(g, s)]
     if g == 0:
-        return Fraction(0)
-    return (
-        Fraction(-2) ** (s - 1)
-        * (1 - 2 ** (g - 1))
-        * Fraction(math.factorial(g + s - 2), math.factorial(g))
-        * bernoulli(g)
-    )
-
-
-def chi_real_from_lambda(g: int, s: int) -> Fraction:
-    """chi of the real moduli space as 2^{s-1} Lambda^N, checked against chi_real."""
-    value = 2 ** (s - 1) * lambda_values(g, s).nonorientable
-    check_agreement(f"chi_real({g},{s})", "Lambda route", value, "formula", chi_real(g, s))
-    return value
+        return Fraction(0)  # chi_fixed_curves at m = g reads _real_formula(0, s) instead
+    return _real_formula(g, s)
 
 
 def chi_complex(g: int, s: int) -> Fraction:
     """Euler characteristic of the moduli space of complex curves.
 
-    Lambda^O = xi^s_g(1), from `lambda_values`, which checks its closed
-    form: zero for even g; for odd g
-        chi = (-1)^s (g+s-2)! B_{g+1} / ((g+1) (g-1)!).
+    Lambda^O = xi^s_g(1), from `lambda_values`, which checks it against
+    `_complex_formula`: zero for even g.
 
     >>> chi_complex(1, 1)
     Fraction(-1, 12)
@@ -355,10 +345,12 @@ def chi_complex(g: int, s: int) -> Fraction:
 def chi_fixed_curves(g: int, s: int, m: int, separating: bool) -> Fraction:
     """Euler characteristic for involutions with m fixed curves.
 
-    Non-separating fixed-curve system (m <= g):
-        chi = (-2)^{s+m-1} (1 - 2^{g-m-1}) ((g+s-2)! / (m! (g-m)!)) B_{g-m}.
-    Separating (g-m+1 even, g-m-1 >= 0):
-        chi = (-1)^{s+m} ((g-m+s-2)! / (m! (g-m+1) (g-m-1)!)) B_{g-m+1}.
+    Cutting along the m fixed curves leaves a quotient of genus g - m, so
+    each value is a closed form at shifted indices, divided by m!:
+    non-separating (m <= g) is `_real_formula(g - m, s + m) / m!`, and
+    separating (g-m+1 even, g-m-1 >= 0) is
+    `(-1)^m _complex_formula(g - m, s) / m!`.  At m = g the non-separating
+    value is the formula at genus 0, not `chi_real`'s tabulated zero there.
 
     >>> chi_fixed_curves(2, 1, 1, separating=True)
     Fraction(1, 12)
@@ -371,15 +363,7 @@ def chi_fixed_curves(g: int, s: int, m: int, separating: bool) -> Fraction:
             raise ParityError(f"g-m+1 = {g - m + 1} must be even for separating curves")
         if g - m - 1 < 0:
             raise ValueError("separating case needs g - m - 1 >= 0")
-        return Fraction(
-            (-1) ** (s + m) * math.factorial(g - m + s - 2),
-            math.factorial(m) * (g - m + 1) * math.factorial(g - m - 1),
-        ) * bernoulli(g - m + 1)
+        return (-1) ** m * _complex_formula(g - m, s) / math.factorial(m)
     if m > g:
         raise ValueError("non-separating case needs m <= g")
-    return (
-        Fraction(-2) ** (s + m - 1)
-        * (1 - Fraction(2) ** (g - m - 1))
-        * Fraction(math.factorial(g + s - 2), math.factorial(m) * math.factorial(g - m))
-        * bernoulli(g - m)
-    )
+    return _real_formula(g - m, s + m) / math.factorial(m)

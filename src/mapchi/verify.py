@@ -38,11 +38,10 @@ from .btutte import map_count_table, nonneg_report
 from .eulerchar import (
     INV_GAMMA,
     ParityError,
-    chi_complex,
     chi_fixed_curves,
     chi_real,
-    chi_real_from_lambda,
     lambda_edges,
+    lambda_values,
     xi_closed,
     xi_from_logW,
     xi_from_maps,
@@ -400,12 +399,6 @@ def _check_jack_conditions(max_edges: int) -> str:
                     not pairing,
                     f"<J_{rec.shape.parts}, J_{other.shape.parts}> = {pairing!r}",
                 )
-        if weight % 2:
-            for rec in records:
-                _require(
-                    not rec.p2coeff,
-                    f"odd weight {weight} has a pure-2 coefficient",
-                )
     return f"defining conditions hold for all shapes of weight <= {top}"
 
 
@@ -566,31 +559,12 @@ def _check_xi_map_route(max_edges: int) -> str:
 
 
 def _check_chi_identities(max_edges: int) -> str:
-    indices = [(g, s) for g in range(1, 11) for s in range(1, 5)]
-    for g, s in indices:
-        chi_real_from_lambda(g, s)  # raises unless 2^{s-1} Lambda^N and Lambda match
-    odd = [(g, s) for g, s in indices if g % 2]
-    check_agreement(
-        "chi with m=0 separating fixed curves",
-        "chi_fixed_curves",
-        {(g, s): chi_fixed_curves(g, s, 0, separating=True) for g, s in odd},
-        "chi_complex",
-        {(g, s): chi_complex(g, s) for g, s in odd},
-    )
-    check_agreement(
-        "chi with m=0 non-separating fixed curves",
-        "chi_fixed_curves",
-        {(g, s): chi_fixed_curves(g, s, 0, separating=False) for g, s in indices},
-        "chi_real",
-        {(g, s): chi_real(g, s) for g, s in indices},
-    )
-    check_agreement(
-        "chi with one separating fixed curve at (2,1)",
-        "chi_fixed_curves",
-        chi_fixed_curves(2, 1, 1, separating=True),
-        "tabulated",
-        Fraction(1, 12),
-    )
+    for g in range(1, 11):
+        for s in range(1, 5):
+            lambda_values(g, s)  # raises unless chi_real and the complex formula match
+    pins = {(2, 1, 1, True): Fraction(1, 12), (3, 1, 1, False): Fraction(1, 3)}
+    fixed = {key: chi_fixed_curves(*key) for key in pins}  # key: (g, s, m, separating)
+    check_agreement("chi with one fixed curve", "chi_fixed_curves", fixed, "tabulated", pins)
     specials = {(g, s): chi_real(g, s) for g, s in [(1, 0), *((0, s) for s in range(6))]}
     tabulated = {(1, 0): Fraction(1, 2), (0, 0): 1, (0, 1): 1}  # (0, s >= 2) read as 0
     check_agreement("chi_real at special indices", "chi_real", specials, "tabulated", tabulated)

@@ -20,7 +20,6 @@ from mapchi.eulerchar import (
     chi_complex,
     chi_fixed_curves,
     chi_real,
-    chi_real_from_lambda,
     eval_at_gamma,
     lambda_values,
     logW_series,
@@ -207,12 +206,16 @@ def test_chi_real_values():
         chi_real(-1, 0)
 
 
-def test_chi_real_lambda_route():
-    for g in range(1, 9):
-        for s in range(1, 4):
-            assert chi_real_from_lambda(g, s) == chi_real(g, s)
-    with pytest.raises(ValueError):
-        chi_real_from_lambda(1, 0)
+@pytest.mark.parametrize("formula", ["chi_real", "_complex_formula"])
+@pytest.mark.parametrize("call", [lambda_values, chi_complex])
+def test_a_wrong_closed_form_breaks_the_lambda_check(monkeypatch, call, formula):
+    """lambda_values compares (2^{s-1} Lambda^N, Lambda^O) with both closed forms."""
+    right = getattr(eulerchar, formula)
+    off = {(2, 1): Fraction(1, 7)}
+    monkeypatch.setattr(eulerchar, formula, lambda g, s: right(g, s) + off.get((g, s), 0))
+    with pytest.raises(RouteMismatchError, match=r"\(2,1\)"):
+        call(2, 1)
+    call(2, 2)
 
 
 def test_chi_complex_values():
@@ -231,14 +234,34 @@ def test_chi_fixed_curves_values():
     assert chi_fixed_curves(3, 1, 1, separating=False) == Fraction(1, 3)
 
 
-def test_chi_fixed_curves_reduces_at_m_zero():
+def test_chi_fixed_curves_reduces_by_cutting_along_the_curves():
+    """Every admissible m for g <= 13, s <= 7 but the non-separating m = g.
+
+    The separating side runs chi_complex through xi_closed at gamma = 1, a
+    second route to every separating value.
+    """
+    for g in range(1, 14):
+        for s in range(1, 8):
+            for m in range(g):
+                nonsep = chi_fixed_curves(g, s, m, separating=False)
+                assert nonsep == chi_real(g - m, s + m) / math.factorial(m)
+            for m in range(1 - g % 2, g, 2):  # g - m odd and at least 1
+                sep = chi_fixed_curves(g, s, m, separating=True)
+                assert sep == (-1) ** m * chi_complex(g - m, s) / math.factorial(m)
+
+
+def test_chi_fixed_curves_at_m_equal_g_reads_the_formula_not_the_tabulated_zero():
+    """The open edge of ROADMAP.md item 16: which of the two values is right.
+
+    Cutting along g non-separating curves leaves genus 0, where chi_real is
+    a tabulated 0, yet the fixed-curve value is the real formula there.
+    """
     for g in range(1, 7):
-        for s in range(1, 4):
-            nonsep = chi_fixed_curves(g, s, 0, separating=False)
-            assert nonsep == chi_real(g, s)
-            if (g + 1) % 2 == 0:
-                sep = chi_fixed_curves(g, s, 0, separating=True)
-                assert sep == chi_complex(g, s)
+        for s in range(1, 5):
+            value = chi_fixed_curves(g, s, g, separating=False)
+            assert value != 0
+            assert value == eulerchar._real_formula(0, s + g) / math.factorial(g)
+            assert chi_real(0, s + g) == 0
 
 
 @pytest.mark.parametrize(
@@ -247,7 +270,7 @@ def test_chi_fixed_curves_reduces_at_m_zero():
         (chi_real, (1, 0), Fraction(1, 2)),
         (chi_real, (0, 5), Fraction(0)),
         (chi_real, (4, 0), Fraction(-7, 720)),
-        (chi_real_from_lambda, (4, 3), Fraction(14, 3)),
+        (chi_real, (4, 3), Fraction(14, 3)),
         (chi_complex, (2, 1), Fraction(0)),
         (chi_complex, (3, 1), Fraction(1, 120)),
         (chi_fixed_curves, (2, 1, 1, True), Fraction(1, 12)),

@@ -255,10 +255,6 @@ DOMAIN = {
     "xi_from_maps": (lambda g, s: mapchi.xi_from_maps(g, s), "xi({g},{s})"),
     "lambda_values": (lambda g, s: mapchi.lambda_values(g, s), "Lambda({g},{s})"),
     "chi_complex": (lambda g, s: mapchi.chi_complex(g, s), "Lambda({g},{s})"),
-    "chi_real_from_lambda": (
-        lambda g, s: mapchi.chi_real_from_lambda(g, s),
-        "Lambda({g},{s})",
-    ),
     "chi_fixed_curves": (
         lambda g, s: mapchi.chi_fixed_curves(g, s, 0, separating=False),
         "chi({g},{s}) with 0 fixed curves",
