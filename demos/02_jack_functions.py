@@ -8,7 +8,7 @@ under the alpha-deformed inner product, triangularity over monomials in
 reverse-lex order, and the normalization [x_1...x_n] J = n!.
 """
 
-from mapchi import cauchy_check, inner_product, jack, partitions_of, poly_str
+from mapchi import cauchy_check, jack, partitions_of, poly_str
 
 
 def show(expr) -> str:
@@ -36,22 +36,14 @@ print(f"J_[2,1](1_x) has x-coefficients "
       f"{[poly_str(c) for c in rec.principal.coeffs]}")
 print(f"[p_(2,...)] J_[2,1] = {poly_str(rec.p2coeff)}  (odd weight, so zero)")
 
-# Orthogonality holds symbolically: the Gram matrix of weight 4 is diagonal.
-shapes = partitions_of(4)
-print("\nGram matrix at weight 4 (off-diagonal entries):")
-off_diagonal = [
-    inner_product(jack(a).expansion, jack(b).expansion)
-    for i, a in enumerate(shapes)
-    for b in shapes[i + 1 :]
-]
-print(f"  {len(off_diagonal)} pairings, all zero: {all(v == 0 for v in off_diagonal)}")
-
-# The Cauchy kernel reproduces the same structure from the product side:
-# prod (1 - x_i y_j)^(-1/alpha) expands as sum_theta J J / <J, J>.  In power
-# sums its degree-d part is sum_rho p_rho(x) p_rho(y) / (z_rho alpha^l(rho)),
-# so degree d is checked coefficient by coefficient of p_rho(x) p_sigma(y),
-# which holds in any number of variables.  cauchy_check raises on the first
-# pair (rho, sigma) that differs and returns how many pairs it compared.
-for degree in range(4):
+# The Gram matrix of the Jack functions and the Cauchy kernel are one
+# identity.  prod (1 - x_i y_j)^(-1/alpha) expands as sum_theta J J / <J, J>,
+# and its degree-d part in power sums is sum_rho p_rho(x) p_rho(y) /
+# (z_rho alpha^l(rho)).  Comparing coefficients of p_rho(x) p_sigma(y), in
+# any number of variables, that says exactly that <J_theta, J_sigma> is
+# the norm for theta = sigma and 0 otherwise.  cauchy_check compares the
+# pairs (theta, sigma) with sigma <= theta, raises on the first pair of
+# shapes that differs, and returns how many pairs it compared.
+for degree in range(5):
     pairs = cauchy_check(degree)
-    print(f"Cauchy identity, degree {degree} in power sums: agrees on {pairs} (rho, sigma) pairs")
+    print(f"Degree {degree}: <J_theta, J_sigma> is the norm or 0 on {pairs} (theta, sigma) pairs")

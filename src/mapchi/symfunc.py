@@ -489,41 +489,33 @@ def cauchy_check(n: int) -> int:
     """Verify the degree-n component of the Cauchy identity for Jack functions,
 
         prod_{i,j} (1 - x_i y_j)^(-1/alpha)
-            = sum_theta J_theta(x; alpha) J_theta(y; alpha) / <J_theta, J_theta>.
+            = sum_theta J_theta(x; alpha) J_theta(y; alpha) / <J_theta, J_theta>,
 
-    The product side is the reproducing kernel of the inner product; its
-    bigraded degree-(n, n) component is diagonal in power sums,
+    in its Gram form.  Let C hold the coefficients [p_rho] J_theta, N the
+    norms <J_theta, J_theta> on a diagonal and G = diag(z_rho alpha^l(rho)).
+    The products p_rho(x) p_sigma(y) are linearly independent, and the
+    product side's degree-(n, n) part is sum_rho p_rho(x) p_rho(y) / G_rho,
+    so the identity reads C^T N^-1 C = G^-1.  With N invertible, inverting
+    both sides shows it holds exactly when C G C^T = N, that is when
+    <J_theta, J_sigma> is the norm for theta = sigma and 0 otherwise: the
+    Cauchy identity and Jack orthogonality are one statement.
 
-        sum over partitions rho of n of  p_rho(x) p_rho(y) / (z_rho * alpha**length(rho)).
-
-    The products p_rho(x) p_sigma(y) are linearly independent, so with D the
-    lcm of the norms (`cleared_norms`) the identity holds exactly when
-
-        sum_theta [p_rho] J * [p_sigma] J * (D / <J, J>) * z_rho * alpha**length(rho)
-
-    is D for rho = sigma and 0 otherwise, an identity of integer
-    polynomials in alpha.  `check_agreement` compares the two sides and
-    raises `RouteMismatchError` naming the first pair (rho, sigma) where
-    they differ.  Returns the number of pairs compared, p(n)^2.
+    The Gram matrix is symmetric, so `check_agreement` compares it over the
+    pairs (theta, sigma) with sigma <= theta, an identity of integer
+    polynomials in alpha, and raises `RouteMismatchError` naming the first
+    pair of shapes where it differs from the norms.  Returns the number of
+    pairs compared, p(n)(p(n) + 1)/2.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
 
     shapes = partitions_of(n)
-    den, cleared = cleared_norms(shapes)
-    sums: dict[tuple[Partition, Partition], UniPoly] = {}
-    for theta in shapes:
-        terms = jack(theta).expansion.terms
-        for rho, c_rho in terms.items():
-            scaled = c_rho * cleared[theta]
-            for sigma, c_sigma in terms.items():
-                sums[rho, sigma] = sums.get((rho, sigma), 0) + scaled * c_sigma
-
-    jack_terms = {
-        (rho, sigma): sums.get((rho, sigma), 0) * UniPoly.monomial(ALPHA, rho.length, z_of(rho))
-        for rho in shapes
-        for sigma in shapes
+    records = {theta: jack(theta) for theta in shapes}
+    gram = {
+        (theta, sigma): inner_product(records[theta].expansion, records[sigma].expansion)
+        for i, theta in enumerate(shapes)
+        for sigma in shapes[i:]
     }
-    kernel = {(rho, rho): den for rho in shapes}
+    norms = {(theta, theta): rec.norm for theta, rec in records.items()}
     what = f"Cauchy kernel at degree {n}"
-    return check_agreement(what, "Jack side", jack_terms, "kernel", kernel)
+    return check_agreement(what, "<J_theta, J_sigma>", gram, "norm", norms)

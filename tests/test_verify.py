@@ -122,3 +122,21 @@ def test_xi_routes_catch_a_term_that_keeps_degree_and_constant(monkeypatch):
         "CheckFailure: xi(2,1) breaks the alpha <-> 1/alpha duality at k = 3"
     ), result.detail
 
+
+def test_jack_conditions_catch_a_principal_specialization_off_at_x_1_to_4(monkeypatch):
+    """Adding (x-1)(x-2)(x-3)(x-4) to J_(3,3) with every p_k -> x keeps its
+    values at x = 1..4, so only the whole polynomial identity sees it."""
+    solved = verify.jack
+    x = UniPoly.gen("x")
+    bump = (x - 1) * (x - 2) * (x - 3) * (x - 4)
+
+    def perturbed(shape):
+        rec = solved(shape)
+        if rec.shape != (3, 3):
+            return rec
+        return rec._replace(principal=rec.principal + bump)
+
+    monkeypatch.setattr(verify, "jack", perturbed)
+    result = run_check("jack-conditions", dict(verify.CHECKS)["jack-conditions"], 3)
+    assert result.status == "fail"
+    assert result.detail.startswith("RouteMismatchError: J_(3, 3) "), result.detail
