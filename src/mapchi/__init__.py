@@ -8,12 +8,12 @@ together with their classical specializations.  Independent closed-form and
 brute-force enumeration routes cross-check every number the package
 produces.
 
-The exit codes, the table's edge bound, the two errors that several layers
-raise, the one guard that refuses a request past a layer's edge reach
-(`check_truncation`), the one guard that refuses indices outside
-g, s >= 1 (`check_indices`) and the one guard that compares two routes
-(`check_agreement`) live here, so any layer can use them without loading
-another.  The other public names are imported from their submodule on
+The exit codes, the table's edge bound, the Jack weight bound, the two
+errors that several layers raise, the one guard that refuses a request
+past a layer's edge reach (`check_truncation`), the one guard that refuses
+indices outside g, s >= 1 (`check_indices`) and the one guard that
+compares two routes (`check_agreement`) live here, so any layer can use
+them without loading another.  The other public names are imported from their submodule on
 first access, so ``import mapchi`` alone loads no submodule and each
 command of the ``mapchi`` script pays only for the layers it runs.
 """
@@ -35,6 +35,15 @@ EXIT_CONJECTURE = 3
 #: (2 vCPUs, Python 3.11.7), and each further edge takes two to three times
 #: as much.
 MAX_EDGE_TRUNCATION = 10
+
+#: Largest Jack weight, the top weight that `verify-all`'s `jack-conditions`
+#: and `cauchy-kernel` reach, so that `jack` solves no shape those checks do
+#: not cover.  At weight 10 the two checks take 0.5-0.7 s and 0.8-1.2 s in
+#: process, and one `jack` of weight 10 takes 0.08-0.13 s in a fresh process,
+#: against 0.16-0.29 s at weight 14 (2 vCPUs, Python 3.11.7).  The Jack
+#: series of `mapseries` solves every shape of weight 2n, so it reaches half
+#: as many edges.
+MAX_JACK_WEIGHT = 10
 
 
 class RouteMismatchError(RuntimeError):

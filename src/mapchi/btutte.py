@@ -60,14 +60,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import MAX_EDGE_TRUNCATION, check_truncation
 from .arith import UniPoly, int_poly_divmod
-from .partitions import (
-    MapKey,
-    Partition,
-    partition_from_distribution,
-    partitions_of,
-    vertex_distribution_of,
-    z_of,
-)
+from .partitions import MapKey, Partition, partitions_of, z_of
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -175,11 +168,8 @@ class MapCountTable:
         return self.entries[key]
 
     def keys_sorted(self) -> list[MapKey]:
-        """Rows ordered by edge count, then face count, then vertex partition."""
-        return sorted(
-            self.entries,
-            key=lambda k: (k.n, k.j, partition_from_distribution(k.i)),
-        )
+        """Rows ordered by edge count, then face count, then valence partition."""
+        return sorted(self.entries, key=lambda k: (k.n, k.j, k.mu))
 
 
 def counts_from_cumulant(mu: Partition, kappa: dict[int, list[int]]) -> dict[int, UniPoly]:
@@ -223,7 +213,7 @@ def map_count_table(max_n: int) -> MapCountTable:
     for n in range(1, max_n + 1):
         for mu in partitions_of(2 * n):
             for j, poly in counts_from_cumulant(mu, face_rows(mu, max_n)).items():
-                entries[MapKey(vertex_distribution_of(mu), j, n).validate()] = poly
+                entries[MapKey(mu.parts, j).validate()] = poly
     return MapCountTable(entries=entries, max_n=max_n)
 
 

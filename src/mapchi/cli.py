@@ -27,14 +27,16 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import EXIT_FAILURE, EXIT_OK, MAX_EDGE_TRUNCATION, __version__, check_indices
+from . import (
+    EXIT_FAILURE,
+    EXIT_OK,
+    MAX_EDGE_TRUNCATION,
+    MAX_JACK_WEIGHT,
+    __version__,
+    check_indices,
+)
 
 FORMATS = ("pretty", "json", "csv")
-
-#: Largest Jack weight `jack` solves: one shape of weight 14 takes about
-#: 0.3 s in a fresh process (2 vCPUs, Python 3.11.7), and the operator build
-#: grows like p(n)^2.
-MAX_JACK_WEIGHT = 14
 
 #: Largest total side count `oracle glue` enumerates: 12 sides are 665,280
 #: configurations and take 4.4-5.5 s in a fresh process (2 vCPUs, Python

@@ -54,7 +54,7 @@ from itertools import accumulate, product
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import check_agreement, check_indices, check_truncation
-from .partitions import MapKey, Partition, vertex_distribution_of
+from .partitions import MapKey
 
 if TYPE_CHECKING:
     from .eulerchar import LambdaTriple
@@ -343,35 +343,22 @@ def double_cover_lift_check(*sides: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _by_map_key(raw: dict[tuple[tuple[int, ...], int], int], n: int) -> dict[MapKey, int]:
-    """A census keyed by (valences, faces), rekeyed by `MapKey` in
-    (distribution, faces) order."""
-    classes = {
-        (vertex_distribution_of(Partition(valences)), faces): count
-        for (valences, faces), count in raw.items()
-    }
-    return {
-        MapKey(dist, faces, n).validate(): count
-        for (dist, faces), count in sorted(classes.items())
-    }
-
-
 def rooted_orientable_counts(n: int) -> dict[MapKey, int]:
-    """Rooted orientable maps with n edges, by vertex distribution and faces.
+    """Rooted orientable maps with n edges, by valence partition and faces.
 
     The maps of `rooted_locally_orientable_counts` whose flags split into two
     orientation classes that all three matchings swap.  At most
     `MAX_ORIENTABLE_EDGES` edges.
 
     >>> rooted_orientable_counts(1)
-    {MapKey(i=(0, 1), j=2, n=1): 1, MapKey(i=(2,), j=1, n=1): 1}
+    {MapKey(mu=(2,), j=2): 1, MapKey(mu=(1, 1), j=1): 1}
     """
     check_truncation(n, MAX_ORIENTABLE_EDGES, "the orientable census")
     return dict(_rooted_census(n, True))
 
 
 def rooted_locally_orientable_counts(n: int) -> dict[MapKey, int]:
-    """Rooted maps on all surfaces with n edges, by vertex distribution and faces.
+    """Rooted maps on all surfaces with n edges, by valence partition and faces.
 
     Each edge k contributes four flags 4k..4k+3; the fixed matchings
     m1(x) = x xor 1 (same side) and m2(x) = x xor 2 (same end) carry the
@@ -384,7 +371,7 @@ def rooted_locally_orientable_counts(n: int) -> dict[MapKey, int]:
     each rooted map is generated once and nothing is divided.  At most
     `MAX_LOCALLY_ORIENTABLE_EDGES` edges.
 
-    >>> rooted_locally_orientable_counts(2)[MapKey((0, 0, 0, 1), 1, 2)]
+    >>> rooted_locally_orientable_counts(2)[MapKey((4,), 1)]
     5
     """
     check_truncation(n, MAX_LOCALLY_ORIENTABLE_EDGES, "the all-surfaces census")
@@ -394,7 +381,8 @@ def rooted_locally_orientable_counts(n: int) -> dict[MapKey, int]:
 @lru_cache(maxsize=None)
 def _rooted_census(n: int, orientable: bool) -> dict[MapKey, int]:
     """The canonical census of rooted maps with n edges; with `orientable`,
-    m3 joins only flags of opposite orientation class."""
+    m3 joins only flags of opposite orientation class.  The keys come in the
+    order the search first reaches them."""
     flags = 4 * n
     same_side = [x ^ 1 for x in range(flags)]
     same_end = [x ^ 2 for x in range(flags)]
@@ -431,7 +419,7 @@ def _rooted_census(n: int, orientable: bool) -> dict[MapKey, int]:
         m3[d] = -1
 
     extend(0, 4, 4)
-    return _by_map_key(raw, n)
+    return {MapKey(*key).validate(): count for key, count in raw.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -16,27 +16,23 @@ Reading mu as the vertex-valence multiset, the x-degree as the face count
 j, and substituting alpha = b + 1 yields m(i, j, n) again.  alpha stays
 symbolic through the logarithm and the Euler operator; b enters only at
 extraction, after all rational-function cancellation.  This route solves
-every Jack function up to weight 2n, so it stops at
-`JACK_ROUTE_MAX_EDGES`; the verification suite compares it with the
-recursion row for row.
+every Jack function up to weight 2n, so it stops at `MAX_JACK_WEIGHT` // 2
+edges; the verification suite compares it with the recursion row for row.
+At 5 edges it solves every Jack function of weight 10 in 0.16-0.29 s,
+assembles S(z) in 1.5-2.3 s and takes its log in 0.55-0.8 s (three runs in
+process, 2 vCPUs, Python 3.11.7).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from . import btutte, check_truncation
+from . import MAX_JACK_WEIGHT, btutte, check_truncation
 from .arith import AlphaFn, TruncatedSeries, UniPoly
-from .partitions import MapKey, Partition, partitions_of, vertex_distribution_of
+from .partitions import MapKey, Partition, partitions_of
 
 if TYPE_CHECKING:
     from .symfunc import PowerSumExpr
-
-#: Largest truncation of the Jack route (`jack_partition_sum`, `map_series`).
-#: At 5 edges it solves every Jack function of weight 10 in 0.16-0.29 s,
-#: assembles S(z) in 1.5-2.3 s and takes its log in 0.55-0.8 s (three runs
-#: in process, 2 vCPUs, Python 3.11.7).
-JACK_ROUTE_MAX_EDGES = 5
 
 
 def jack_partition_sum(max_n: int) -> TruncatedSeries:
@@ -52,7 +48,7 @@ def jack_partition_sum(max_n: int) -> TruncatedSeries:
     """
     from .symfunc import PowerSumExpr
 
-    check_truncation(max_n, JACK_ROUTE_MAX_EDGES, "the Jack series")
+    check_truncation(max_n, MAX_JACK_WEIGHT // 2, "the Jack series")
     coeffs: list[object] = [PowerSumExpr.one()]
     for m in range(1, max_n + 1):
         coeffs.append(_partition_sum_level(m))
@@ -143,6 +139,6 @@ def extract_map_counts(series: TruncatedSeries) -> btutte.MapCountTable:
                             f"non-integer b-coefficient at n={n}, mu={mu.parts}, "
                             f"j={j}: {bpoly!r}"
                         )
-                key = MapKey(vertex_distribution_of(mu), j, n).validate()
+                key = MapKey(mu.parts, j).validate()
                 entries[key] = UniPoly("b", [int(c) for c in bpoly.coeffs])
     return btutte.MapCountTable(entries=entries, max_n=series.max_order)

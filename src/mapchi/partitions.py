@@ -6,7 +6,7 @@ written with weakly decreasing positive parts, and lists of all partitions
 of n are produced in reverse-lexicographic order: (n) first, (1,...,1) last.
 For partitions of equal weight that order coincides with plain
 lexicographic comparison of the part tuples.  `MapKey` indexes a refined
-map count by its vertex distribution, face count and edge count.
+map count by its valence partition and face count.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def z_of(mu: Partition) -> int:
     return out
 
 
-def vertex_distribution_of(mu: Partition) -> tuple[int, ...]:
+def vertex_distribution_of(mu: tuple[int, ...]) -> tuple[int, ...]:
     """Multiplicity vector (i_1, i_2, ...) with i_k = #parts equal to k.
 
     The tuple ends at the largest part, so it never has trailing zeros.
@@ -122,48 +122,39 @@ def vertex_distribution_of(mu: Partition) -> tuple[int, ...]:
     return tuple(out)
 
 
-def partition_from_distribution(i: tuple[int, ...]) -> Partition:
-    """Inverse of `vertex_distribution_of` (trailing zeros tolerated).
-
-    >>> partition_from_distribution((2, 0, 1)).parts
-    (3, 1, 1)
-    """
-    parts = []
-    for k in range(len(i), 0, -1):
-        if i[k - 1] < 0:
-            raise ValueError("multiplicities must be nonnegative")
-        parts.extend([k] * i[k - 1])
-    return Partition(parts)
-
-
 class MapKey(NamedTuple):
-    """Index of a refined map count: vertex distribution, faces, edges."""
+    """Index of a refined map count: valence partition and face count.
 
-    i: tuple[int, ...]
+    `mu` holds the vertex valences as a plain tuple of weakly decreasing
+    parts, so a key prints the same whichever producer built it; they sum
+    to 2n for n edges.  The edge count n and the vertex distribution i are
+    read off `mu`.
+    """
+
+    mu: tuple[int, ...]
     j: int
-    n: int
 
     def validate(self) -> MapKey:
-        if any(k < 0 for k in self.i):
-            raise ValueError(f"negative vertex multiplicity in {self}")
-        if self.i and self.i[-1] == 0:
-            raise ValueError(f"vertex distribution has trailing zeros: {self}")
-        edge_ends = sum(k * ik for k, ik in enumerate(self.i, start=1))
-        if edge_ends != 2 * self.n:
-            raise ValueError(
-                f"vertex valences sum to {edge_ends}, expected {2 * self.n}: {self}"
-            )
+        Partition(self.mu)  # positive, weakly decreasing parts
+        if sum(self.mu) % 2:
+            raise ValueError(f"vertex valences sum to the odd number {sum(self.mu)}: {self}")
         if not 1 <= self.j <= self.n + 1:
             raise ValueError(f"face count {self.j} outside 1..{self.n + 1}: {self}")
         return self
 
     @property
-    def vertex_count(self) -> int:
-        return sum(self.i)
+    def n(self) -> int:
+        """The edge count: half the valence sum."""
+        return sum(self.mu) // 2
+
+    @property
+    def i(self) -> tuple[int, ...]:
+        """The vertex distribution, as `vertex_distribution_of` gives it."""
+        return vertex_distribution_of(self.mu)
 
     @property
     def euler_characteristic(self) -> int:
-        return self.vertex_count - self.n + self.j
+        return len(self.mu) - self.n + self.j
 
     def enters_lambda(self, g: int, s: int) -> bool:
         """Whether the maps of this key are counted by lambda^s_g(n).
@@ -171,4 +162,4 @@ class MapKey(NamedTuple):
         They have s faces, no vertex of valence 1 or 2, and Euler
         characteristic 1 - g, that is n - g - s + 1 vertices.
         """
-        return self.j == s and not any(self.i[:2]) and self.euler_characteristic == 1 - g
+        return self.j == s and min(self.mu, default=3) >= 3 and self.euler_characteristic == 1 - g

@@ -23,6 +23,7 @@ from . import (
     EXIT_FAILURE,
     EXIT_OK,
     MAX_EDGE_TRUNCATION,
+    MAX_JACK_WEIGHT,
     arith,
     check_agreement,
     check_truncation,
@@ -55,15 +56,8 @@ from .maporacle import (
     rooted_locally_orientable_counts,
     rooted_orientable_counts,
 )
-from .mapseries import JACK_ROUTE_MAX_EDGES, extract_map_counts, map_series
-from .partitions import (
-    MapKey,
-    Partition,
-    partition_from_distribution,
-    partitions_of,
-    vertex_distribution_of,
-    z_of,
-)
+from .mapseries import extract_map_counts, map_series
+from .partitions import MapKey, Partition, partitions_of, z_of
 from .symfunc import cauchy_check, expand_in_variables, jack
 
 #: Checks whose failure signals a violated conjecture, not a broken package;
@@ -75,43 +69,43 @@ from .symfunc import cauchy_check, expand_in_variables, jack
 CONJECTURE_CHECKS = frozenset({"nonnegativity"})
 
 #: Refined map-count polynomials through 3 edges, keyed by
-#: (vertex distribution, faces, edges) with b-coefficients by degree.
+#: (valence partition, faces) with b-coefficients by degree.
 #: Independently tabulated; the b = 0 and b = 1 column sums reproduce the
 #: classical rooted-map counts in `ROOTED_TOTALS_ORIENTABLE` and
 #: `ROOTED_TOTALS_ALL`.
 REFERENCE_COUNTS: dict[MapKey, tuple[int, ...]] = {
-    MapKey((2,), 1, 1): (1,),
-    MapKey((0, 1), 1, 1): (0, 1),
-    MapKey((0, 1), 2, 1): (1,),
-    MapKey((2, 1), 1, 2): (2,),
-    MapKey((0, 2), 1, 2): (0, 1),
-    MapKey((1, 0, 1), 1, 2): (0, 4),
-    MapKey((0, 0, 0, 1), 1, 2): (1, 1, 3),
-    MapKey((0, 2), 2, 2): (1,),
-    MapKey((1, 0, 1), 2, 2): (4,),
-    MapKey((0, 0, 0, 1), 2, 2): (0, 5),
-    MapKey((0, 0, 0, 1), 3, 2): (2,),
-    MapKey((2, 2), 1, 3): (3,),
-    MapKey((0, 3), 1, 3): (0, 1),
-    MapKey((3, 0, 1), 1, 3): (2,),
-    MapKey((1, 1, 1), 1, 3): (0, 12),
-    MapKey((0, 0, 2), 1, 3): (1, 1, 5),
-    MapKey((2, 0, 0, 1), 1, 3): (0, 9),
-    MapKey((0, 1, 0, 1), 1, 3): (3, 3, 9),
-    MapKey((1, 0, 0, 0, 1), 1, 3): (6, 6, 18),
-    MapKey((0, 0, 0, 0, 0, 1), 1, 3): (0, 13, 13, 15),
-    MapKey((0, 3), 2, 3): (1,),
-    MapKey((1, 1, 1), 2, 3): (12,),
-    MapKey((0, 0, 2), 2, 3): (0, 9),
-    MapKey((2, 0, 0, 1), 2, 3): (9,),
-    MapKey((0, 1, 0, 1), 2, 3): (0, 15),
-    MapKey((1, 0, 0, 0, 1), 2, 3): (0, 30),
-    MapKey((0, 0, 0, 0, 0, 1), 2, 3): (10, 10, 32),
-    MapKey((0, 0, 2), 3, 3): (4,),
-    MapKey((0, 1, 0, 1), 3, 3): (6,),
-    MapKey((1, 0, 0, 0, 1), 3, 3): (12,),
-    MapKey((0, 0, 0, 0, 0, 1), 3, 3): (0, 22),
-    MapKey((0, 0, 0, 0, 0, 1), 4, 3): (5,),
+    MapKey((1, 1), 1): (1,),
+    MapKey((2,), 1): (0, 1),
+    MapKey((2,), 2): (1,),
+    MapKey((2, 1, 1), 1): (2,),
+    MapKey((2, 2), 1): (0, 1),
+    MapKey((3, 1), 1): (0, 4),
+    MapKey((4,), 1): (1, 1, 3),
+    MapKey((2, 2), 2): (1,),
+    MapKey((3, 1), 2): (4,),
+    MapKey((4,), 2): (0, 5),
+    MapKey((4,), 3): (2,),
+    MapKey((2, 2, 1, 1), 1): (3,),
+    MapKey((2, 2, 2), 1): (0, 1),
+    MapKey((3, 1, 1, 1), 1): (2,),
+    MapKey((3, 2, 1), 1): (0, 12),
+    MapKey((3, 3), 1): (1, 1, 5),
+    MapKey((4, 1, 1), 1): (0, 9),
+    MapKey((4, 2), 1): (3, 3, 9),
+    MapKey((5, 1), 1): (6, 6, 18),
+    MapKey((6,), 1): (0, 13, 13, 15),
+    MapKey((2, 2, 2), 2): (1,),
+    MapKey((3, 2, 1), 2): (12,),
+    MapKey((3, 3), 2): (0, 9),
+    MapKey((4, 1, 1), 2): (9,),
+    MapKey((4, 2), 2): (0, 15),
+    MapKey((5, 1), 2): (0, 30),
+    MapKey((6,), 2): (10, 10, 32),
+    MapKey((3, 3), 3): (4,),
+    MapKey((4, 2), 3): (6,),
+    MapKey((5, 1), 3): (12,),
+    MapKey((6,), 3): (0, 22),
+    MapKey((6,), 4): (5,),
 }
 
 
@@ -153,7 +147,7 @@ def harer_zagier_rows(max_n: int) -> dict[MapKey, int]:
                 ) // (n + 1)
             eps[g, n] = value
             if n:
-                rows[MapKey((0,) * (2 * n - 1) + (1,), n + 1 - 2 * g, n)] = value
+                rows[MapKey((2 * n,), n + 1 - 2 * g)] = value
     return rows
 
 
@@ -178,7 +172,7 @@ def slicing_rows(max_n: int) -> dict[MapKey, int]:
             count, remainder = divmod(num, den)
             if remainder:
                 raise ArithmeticError(f"slicings of {mu.parts}: {num}/{den} is not an integer")
-            rows[MapKey(vertex_distribution_of(mu), n + 2 - mu.length, n)] = count
+            rows[MapKey(mu.parts, n + 2 - mu.length)] = count
     return rows
 
 
@@ -324,10 +318,6 @@ def _check_partitions(max_edges: int) -> str:
             size, remainder = divmod(math.factorial(n), z_of(mu))
             _require(not remainder, f"z_{mu.parts} does not divide {n}!")
             class_sizes += size
-            _require(
-                partition_from_distribution(vertex_distribution_of(mu)) == mu,
-                f"distribution round-trip failed for {mu!r}",
-            )
         _require(
             class_sizes == math.factorial(n),
             f"conjugacy classes of S_{n} do not fill the group",
@@ -337,10 +327,8 @@ def _check_partitions(max_edges: int) -> str:
 
 def _jack_reach(max_edges: int) -> int:
     """The top weight of the Jack checks: at least 6, and every weight the
-    Jack route reads at `max_edges` (2 * max_edges), as far as it goes.  At
-    weight 10 `jack-conditions` takes about 0.4 s and `cauchy-kernel` about
-    0.7 s on 2 vCPUs (Python 3.11.7)."""
-    return min(max(6, 2 * max_edges), 2 * JACK_ROUTE_MAX_EDGES)
+    Jack route reads at `max_edges` (2 * max_edges), up to `MAX_JACK_WEIGHT`."""
+    return min(max(6, 2 * max_edges), MAX_JACK_WEIGHT)
 
 
 def _check_jack_conditions(max_edges: int) -> str:
@@ -410,7 +398,7 @@ def _check_reference_counts(max_edges: int) -> str:
 
 def _check_series_invariants(max_edges: int) -> str:
     table = map_count_table(max_edges)
-    reach = min(max_edges, JACK_ROUTE_MAX_EDGES)
+    reach = min(max_edges, MAX_JACK_WEIGHT // 2)
     recursion_rows = {key: poly for key, poly in table.entries.items() if key.n <= reach}
     jack_rows = extract_map_counts(map_series(reach)).entries
     check_agreement("map counts", "recursion", recursion_rows, "Jack route", jack_rows)

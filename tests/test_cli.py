@@ -531,7 +531,7 @@ PARSE_REFUSALS = {
     "euler xi --g -h --s 1": "option --g: not an integer: '-h'",
     "euler xi --g --help --s 1": "option --g needs a value",
     f"euler xi --g {HUGE} --s 1": "option --g: values are at most 100 characters, got 5001",
-    "jack --shape 8,7": "option --shape: jack solves shapes of weight at most 14, got 15",
+    "jack --shape 8,7": "option --shape: jack solves shapes of weight at most 10, got 15",
     "oracle glue --sides 8,6": (
         "option --sides: oracle glue enumerates at most 12 sides in total, got 14"
     ),
@@ -546,6 +546,17 @@ PARSE_REFUSALS = {
 def test_parse_refusals_read_exactly(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_jack_admits_only_the_weights_verify_all_checks(capsys):
+    """`jack` refuses weight 11, and `verify-all` at its top truncation runs
+    `jack-conditions` and `cauchy-kernel` through exactly `MAX_JACK_WEIGHT`."""
+    from mapchi import MAX_EDGE_TRUNCATION, MAX_JACK_WEIGHT, verify
+
+    code, out, err = run_cli(capsys, "jack", "--shape", "6,5")
+    message = "option --shape: jack solves shapes of weight at most 10, got 11"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert verify._jack_reach(MAX_EDGE_TRUNCATION) == MAX_JACK_WEIGHT
 
 
 def test_value_with_a_long_repr_is_named_by_its_length(capsys):

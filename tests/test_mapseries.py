@@ -15,6 +15,7 @@ from mapchi.btutte import (
     nonneg_report,
     specialize_counts,
 )
+from mapchi.maporacle import rooted_locally_orientable_counts, rooted_orientable_counts
 from mapchi.mapseries import extract_map_counts, jack_partition_sum, map_series
 from mapchi.partitions import MapKey, Partition
 from mapchi.symfunc import PowerSumExpr
@@ -93,10 +94,10 @@ def test_closed_forms_match_ten_edge_table():
     # Spot values: a square glues to one torus, a hexagon to ten tori and
     # an octagon to 21 genus-2 surfaces; the rooted planar 4-regular maps
     # with k = 2 vertices number 2 * 3^k (2k)! / (k! (k+2)!) = 9.
-    assert one_vertex[MapKey((0, 0, 0, 1), 1, 2)] == 1
-    assert one_vertex[MapKey((0, 0, 0, 0, 0, 1), 2, 3)] == 10
-    assert one_vertex[MapKey((0,) * 7 + (1,), 1, 4)] == 21
-    assert planar[MapKey((0, 0, 0, 2), 4, 4)] == 9
+    assert one_vertex[MapKey((4,), 1)] == 1
+    assert one_vertex[MapKey((6,), 2)] == 10
+    assert one_vertex[MapKey((8,), 1)] == 21
+    assert planar[MapKey((4, 4), 4)] == 9
 
 
 def test_all_surface_totals_through_six_edges():
@@ -130,31 +131,44 @@ def test_specializations_hit_rooted_map_totals():
 def test_keys_sorted_order():
     table = map_count_table(2)
     keys = table.keys_sorted()
-    assert keys[0] == MapKey((2,), 1, 1)
+    assert keys[0] == MapKey((1, 1), 1)
     assert [k.n for k in keys] == sorted(k.n for k in keys)
     for a, b in zip(keys, keys[1:]):
         assert (a.n, a.j) <= (b.n, b.j)
 
 
 def test_mapkey_validate_accepts_good_keys():
-    for key in REFERENCE_COUNTS:
+    """Every key that a producer builds: the reference table, the 10-edge
+    table, both censuses at their reach and the closed-form rows."""
+    keys = [
+        *REFERENCE_COUNTS,
+        *map_count_table(10).entries,
+        *(key for n in range(1, 7) for key in rooted_orientable_counts(n)),
+        *(key for n in range(1, 6) for key in rooted_locally_orientable_counts(n)),
+        *harer_zagier_rows(10),
+        *slicing_rows(10),
+    ]
+    for key in keys:
         assert key.validate() == key
+        assert type(key.mu) is tuple and repr(key) == f"MapKey(mu={key.mu!r}, j={key.j})"
 
 
 def test_mapkey_validate_rejects_bad_keys():
-    with pytest.raises(ValueError):
-        MapKey((2, 0), 1, 1).validate()  # trailing zero
-    with pytest.raises(ValueError):
-        MapKey((2,), 3, 1).validate()  # too many faces
-    with pytest.raises(ValueError):
-        MapKey((1,), 1, 1).validate()  # valences do not sum to 2n
-    with pytest.raises(ValueError):
-        MapKey((-1, 0, 1), 1, 1).validate()
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        MapKey((1, 3), 1).validate()  # unordered parts
+    with pytest.raises(ValueError, match="odd number 3"):
+        MapKey((2, 1), 1).validate()  # odd weight
+    with pytest.raises(ValueError, match="positive"):
+        MapKey((3, -1), 1).validate()  # a negative part
+    with pytest.raises(ValueError, match="face count 3 outside 1..2"):
+        MapKey((2,), 3).validate()  # too many faces
 
 
 def test_mapkey_euler_characteristic():
-    assert MapKey((2,), 1, 1).euler_characteristic == 2
-    assert MapKey((0, 0, 0, 0, 0, 1), 1, 3).euler_characteristic == -1
+    assert MapKey((1, 1), 1).euler_characteristic == 2
+    assert MapKey((6,), 1).euler_characteristic == -1
+    key = MapKey((3, 1, 1, 1), 1)
+    assert (key.i, key.j, key.n) == ((3, 0, 1), 1, 3)
 
 
 def test_table_rows_satisfy_surface_constraints():
@@ -173,12 +187,12 @@ def test_nonneg_report_empty_for_real_counts():
 
 def test_nonneg_report_flags_synthetic_violation():
     bad = MapCountTable(
-        entries={MapKey((2,), 1, 1): UniPoly("b", (-1, 2))},
+        entries={MapKey((1, 1), 1): UniPoly("b", (-1, 2))},
         max_n=1,
     )
     report = nonneg_report(bad)
     assert len(report) == 1
-    assert report[0].key == MapKey((2,), 1, 1)
+    assert report[0].key == MapKey((1, 1), 1)
     assert report[0].degree == 0
     assert report[0].coefficient == -1
 

@@ -342,6 +342,7 @@ LOADS = [
             ["euler", "xi", "--g", "0", "--s", "1"],
             ["euler", "xi", "--g", "601", "--s", "1"],
             ["jack", "--shape", "8,7"],
+            ["jack", "--shape", "6,5"],
             ["oracle", "glue", "--sides", "8,6"],
             ["euler", "chi", "--variant", "real", "--g", "1", "--s", "1", "--m", "2"],
             ["euler", "chi", "--variant", "fixed", "--g", "1", "--s", "1"],
