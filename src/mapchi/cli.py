@@ -108,6 +108,8 @@ def _parse_rational(text: str):
     # before anything could check its size, so refuse those first.
     if "e" in text.lower():
         raise ValueError(f"exponent notation is not accepted: {_quote(text)}")
+    if "_" in text:  # Fraction reads underscores only from Python 3.11 on
+        raise ValueError(f"underscores are not accepted: {_quote(text)}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

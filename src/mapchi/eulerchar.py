@@ -5,8 +5,8 @@ interpolates the orbifold Euler characteristics of moduli spaces of genus-g
 curves with s marked points: gamma = 1 recovers the complex (orientable)
 side, gamma = 1/2 the real (fixed-point-free involution) side.  Routes:
 
-* `xi_closed`   -- explicit Bernoulli-number closed forms (one branch for
-                   even g, one for odd g);
+* `xi_closed`   -- an explicit Bernoulli-number closed form, one sum for
+                   every genus;
 * `xi_from_logW`-- one coefficient of a formal t-series, log W, whose
                    coefficients are polynomials in x over Laurent
                    polynomials in alpha = 1/gamma;
@@ -76,19 +76,21 @@ def _logW_coefficient(delta: int, s: int) -> dict[int, Fraction]:
                   - sum_{m=1}^{r+1} C(r+1, m) (B_{r+1-m} / (r+1))
                        x^m alpha^{r-m} (-1)^{delta-m} ].
 
-    Every term is a monomial in alpha, so one coefficient is a finite sum of
-    them: only the tail (at s = 1), the head with r = s and the inner terms
-    with m = s contribute.  Zero coefficients are dropped; s must be at
+    The first sum is the second's m = 1 term at r = 0 (zero at even delta,
+    as B_{delta+1} = 0), so a coefficient is a finite sum of monomials in
+    alpha from the second sum with r from 0: the head with r = s and the
+    inner terms with m = s.  Zero coefficients are dropped; s must be at
     least 1 (the x^0 coefficient is zero).
+
+    >>> _logW_coefficient(1, 1)
+    {-1: Fraction(-1, 12), 0: Fraction(1, 4), 1: Fraction(-1, 12)}
     """
     terms: dict[int, Fraction] = {}
 
     def add(power: int, value: Fraction) -> None:
         terms[power] = terms.get(power, 0) + value
 
-    if s == 1 and delta % 2:
-        add(-1, -bernoulli(delta + 1) / (delta * (delta + 1)))
-    for r in range(max(1, s - 1), delta + 2):
+    for r in range(max(0, s - 1), delta + 2):
         br = bernoulli(delta + 1 - r)
         if not br:
             continue
@@ -160,9 +162,10 @@ def xi_from_logW(g: int, s: int) -> UniPoly:
 def xi_closed(g: int, s: int) -> UniPoly:
     """The closed-form xi^s_g as a polynomial in 1/gamma.
 
-    Even g:  ((g+s-2)!/g!) (-1)^s (B_g/2) ((1/gamma)^g - (1/gamma)).
-    Odd g:   ((g+s-2)! (-1)^{s+1} / (g+1)!) * [ (g+1) B_g (1/gamma)^g
-             + sum_{r=0}^{g+1} C(g+1, r) B_{g+1-r} B_r (1/gamma)^r ].
+    For every g >= 1 (alpha = 1/gamma):  ((g+s-2)! (-1)^{g+s} / (g+1)!) *
+    [ (g+1) B_g alpha^g + sum_{r=0}^{g+1} C(g+1, r) B_{g+1-r} B_r alpha^r ].
+    At even g only r = 1 and r = g give a nonzero B_{g+1-r} B_r, so the
+    bracket is (g+1) (B_g/2) (alpha^g - alpha); zero products are skipped.
 
     The result has degree g for even g and degree g+1 for odd g (the top
     coefficient is then a nonzero multiple of B_{g+1}).  In alpha = 1/gamma
@@ -173,26 +176,19 @@ def xi_closed(g: int, s: int) -> UniPoly:
 
     >>> xi_closed(1, 1).coeffs
     (Fraction(1, 12), Fraction(-1, 4), Fraction(1, 12))
+    >>> xi_closed(2, 1).coeffs
+    (Fraction(0, 1), Fraction(1, 24), Fraction(-1, 24))
     """
     check_indices(g, s, f"xi({g},{s})")
-    if g % 2 == 0:
-        base = (
-            Fraction(math.factorial(g + s - 2), math.factorial(g))
-            * (-1) ** s
-            * bernoulli(g)
-            / 2
-        )
-        coeffs = [Fraction(0)] * (g + 1)
-        coeffs[g] += base
-        coeffs[1] -= base
-        return UniPoly(INV_GAMMA, coeffs)
     prefactor = Fraction(
-        (-1) ** (s + 1) * math.factorial(g + s - 2), math.factorial(g + 1)
+        (-1) ** (g + s) * math.factorial(g + s - 2), math.factorial(g + 1)
     )
     coeffs = [Fraction(0)] * (g + 2)
     coeffs[g] += prefactor * (g + 1) * bernoulli(g)
     for r in range(0, g + 2):
-        coeffs[r] += prefactor * math.comb(g + 1, r) * bernoulli(g + 1 - r) * bernoulli(r)
+        product = bernoulli(g + 1 - r) * bernoulli(r)
+        if product:
+            coeffs[r] += prefactor * math.comb(g + 1, r) * product
     return UniPoly(INV_GAMMA, coeffs)
 
 
@@ -271,9 +267,7 @@ def _real_formula(g: int, s: int) -> Fraction:
 
 
 def _complex_formula(g: int, s: int) -> Fraction:
-    """(-1)^s (g+s-2)! B_{g+1} / ((g+1) (g-1)!) for odd g, 0 for even g; g, s >= 1."""
-    if g % 2 == 0:
-        return Fraction(0)
+    """(-1)^s (g+s-2)! B_{g+1} / ((g+1) (g-1)!), g, s >= 1: 0 at even g, as B_{g+1} = 0."""
     return Fraction(
         (-1) ** s * math.factorial(g + s - 2), (g + 1) * math.factorial(g - 1)
     ) * bernoulli(g + 1)

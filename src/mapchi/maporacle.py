@@ -220,11 +220,6 @@ class GlueCensus:
         self.by_chi_filtered: dict[tuple[int, bool], int] = {}
         self.patterns_filtered: dict[tuple[int, bool], list[str]] = {}
 
-    def lambda_nonorientable(self, genus: int) -> int:
-        """Connected nonorientable gluings of Euler characteristic 1 - genus,
-        all boundary-graph valences >= 3."""
-        return self.by_chi_filtered.get((1 - genus, False), 0)
-
 
 def _checked_side_total(sides: tuple[int, ...]) -> int:
     """The total side count; ValueError unless there are sides, each >= 1, with an even total."""
@@ -261,8 +256,8 @@ def glue_census(*sides: int, collect_patterns: bool = False) -> GlueCensus:
 
     >>> glue_census(2).by_chi
     {(2, True): 1, (1, False): 1}
-    >>> glue_census(4).lambda_nonorientable(1)
-    4
+    >>> glue_census(4).by_chi_filtered
+    {(0, False): 4, (0, True): 1}
     """
     edges, gluings = _gluings(sides)
     census = GlueCensus(edge_count=edges)

@@ -132,22 +132,19 @@ def harer_zagier_rows(max_n: int) -> dict[MapKey, int]:
     genus g, that is the orientable one-vertex maps with n edges and
     n + 1 - 2g faces (Harer and Zagier 1986, Invent. Math. 85):
     (n+1) eps_g(n) = 2(2n-1) eps_g(n-1) + (n-1)(2n-1)(2n-3) eps_{g-1}(n-2),
-    with eps_0(n) the Catalan number.
+    run from eps_0(0) = 1.  At g = 0 it is Catalan's recurrence
+    (n+1) C_n = 2(2n-1) C_{n-1}.
     """
-    eps: dict[tuple[int, int], int] = {}
+    eps = {(0, 0): 1}
     rows = {}
-    for n in range(max_n + 1):
+    for n in range(1, max_n + 1):
         for g in range(n // 2 + 1):
-            if g == 0:
-                value = math.comb(2 * n, n) // (n + 1)
-            else:
-                value = (
-                    2 * (2 * n - 1) * eps.get((g, n - 1), 0)
-                    + (n - 1) * (2 * n - 1) * (2 * n - 3) * eps[g - 1, n - 2]
-                ) // (n + 1)
+            value = (
+                2 * (2 * n - 1) * eps.get((g, n - 1), 0)
+                + (n - 1) * (2 * n - 1) * (2 * n - 3) * eps.get((g - 1, n - 2), 0)
+            ) // (n + 1)
             eps[g, n] = value
-            if n:
-                rows[MapKey((2 * n,), n + 1 - 2 * g)] = value
+            rows[MapKey((2 * n,), n + 1 - 2 * g)] = value
     return rows
 
 
@@ -447,7 +444,7 @@ def _check_polygon_gluings(max_edges: int) -> str:
     found = {
         "2-gon": (census2.raw_count, census2.by_chi),
         "square": (census4.raw_count, census4.connected_count, census4.by_chi),
-        "square, valences >= 3": (census4.by_chi_filtered, census4.lambda_nonorientable(1)),
+        "square, valences >= 3": census4.by_chi_filtered,
         "square words, valences >= 3": {
             key: sorted(words) for key, words in census4.patterns_filtered.items()
         },
@@ -456,7 +453,7 @@ def _check_polygon_gluings(max_edges: int) -> str:
     tabulated = {
         "2-gon": (2, {(2, True): 1, (1, False): 1}),
         "square": (12, 12, {(2, True): 2, (1, False): 5, (0, False): 4, (0, True): 1}),
-        "square, valences >= 3": ({(0, False): 4, (0, True): 1}, 4),
+        "square, valences >= 3": {(0, False): 4, (0, True): 1},
         "square words, valences >= 3": {
             (0, False): ["a a b b", "a b a b^-1", "a b a^-1 b", "a b b a"],
             (0, True): ["a b a^-1 b^-1"],

@@ -91,13 +91,6 @@ def test_maps_table_formats_agree_row_for_row(capsys):
         ("-0", int),
         (" 3 ", int),
         ("07", int),
-        pytest.param(
-            "1_000",
-            Fraction,
-            marks=pytest.mark.skipif(
-                sys.version_info < (3, 11), reason="Fraction reads underscores from 3.11"
-            ),
-        ),
         ("\u0661", Fraction),  # ARABIC-INDIC DIGIT ONE: a digit, but not ASCII
         ("1/2", Fraction),
         ("0.5", Fraction),
@@ -111,6 +104,14 @@ def test_b_takes_the_value_fraction_reads(capsys, text, kind):
     code, out, err = run_cli(capsys, *argv, text)
     assert (code, err) == (0, "")
     assert out == run_cli(capsys, *argv, str(Fraction(text)))[1]
+
+
+@pytest.mark.parametrize("text", ["1_000", "1_0/3", "0._5"])
+def test_b_refuses_underscores(capsys, text):
+    """`Fraction` reads underscores from Python 3.11 on, so `--b` refuses them on every Python."""
+    code, out, err = run_cli(capsys, "maps", "table", "--max-edges", "2", "--b", text)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: option --b: underscores are not accepted: {text!r}"]
 
 
 JSON_CASES = [

@@ -39,7 +39,6 @@ def test_square_census():
     assert census.raw_count == 12
     assert census.by_chi == {(2, True): 2, (1, False): 5, (0, False): 4, (0, True): 1}
     assert census.by_chi_filtered == {(0, False): 4, (0, True): 1}
-    assert census.lambda_nonorientable(1) == 4
 
 
 def test_square_patterns_are_the_klein_and_torus_words():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,9 @@ def test_closed_forms_match_ten_edge_table():
     assert one_vertex[MapKey((6,), 2)] == 10
     assert one_vertex[MapKey((8,), 1)] == 21
     assert planar[MapKey((4, 4), 4)] == 9
+    # The recursion's genus-0 rows are the Catalan numbers.
+    genus0 = {key.n: count for key, count in harer_zagier_rows(30).items() if key.j == key.n + 1}
+    assert genus0 == {n: math.comb(2 * n, n) // (n + 1) for n in range(1, 31)}
 
 
 def test_all_surface_totals_through_six_edges():
