@@ -8,7 +8,7 @@ Everything prints as exact fractions; nothing here is floating point.
 
 from fractions import Fraction
 
-from mapchi import TruncatedSeries, bernoulli
+from mapchi.arith import TruncatedSeries, bernoulli
 
 # Bernoulli numbers in the B_1 = -1/2 convention.  Odd indices past 1 vanish.
 print("First Bernoulli numbers:")

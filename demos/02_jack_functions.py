@@ -8,7 +8,9 @@ under the alpha-deformed inner product, triangularity over monomials in
 reverse-lex order, and the normalization [x_1...x_n] J = n!.
 """
 
-from mapchi import cauchy_check, jack, partitions_of, poly_str
+from mapchi.arith import poly_str
+from mapchi.partitions import partitions_of
+from mapchi.symfunc import cauchy_check, jack
 
 
 def show(expr) -> str:

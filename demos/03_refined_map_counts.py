@@ -12,14 +12,9 @@ M(z) = 2 alpha z d/dz log S(z) gives the same numbers by a second route.
 
 from fractions import Fraction
 
-from mapchi import (
-    extract_map_counts,
-    map_count_table,
-    map_series,
-    nonneg_report,
-    poly_str,
-    specialize_counts,
-)
+from mapchi.arith import poly_str
+from mapchi.btutte import map_count_table, nonneg_report, specialize_counts
+from mapchi.mapseries import extract_map_counts, map_series
 
 table = map_count_table(3)
 

@@ -11,13 +11,13 @@ an alternating sum over refined map counts.
 
 from fractions import Fraction
 
-from mapchi import (
+from mapchi.arith import poly_str
+from mapchi.eulerchar import (
     chi_complex,
     chi_fixed_curves,
     chi_real,
     eval_at_gamma,
     lambda_values,
-    poly_str,
     xi_closed,
     xi_from_logW,
     xi_from_maps,

@@ -8,7 +8,7 @@ the resulting closed surfaces, and one canonical flag-matching census
 counts rooted maps directly, on all surfaces or orientable only.
 """
 
-from mapchi import (
+from mapchi.maporacle import (
     double_cover_lift_check,
     glue_census,
     lambda_from_census,

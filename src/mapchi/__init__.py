@@ -13,14 +13,13 @@ errors that several layers raise, the one guard that refuses a request
 past a layer's edge reach (`check_truncation`), the one guard that refuses
 indices outside g, s >= 1 (`check_indices`) and the one guard that
 compares two routes (`check_agreement`) live here, so any layer can use
-them without loading another.  The other public names are imported from their submodule on
-first access, so ``import mapchi`` alone loads no submodule and each
-command of the ``mapchi`` script pays only for the layers it runs.
+them without loading another.  Every other public name lives only in its
+layer module (``mapchi.btutte.map_count_table``, ``mapchi.partitions.MapKey``,
+...), so ``import mapchi`` loads no submodule and each command of the
+``mapchi`` script pays only for the layers it runs.
 """
 
 from __future__ import annotations
-
-import importlib
 
 __version__ = "0.1.0"
 
@@ -99,104 +98,11 @@ def check_agreement(what: str, first: str, got, second: str, want) -> int:
     return len(keys)
 
 
-#: Home submodule of each public name.
-_EXPORTS = {
-    **dict.fromkeys(
-        (
-            "ALPHA",
-            "AlphaFn",
-            "TruncatedSeries",
-            "UniPoly",
-            "VariableMixError",
-            "bernoulli",
-            "poly_str",
-        ),
-        "arith",
-    ),
-    **dict.fromkeys(
-        (
-            "ExtractionError",
-            "MapCountTable",
-            "NonnegativityViolation",
-            "map_count_table",
-            "nonneg_report",
-            "specialize_counts",
-        ),
-        "btutte",
-    ),
-    **dict.fromkeys(
-        (
-            "INV_GAMMA",
-            "LambdaTriple",
-            "ParityError",
-            "chi_complex",
-            "chi_fixed_curves",
-            "chi_real",
-            "eval_at_gamma",
-            "lambda_values",
-            "logW_series",
-            "xi_closed",
-            "xi_from_logW",
-            "xi_from_maps",
-        ),
-        "eulerchar",
-    ),
-    **dict.fromkeys(
-        (
-            "GlueCensus",
-            "double_cover_lift_check",
-            "glue_census",
-            "lambda_from_census",
-            "rooted_locally_orientable_counts",
-            "rooted_orientable_counts",
-        ),
-        "maporacle",
-    ),
-    **dict.fromkeys(
-        ("extract_map_counts", "jack_partition_sum", "map_series"),
-        "mapseries",
-    ),
-    **dict.fromkeys(
-        ("MapKey", "Partition", "partitions_of", "vertex_distribution_of", "z_of"),
-        "partitions",
-    ),
-    **dict.fromkeys(
-        (
-            "JackRecord",
-            "JackSystemError",
-            "PowerSumExpr",
-            "cauchy_check",
-            "inner_product",
-            "jack",
-        ),
-        "symfunc",
-    ),
-}
-
 __all__ = [
-    *sorted(
-        [
-            *_EXPORTS,
-            "RouteMismatchError",
-            "TruncationError",
-            "check_agreement",
-            "check_indices",
-            "check_truncation",
-        ]
-    ),
+    "RouteMismatchError",
+    "TruncationError",
+    "check_agreement",
+    "check_indices",
+    "check_truncation",
     "__version__",
 ]
-
-
-def __getattr__(name: str):
-    try:
-        module = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_EXPORTS})

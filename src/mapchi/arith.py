@@ -477,6 +477,9 @@ class AlphaFn:
             return NotImplemented
         return self + (-o)
 
+    def __rsub__(self, other):
+        return (-self) + other
+
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:

@@ -37,14 +37,17 @@ over the splits of R.  Each step is a ring operation, so `moment` and
 `cumulant` run at an integer point and `face_rows` reads the coefficients
 off one such value.
 
-`moment` and `cumulant` memoize every value they reach for the life of the
-process.  Building `map_count_table(10)` in a fresh process leaves 2814
-`moment` and 2713 `cumulant` entries and peaks at 22.5 MB resident, against
-13.1 MB for the bare interpreter (2 vCPUs, Python 3.11.7).  The
-`cumulant` memo carries the build: without it the same table took
-1.9-3.5 s over 7 fresh processes instead of 0.28-0.53 s over 20, at
-21.7 MB peak instead of 22.5 MB, so it costs under 1 MB.  The memory the
-memos hold past 10 edges is mostly the `moment` cache's.
+`moment` and `cumulant` memoize every value they reach during one build of
+`map_count_table`, which clears both before it returns: their keys hold the
+build's packed point N = 2^(W (n + 1)), b = 2^W, where W grows strictly with
+n, so no other truncation could reuse an entry.  Building
+`map_count_table(10)` in a fresh process reaches 2814 `moment` and 2713
+`cumulant` entries and peaks at 22.5 MB resident, against 13.1 MB for the
+bare interpreter (2 vCPUs, Python 3.11.7).  The `cumulant` memo carries the
+build: without it the same table took 1.9-3.5 s over 7 fresh processes
+instead of 0.28-0.53 s over 20, at 21.7 MB peak instead of 22.5 MB, so it
+costs under 1 MB.  The memory the memos hold past 10 edges during a build
+is mostly the `moment` cache's.
 
 >>> cumulant((2,), 3, 5)  # N^2 + N b
 24
@@ -214,6 +217,9 @@ def map_count_table(max_n: int) -> MapCountTable:
         for mu in partitions_of(2 * n):
             for j, poly in counts_from_cumulant(mu, face_rows(mu, max_n)).items():
                 entries[MapKey(mu.parts, j).validate()] = poly
+    # The memo keys hold this build's packed point, which no other truncation shares.
+    moment.cache_clear()
+    cumulant.cache_clear()
     return MapCountTable(entries=entries, max_n=max_n)
 
 

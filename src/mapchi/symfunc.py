@@ -130,6 +130,9 @@ class PowerSumExpr:
             return NotImplemented
         return self + (-o)
 
+    def __rsub__(self, other):
+        return (-self) + other
+
     def __mul__(self, other):
         if isinstance(other, PowerSumExpr):
             out: dict[Partition, object] = {}

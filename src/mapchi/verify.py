@@ -34,6 +34,7 @@ from .arith import (
     UniPoly,
     VariableMixError,
     bernoulli,
+    int_poly_divmod,
 )
 from .btutte import map_count_table, nonneg_report
 from .eulerchar import (
@@ -146,6 +147,41 @@ def harer_zagier_rows(max_n: int) -> dict[MapKey, int]:
             eps[g, n] = value
             rows[MapKey((2 * n,), n + 1 - 2 * g)] = value
     return rows
+
+
+def ledoux_rows(max_n: int) -> dict[MapKey, int]:
+    """The b = 1 values of the one-vertex rows mu = (2n), n <= max_n.
+
+    At b = 1, E_(2n)(N, 1) is the GOE moment a_n = E tr X^(2n), with
+    diagonal variance 2 and off-diagonal variance 1, so [N^j] a_n is the
+    row (2n), j at b = 1.  Ledoux's recursion (2009, Ann. Inst. H. Poincare
+    Probab. Stat. 45), run from a_0 = N and a_1 = N^2 + N with a_q = 0 for
+    q < 0, gives for p >= 2, with c = (2p-3)(2p-4)(2p-5):
+    (p+1) a_p = (4p-1)(2N-1) a_{p-1} + (2p-3)(10p^2 - 9p - 8N^2 + 8N) a_{p-2}
+        - 5c(2N-1) a_{p-3} - 2c(2p-6)(2p-7) a_{p-4}.
+    A division by p + 1 that leaves a remainder raises ArithmeticError.
+    """
+    N = UniPoly.gen("N")
+    a = [N, N * N + N]
+    for p in range(2, max_n + 1):
+        c = (2 * p - 3) * (2 * p - 4) * (2 * p - 5)
+        a1, a2, a3, a4 = (a[p - k] if p >= k else 0 for k in range(1, 5))
+        total = (
+            (4 * p - 1) * (2 * N - 1) * a1
+            + (2 * p - 3) * (10 * p * p - 9 * p - 8 * N * N + 8 * N) * a2
+            - 5 * c * (2 * N - 1) * a3
+            - 2 * c * (2 * p - 6) * (2 * p - 7) * a4
+        )
+        step = int_poly_divmod(total, UniPoly("N", [p + 1]))
+        if step is None:
+            raise ArithmeticError(f"Ledoux's recursion: {total} is not divisible by {p + 1}")
+        a.append(step[0])
+    return {
+        MapKey((2 * n,), j): value
+        for n in range(1, max_n + 1)
+        for j, value in enumerate(a[n].coeffs)
+        if value
+    }
 
 
 def slicing_rows(max_n: int) -> dict[MapKey, int]:
@@ -421,6 +457,10 @@ def _check_series_invariants(max_edges: int) -> str:
     one_vertex = harer_zagier_rows(table.max_n)
     b_free = {key: poly.coeff(0) for key, poly in table.entries.items() if key in one_vertex}
     hz_rows = check_agreement("b^0 coefficients", "table", b_free, "Harer-Zagier", one_vertex)
+    at_one = {key: poly.eval(1) for key, poly in table.entries.items() if len(key.mu) == 1}
+    goe_rows = check_agreement(
+        "b=1 values", "table", at_one, "Ledoux's GOE recursion", ledoux_rows(table.max_n)
+    )
     planar = slicing_rows(table.max_n)
     slicings = check_agreement(
         "planar rows",
@@ -432,7 +472,8 @@ def _check_series_invariants(max_edges: int) -> str:
     return (
         f"the recursion equals the Jack route row for row through n={reach}; "
         f"the alpha <-> 1/alpha duality on {len(table.entries)} rows, the "
-        f"column sums, {hz_rows} Harer-Zagier rows and {slicings} slicing rows "
+        f"column sums, {hz_rows} Harer-Zagier rows, {goe_rows} GOE rows (Ledoux) "
+        f"and {slicings} slicing rows "
         f"hold to n={table.max_n}"
     )
 

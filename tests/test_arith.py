@@ -244,6 +244,14 @@ def test_series_log_of_geometric():
     assert geo.log() == expected
 
 
+def test_series_log_with_a_zero_alpha_coefficient():
+    """A zero coefficient leaves `0 - sum(...)` in Newton's identity."""
+    x = AlphaFn.alpha()
+    assert 0 - x == -x
+    log = TruncatedSeries("z", [AlphaFn(1), 0, x], 3).log()
+    assert [log.coefficient(k) for k in range(4)] == [0, 0, x, 0]
+
+
 def test_series_log_requires_unit_constant_term():
     with pytest.raises(ValueError):
         TruncatedSeries("z", [Fraction(2), Fraction(1)], 3).log()

@@ -1,10 +1,9 @@
-"""The package surface: lazy exports, and the modules each entry point loads."""
+"""The package surface: what the root binds, and the modules each entry point loads."""
 
 from __future__ import annotations
 
 import ast
 import builtins
-import importlib
 import os
 import subprocess
 import sys
@@ -13,23 +12,16 @@ from pathlib import Path
 import pytest
 
 import mapchi
+from mapchi import btutte, eulerchar, maporacle, mapseries
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-@pytest.mark.parametrize("name", sorted(mapchi._EXPORTS))
-def test_export_is_the_home_module_object(name):
-    home = f"mapchi.{mapchi._EXPORTS[name]}"
-    value = getattr(mapchi, name)
-    assert value is getattr(importlib.import_module(home), name)
-    assert getattr(value, "__module__", home) == home
 
 
 def test_star_import_binds_all():
     namespace: dict[str, object] = {}
     exec("from mapchi import *", namespace)
     assert set(mapchi.__all__) <= set(namespace)
-    assert namespace["map_count_table"] is mapchi.btutte.map_count_table
+    assert "map_count_table" not in namespace
     assert namespace["TruncationError"] is mapchi.TruncationError
     assert namespace["RouteMismatchError"] is mapchi.RouteMismatchError
 
@@ -40,7 +32,7 @@ def test_shared_errors_live_in_the_package_root():
     The CLI checks no reach itself: each request past one is refused by the
     layer that serves it.
     """
-    from mapchi import btutte, cli, eulerchar, maporacle, mapseries, symfunc, verify
+    from mapchi import cli, symfunc, verify
 
     for layer in (btutte, eulerchar, maporacle, mapseries, verify):
         assert layer.check_truncation is mapchi.check_truncation
@@ -173,11 +165,11 @@ def _verify_at(max_edges):
 #: Each library site of the reach guard, with a request one edge past its reach.
 PAST_REACH = {
     "map_count_table(11)": (
-        lambda: mapchi.map_count_table(11),
+        lambda: btutte.map_count_table(11),
         "the map-count table needs 11 edges; it reaches 10",
     ),
     "jack_partition_sum(6)": (
-        lambda: mapchi.jack_partition_sum(6),
+        lambda: mapseries.jack_partition_sum(6),
         "the Jack series needs 6 edges; it reaches 5",
     ),
     "run_verify(max_edges=11)": (
@@ -185,19 +177,19 @@ PAST_REACH = {
         "verify-all needs 11 edges; it reaches 10",
     ),
     "rooted_orientable_counts(7)": (
-        lambda: mapchi.rooted_orientable_counts(7),
+        lambda: maporacle.rooted_orientable_counts(7),
         "the orientable census needs 7 edges; it reaches 6",
     ),
     "rooted_locally_orientable_counts(6)": (
-        lambda: mapchi.rooted_locally_orientable_counts(6),
+        lambda: maporacle.rooted_locally_orientable_counts(6),
         "the all-surfaces census needs 6 edges; it reaches 5",
     ),
     "lambda_from_census(1, 2)": (
-        lambda: mapchi.lambda_from_census(1, 2),
+        lambda: maporacle.lambda_from_census(1, 2),
         "Lambda(1,2) from the censuses needs 6 edges; it reaches 5",
     ),
     "xi_from_maps(2, 1, table3)": (
-        lambda: mapchi.xi_from_maps(2, 1, mapchi.map_count_table(3)),
+        lambda: eulerchar.xi_from_maps(2, 1, btutte.map_count_table(3)),
         "xi(2,1) from map counts needs 6 edges; it reaches 3",
     ),
 }
@@ -214,23 +206,23 @@ def test_out_of_reach_requests_raise_truncation_error(call, message):
 #: from `lambda_edges`, which is positive for every g, s >= 1, so the test
 #: makes it end at 0.
 ZERO_EDGES = {
-    "map_count_table(0)": (lambda: mapchi.map_count_table(0), "the map-count table"),
-    "jack_partition_sum(0)": (lambda: mapchi.jack_partition_sum(0), "the Jack series"),
+    "map_count_table(0)": (lambda: btutte.map_count_table(0), "the map-count table"),
+    "jack_partition_sum(0)": (lambda: mapseries.jack_partition_sum(0), "the Jack series"),
     "run_verify(max_edges=0)": (lambda: _verify_at(0), "verify-all"),
     "rooted_orientable_counts(0)": (
-        lambda: mapchi.rooted_orientable_counts(0),
+        lambda: maporacle.rooted_orientable_counts(0),
         "the orientable census",
     ),
     "rooted_locally_orientable_counts(0)": (
-        lambda: mapchi.rooted_locally_orientable_counts(0),
+        lambda: maporacle.rooted_locally_orientable_counts(0),
         "the all-surfaces census",
     ),
     "lambda_from_census(1, 1)": (
-        lambda: mapchi.lambda_from_census(1, 1),
+        lambda: maporacle.lambda_from_census(1, 1),
         "Lambda(1,1) from the censuses",
     ),
     "xi_from_maps(1, 1, table3)": (
-        lambda: mapchi.xi_from_maps(1, 1, mapchi.map_count_table(3)),
+        lambda: eulerchar.xi_from_maps(1, 1, btutte.map_count_table(3)),
         "xi(1,1) from map counts",
     ),
 }
@@ -238,8 +230,6 @@ ZERO_EDGES = {
 
 @pytest.mark.parametrize(("call", "what"), ZERO_EDGES.values(), ids=ZERO_EDGES)
 def test_zero_edge_requests_raise_value_error(monkeypatch, call, what):
-    from mapchi import eulerchar
-
     monkeypatch.setattr(eulerchar, "lambda_edges", lambda g, s: range(0, 1))
     with pytest.raises(ValueError) as caught:
         call()
@@ -250,17 +240,17 @@ def test_zero_edge_requests_raise_value_error(monkeypatch, call, what):
 #: Each library site of the index guard, as a call at (g, s) and the request
 #: its refusal names.
 DOMAIN = {
-    "xi_closed": (lambda g, s: mapchi.xi_closed(g, s), "xi({g},{s})"),
-    "xi_from_logW": (lambda g, s: mapchi.xi_from_logW(g, s), "xi({g},{s})"),
-    "xi_from_maps": (lambda g, s: mapchi.xi_from_maps(g, s), "xi({g},{s})"),
-    "lambda_values": (lambda g, s: mapchi.lambda_values(g, s), "Lambda({g},{s})"),
-    "chi_complex": (lambda g, s: mapchi.chi_complex(g, s), "Lambda({g},{s})"),
+    "xi_closed": (lambda g, s: eulerchar.xi_closed(g, s), "xi({g},{s})"),
+    "xi_from_logW": (lambda g, s: eulerchar.xi_from_logW(g, s), "xi({g},{s})"),
+    "xi_from_maps": (lambda g, s: eulerchar.xi_from_maps(g, s), "xi({g},{s})"),
+    "lambda_values": (lambda g, s: eulerchar.lambda_values(g, s), "Lambda({g},{s})"),
+    "chi_complex": (lambda g, s: eulerchar.chi_complex(g, s), "Lambda({g},{s})"),
     "chi_fixed_curves": (
-        lambda g, s: mapchi.chi_fixed_curves(g, s, 0, separating=False),
+        lambda g, s: eulerchar.chi_fixed_curves(g, s, 0, separating=False),
         "chi({g},{s}) with 0 fixed curves",
     ),
     "lambda_from_census": (
-        lambda g, s: mapchi.lambda_from_census(g, s),
+        lambda g, s: maporacle.lambda_from_census(g, s),
         "Lambda({g},{s}) from the censuses",
     ),
 }
@@ -282,6 +272,25 @@ def test_unknown_attribute_raises_attribute_error():
 
 def test_dir_covers_all():
     assert set(mapchi.__all__) <= set(dir(mapchi))
+
+
+def test_the_root_holds_only_what_its_file_binds():
+    """Each public name of `mapchi` is bound in its own file or is a loaded submodule.
+
+    The root routes no name to a layer: it defines no `__getattr__`, and its
+    `__all__` lists only names it binds itself.
+    """
+    bound = _bound_names(ast.parse((SRC / "mapchi" / "__init__.py").read_text()))
+    assert not hasattr(mapchi, "__getattr__")
+    assert set(mapchi.__all__) <= bound
+    foreign = {
+        name
+        for name in dir(mapchi)
+        if not name.startswith("_")
+        and name not in bound
+        and getattr(getattr(mapchi, name), "__name__", None) != f"mapchi.{name}"
+    }
+    assert not foreign
 
 
 def _modules_after(statements: str) -> set[str]:
@@ -453,15 +462,13 @@ def test_each_command_loads_exactly_its_modules(argv, code, layers, fractions):
 
 
 def test_mapkey_has_one_home():
-    from mapchi import btutte, partitions
+    from mapchi import partitions
 
-    assert mapchi.MapKey is partitions.MapKey is btutte.MapKey
+    assert partitions.MapKey is btutte.MapKey
 
 
 def test_table_names_live_in_btutte_alone():
     """The table layer is `btutte`; the Jack cross-check neither defines nor re-exports it."""
-    from mapchi import btutte, mapseries
-
     for name in (
         "ExtractionError",
         "MapCountTable",

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from mapchi import RouteMismatchError, symfunc
-from mapchi.arith import ALPHA, UniPoly
+from mapchi.arith import ALPHA, TruncatedSeries, UniPoly
 from mapchi.partitions import Partition, partitions_of, z_of
 from mapchi.symfunc import (
     PowerSumExpr,
@@ -37,6 +37,14 @@ def test_power_sum_product_merges_parts():
     p11 = PowerSumExpr.basis((1, 1))
     assert p2 * p11 == PowerSumExpr.basis((2, 1, 1))
     assert (p2 + p11) * p2 == PowerSumExpr.basis((2, 2)) + PowerSumExpr.basis((2, 1, 1))
+
+
+def test_series_log_with_a_zero_power_sum_coefficient():
+    """A zero coefficient leaves `0 - sum(...)` in Newton's identity."""
+    p2 = PowerSumExpr.basis((2,))
+    assert 0 - p2 == -p2
+    log = TruncatedSeries("z", [PowerSumExpr.one(), 0, p2], 3).log()
+    assert [log.coefficient(k) for k in range(4)] == [0, 0, p2, 0]
 
 
 def test_inner_product_is_diagonal_in_power_sums():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from mapchi import verify
 from mapchi.arith import UniPoly
 from mapchi.btutte import MapCountTable, map_count_table
@@ -106,6 +108,34 @@ def test_a_row_corrupted_at_its_b0_and_b1_values_breaks_the_duality(monkeypatch)
     assert result.status == "fail"
     assert result.detail.startswith("CheckFailure: "), result.detail
     assert f"{key} row " in result.detail, result.detail
+
+
+def test_ledoux_rows_sum_to_the_one_by_one_goe_moment():
+    """At N = 1, E x^(2n) for x of variance 2 is 2^n (2n - 1)!! = (2n)! / n!."""
+    rows = verify.ledoux_rows(12)
+    for n in range(1, 13):
+        total = sum(value for key, value in rows.items() if key.mu == (2 * n,))
+        assert total == math.factorial(2 * n) // math.factorial(n), n
+
+
+def test_ledoux_recursion_catches_a_b2_term_that_every_other_check_passes(monkeypatch):
+    """Adding b^2 to a 7-edge one-vertex row keeps its b = 0 value, its sign
+    and its alpha <-> 1/alpha duality (genus k = 2 allows b^2), and 7 edges
+    lie past both censuses and the Jack route: only its b = 1 value, which
+    Ledoux's GOE recursion gives, sees the change."""
+    table = map_count_table(7)
+    key = MapKey((14,), 6)
+    entries = dict(table.entries)
+    entries[key] = entries[key] + UniPoly("b", (0, 0, 1))
+    monkeypatch.setattr(verify, "map_count_table", lambda n: MapCountTable(entries, table.max_n))
+    checks = dict(verify.CHECKS)
+    for name in ("reference-counts", "rooted-oracle-agreement", "xi-map-route", "nonnegativity"):
+        assert run_check(name, checks[name], 7).status == "pass", name
+    result = run_check("series-invariants", checks["series-invariants"], 7)
+    assert result.status == "fail"
+    assert result.detail == (
+        f"RouteMismatchError: b=1 values at {key}: table 67425, Ledoux's GOE recursion 67424"
+    ), result.detail
 
 
 def test_xi_routes_catch_a_term_that_keeps_degree_and_constant(monkeypatch):
