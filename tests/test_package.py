@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import builtins
+import importlib
 import os
 import subprocess
 import sys
@@ -291,6 +292,54 @@ def test_the_root_holds_only_what_its_file_binds():
         and getattr(getattr(mapchi, name), "__name__", None) != f"mapchi.{name}"
     }
     assert not foreign
+
+
+#: Each public layer name the root used to re-export, with its one home module.
+HOMES = {
+    **dict.fromkeys(
+        ("ALPHA", "AlphaFn", "TruncatedSeries", "UniPoly", "VariableMixError")
+        + ("bernoulli", "poly_str"),
+        "arith",
+    ),
+    **dict.fromkeys(
+        ("ExtractionError", "MapCountTable", "NonnegativityViolation")
+        + ("map_count_table", "nonneg_report", "specialize_counts"),
+        "btutte",
+    ),
+    **dict.fromkeys(
+        ("INV_GAMMA", "LambdaTriple", "ParityError", "chi_complex", "chi_fixed_curves")
+        + ("chi_real", "eval_at_gamma", "lambda_values", "logW_series", "xi_closed")
+        + ("xi_from_logW", "xi_from_maps"),
+        "eulerchar",
+    ),
+    **dict.fromkeys(
+        ("GlueCensus", "double_cover_lift_check", "glue_census", "lambda_from_census")
+        + ("rooted_locally_orientable_counts", "rooted_orientable_counts"),
+        "maporacle",
+    ),
+    **dict.fromkeys(("extract_map_counts", "jack_partition_sum", "map_series"), "mapseries"),
+    **dict.fromkeys(
+        ("MapKey", "Partition", "partitions_of", "vertex_distribution_of", "z_of"),
+        "partitions",
+    ),
+    **dict.fromkeys(
+        ("JackRecord", "JackSystemError", "PowerSumExpr", "cauchy_check")
+        + ("inner_product", "jack"),
+        "symfunc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOMES))
+def test_layer_name_lives_in_its_home_alone(name):
+    """The home module's own file binds the name, and the root does not reach it."""
+    home = HOMES[name]
+    module = importlib.import_module(f"mapchi.{home}")
+    assert name in _bound_names(ast.parse((SRC / "mapchi" / f"{home}.py").read_text()))
+    assert getattr(getattr(module, name), "__module__", module.__name__) == module.__name__
+    assert name not in vars(mapchi)
+    with pytest.raises(AttributeError):
+        getattr(mapchi, name)
 
 
 def _modules_after(statements: str) -> set[str]:
