@@ -158,10 +158,15 @@ class UniPoly:
                     f"cannot mix polynomial variables {self.var!r} and {other.var!r}"
                 )
             return other
-        if isinstance(other, AlphaFn) and self.var == ALPHA:
+        if isinstance(other, AlphaFn):
             # alpha-polynomials embed into AlphaFn; let AlphaFn coerce us.
-            return None
-        return other
+            return None if self.var == ALPHA else other
+        if isinstance(other, int):
+            return other
+        # A Fraction operand means `fractions` is loaded already.
+        from fractions import Fraction
+
+        return other if isinstance(other, Fraction) else None
 
     def __add__(self, other):
         o = self._classify(other)
@@ -182,10 +187,16 @@ class UniPoly:
         return UniPoly(self.var, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other)
+        o = self._classify(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._classify(other)
+        if o is None:
+            return NotImplemented
+        return (-self) + o
 
     def __mul__(self, other):
         o = self._classify(other)
@@ -478,7 +489,10 @@ class AlphaFn:
         return self + (-o)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return (-self) + o
 
     def __mul__(self, other):
         o = self._coerce(other)

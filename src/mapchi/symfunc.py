@@ -131,7 +131,10 @@ class PowerSumExpr:
         return self + (-o)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return (-self) + o
 
     def __mul__(self, other):
         if isinstance(other, PowerSumExpr):

@@ -21,6 +21,7 @@ from mapchi.arith import (
     poly_gcd,
     poly_str,
 )
+from mapchi.symfunc import PowerSumExpr
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 small_polys = st.lists(rationals, max_size=6).map(lambda cs: UniPoly("b", cs))
@@ -250,6 +251,20 @@ def test_series_log_with_a_zero_alpha_coefficient():
     assert 0 - x == -x
     log = TruncatedSeries("z", [AlphaFn(1), 0, x], 3).log()
     assert [log.coefficient(k) for k in range(4)] == [0, 0, x, 0]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [UniPoly.gen(ALPHA), AlphaFn.alpha(), PowerSumExpr.one()],
+    ids=lambda value: type(value).__name__,
+)
+def test_unsupported_operands_of_subtraction_name_subtraction(value):
+    """Either side of `-` refuses a string as `-` does, and numbers still subtract."""
+    for subtract in (lambda: "x" - value, lambda: value - "x"):
+        with pytest.raises(TypeError, match="unsupported operand type.*for -: "):
+            subtract()
+    assert 1 - value + value == 1
+    assert Fraction(1, 2) - value == -(value - Fraction(1, 2))
 
 
 def test_series_log_requires_unit_constant_term():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -643,6 +644,31 @@ def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
     assert out.startswith("mapchi ")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(["--version"], 0), (["euler", "xi", "--g", "1", "--s", "1"], 0), (["jack", "--shape", "8,7"], 2)],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_main_freezes_the_heap_on_every_exit(capsys, argv, expected):
+    alive = [[] for _ in range(8)]  # tracked objects that are alive when main returns
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, *argv)[0] == expected
+    assert gc.get_freeze_count() >= before + len(alive)
+
+
+def test_frozen_heap_leaves_repeated_commands_unchanged(capsys):
+    """`map_count_table` empties the `btutte` memos after a build; a frozen
+    heap from an earlier `main` must not change what the next build prints."""
+    argv = ("--format", "csv", "maps", "table", "--max-edges", "4")
+    outputs = []
+    for _ in range(2):
+        btutte.map_count_table.cache_clear()  # build the table again on each run
+        outputs.append(run_cli(capsys, *argv))
+        assert btutte.moment.cache_info().currsize == btutte.cumulant.cache_info().currsize == 0
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
 
 
 @pytest.mark.parametrize(
