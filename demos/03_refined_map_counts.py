@@ -35,7 +35,7 @@ print("  all surfaces (b=1):", [
 ])
 
 # The Jack route solves every Jack function up to weight 6 for the same rows.
-same = extract_map_counts(map_series(3)).entries == table.entries
+same = extract_map_counts(map_series(3)) == table
 print(f"\nJack partition sum gives the same table: {same}")
 
 # Each row at b = alpha - 1 is its own alpha <-> 1/alpha dual at its Euler

@@ -18,18 +18,22 @@ Since ``int / int`` is a float, nothing here divides two coefficients with
 Conventions
 -----------
 * A `UniPoly` carries a variable tag (``"alpha"``, ``"b"``, ``"x"``, ``"t"``,
-  ``"z"``, ``"1/gamma"``).  Arithmetic between polynomials with
-  distinct tags raises `VariableMixError`; a polynomial is never silently
-  reinterpreted in another variable.
-* Anything that is not a `UniPoly` is treated as a scalar from the
-  coefficient ring, so polynomials over `int`, over `Fraction`, over
-  `AlphaFn`, or over other polynomials all share one implementation.  The
-  constructors `UniPoly.one`, `gen` and `monomial` build `int` coefficients.
+  ``"z"``, ``"1/gamma"``).  Its arithmetic takes a `UniPoly` in the same
+  variable, an `int`, a `Fraction` or, off alpha, an `AlphaFn`.  A `UniPoly`
+  in another variable raises `VariableMixError`; any other operand returns
+  `NotImplemented`, so Python raises TypeError unless the operand takes it
+  (an `AlphaFn` takes an alpha-polynomial).  Coefficients may be any exact
+  ring element; `UniPoly.one`, `gen` and `monomial` build `int`s.
 * `AlphaFn` holds reduced rational functions in alpha under ``+``, ``-``
   and ``*``, for the Jack series S(z) and log W, until the Jack route no
   longer needs it; nothing divides by one.  Instances are normalized on
   construction (numerator and denominator coprime, denominator monic), so
   equal values have equal representations and ``==`` is structural.
+
+>>> UniPoly.gen("b") + UniPoly.gen("x")
+Traceback (most recent call last):
+    ...
+mapchi.arith.VariableMixError: cannot mix polynomial variables 'b' and 'x'
 """
 
 from __future__ import annotations

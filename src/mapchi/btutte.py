@@ -59,7 +59,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 from itertools import product
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from . import MAX_EDGE_TRUNCATION, check_truncation
 from .arith import UniPoly, int_poly_divmod
@@ -160,19 +160,16 @@ class ExtractionError(RuntimeError):
     """A map count failed a polynomiality, divisibility or integrality check."""
 
 
-class MapCountTable:
-    """Refined map-count polynomials in b for every key with n <= max_n."""
+class MapCountTable(dict):
+    """Refined map-count polynomials, {MapKey: UniPoly in b}, for every key with n <= max_n."""
 
     def __init__(self, entries: dict[MapKey, UniPoly], max_n: int):
-        self.entries = entries
+        super().__init__(entries)
         self.max_n = max_n
-
-    def __getitem__(self, key: MapKey) -> UniPoly:
-        return self.entries[key]
 
     def keys_sorted(self) -> list[MapKey]:
         """Rows ordered by edge count, then face count, then valence partition."""
-        return sorted(self.entries, key=lambda k: (k.n, k.j, k.mu))
+        return sorted(self, key=lambda k: (k.n, k.j, k.mu))
 
 
 def counts_from_cumulant(mu: Partition, kappa: dict[int, list[int]]) -> dict[int, UniPoly]:
@@ -212,15 +209,15 @@ def map_count_table(max_n: int) -> MapCountTable:
     Cached per truncation.  Treat as immutable.
     """
     check_truncation(max_n, MAX_EDGE_TRUNCATION, "the map-count table")
-    entries: dict[MapKey, UniPoly] = {}
+    table = MapCountTable({}, max_n)
     for n in range(1, max_n + 1):
         for mu in partitions_of(2 * n):
             for j, poly in counts_from_cumulant(mu, face_rows(mu, max_n)).items():
-                entries[MapKey(mu.parts, j).validate()] = poly
+                table[MapKey(mu.parts, j).validate()] = poly
     # The memo keys hold this build's packed point, which no other truncation shares.
     moment.cache_clear()
     cumulant.cache_clear()
-    return MapCountTable(entries=entries, max_n=max_n)
+    return table
 
 
 def specialize_counts(
@@ -228,29 +225,27 @@ def specialize_counts(
 ) -> dict[MapKey, int | Fraction]:
     """Evaluate every entry at a rational b (0 = orientable, 1 = all surfaces).
 
-    An `int` b gives `int` counts and a `Fraction` b gives `Fraction`s.
+    An `int` b gives `int` counts and a `Fraction` b gives `Fraction`s; any
+    other b raises TypeError.
     """
-    return {key: poly.eval(b_value) for key, poly in table.entries.items()}
+    if not isinstance(b_value, int):
+        from fractions import Fraction  # loaded already when b is a Fraction
+
+        if not isinstance(b_value, Fraction):
+            raise TypeError(f"b must be an int or a Fraction, got {b_value!r}")
+    return {key: poly.eval(b_value) for key, poly in table.items()}
 
 
-class NonnegativityViolation(NamedTuple):
-    """The first negative b-coefficient of one table entry."""
+def nonneg_report(table: MapCountTable) -> dict[MapKey, tuple[int, int]]:
+    """{key: (b-degree, coefficient)} of each row's first negative coefficient.
 
-    key: MapKey
-    degree: int
-    coefficient: int
-
-
-def nonneg_report(table: MapCountTable) -> list[NonnegativityViolation]:
-    """Entries with any negative b-coefficient.
-
-    Nonnegativity of the refined counts is conjectural, so this is a report
-    for the caller to act on, never an assertion.
+    Keys come in `keys_sorted` order.  Nonnegativity of the refined counts is
+    conjectural, so this is a report for the caller to act on, never an assertion.
     """
-    violations = []
+    violations = {}
     for key in table.keys_sorted():
-        for deg, c in enumerate(table.entries[key].coeffs):
+        for deg, c in enumerate(table[key].coeffs):
             if c < 0:
-                violations.append(NonnegativityViolation(key=key, degree=deg, coefficient=c))
+                violations[key] = (deg, c)
                 break
     return violations

@@ -132,7 +132,7 @@ def cmd_maps_table(args) -> int:
         for key in keys:
             row: dict[str, object] = {"i": list(key.i), "j": key.j, "n": key.n}
             if counts is None:
-                row["poly"] = table.entries[key].coeff_strings()
+                row["poly"] = table[key].coeff_strings()
             else:
                 row["count"] = str(counts[key])
             rows.append(row)
@@ -142,7 +142,7 @@ def cmd_maps_table(args) -> int:
     if args.format == "csv":
         print("n,j,i," + ("poly" if counts is None else "count"))
     for key in keys:
-        tail = poly_str(table.entries[key]) if counts is None else str(counts[key])
+        tail = poly_str(table[key]) if counts is None else str(counts[key])
         if args.format == "csv":
             i_str = " ".join(str(k) for k in key.i)
             print(f"{key.n},{key.j},{i_str},{tail}")
@@ -244,7 +244,7 @@ def cmd_jack(args) -> int:
     if args.format == "json":
         _print_json(
             {
-                "shape": list(rec.shape.parts),
+                "shape": list(args.shape.parts),
                 "expansion": {bracket(mu.parts): poly_str(c) for mu, c in ordered},
                 "norm": poly_str(rec.norm),
                 "principal": [poly_str(c) for c in rec.principal.coeffs],
@@ -258,7 +258,7 @@ def cmd_jack(args) -> int:
             for k, c in enumerate(rec.principal.coeffs)
             if c
         )
-        print(f"J_{bracket(rec.shape.parts)} = {terms}")
+        print(f"J_{bracket(args.shape.parts)} = {terms}")
         print(f"norm      = {poly_str(rec.norm)}")
         print(f"principal = {principal}")
         print(f"p2coeff   = {poly_str(rec.p2coeff)}")

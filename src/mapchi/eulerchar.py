@@ -52,11 +52,13 @@ class ParityError(ValueError):
     """Separating fixed curves require g - m + 1 to be even."""
 
 
-def eval_at_gamma(poly: UniPoly, gamma: Fraction) -> Fraction:
-    """Evaluate a polynomial in 1/gamma at a rational gamma."""
+def eval_at_gamma(poly: UniPoly, gamma: int | Fraction) -> Fraction:
+    """Evaluate a polynomial in 1/gamma at an `int` or `Fraction` gamma, else TypeError."""
     if poly.var != INV_GAMMA:
         raise ValueError(f"expected a polynomial in {INV_GAMMA!r}, got {poly.var!r}")
-    return Fraction(poly.eval(Fraction(1) / Fraction(gamma)))
+    if not isinstance(gamma, (int, Fraction)):
+        raise TypeError(f"gamma must be an int or a Fraction, got {gamma!r}")
+    return Fraction(poly.eval(Fraction(1) / gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +238,7 @@ def xi_from_maps(g: int, s: int, table: MapCountTable | None = None) -> UniPoly:
 
         table = map_count_table(needed)
     b_from_gamma = UniPoly(INV_GAMMA, (Fraction(-1), Fraction(1)))  # b = 1/gamma - 1
-    total = lambda_sum(table.entries, g, s, UniPoly.zero("b")).compose(b_from_gamma)
+    total = lambda_sum(table, g, s, UniPoly.zero("b")).compose(b_from_gamma)
     check_agreement(f"xi({g},{s})", "map-sum route", total, "closed form", xi_closed(g, s))
     return total
 

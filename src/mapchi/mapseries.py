@@ -65,11 +65,11 @@ def _partition_sum_level(m: int) -> PowerSumExpr:
     """
     from .symfunc import PowerSumExpr, cleared_norms, jack
 
-    records = [rec for rec in map(jack, partitions_of(2 * m)) if rec.p2coeff]
-    den, cleared = cleared_norms(rec.shape for rec in records)
+    records = {theta: rec for theta in partitions_of(2 * m) if (rec := jack(theta)).p2coeff}
+    den, cleared = cleared_norms(records)
     sums: dict[tuple[Partition, int], UniPoly] = {}
-    for rec in records:
-        scale = rec.p2coeff * cleared[rec.shape]
+    for theta, rec in records.items():
+        scale = rec.p2coeff * cleared[theta]
         for j, pj in enumerate(rec.principal.coeffs):
             if not pj:
                 continue

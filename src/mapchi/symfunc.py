@@ -248,7 +248,6 @@ class JackRecord(NamedTuple):
                such partition exists.
     """
 
-    shape: Partition
     expansion: PowerSumExpr
     norm: UniPoly
     principal: UniPoly
@@ -282,7 +281,6 @@ def _solve_jack(theta: Partition) -> JackRecord:
     # An odd weight has no pure-2 partition, so the lookup misses there.
     p2coeff = expansion.terms.get(Partition((2,) * (n // 2)), UniPoly.zero(ALPHA))
     return JackRecord(
-        shape=theta,
         expansion=expansion,
         norm=hook_product(jack_norm_factors(theta)),
         principal=_principal_specialization(theta),

@@ -424,7 +424,7 @@ def _check_reference_counts(max_edges: int) -> str:
     limit = min(max_edges, max(key.n for key in REFERENCE_COUNTS))
     table = map_count_table(max_edges)
     expected = {k: v for k, v in REFERENCE_COUNTS.items() if k.n <= limit}
-    got = {key: poly.coeffs for key, poly in table.entries.items() if key.n <= limit}
+    got = {key: poly.coeffs for key, poly in table.items() if key.n <= limit}
     rows = check_agreement("map counts", "computed", got, "reference", expected)
     return f"{rows} tabulated rows reproduced exactly"
 
@@ -432,13 +432,13 @@ def _check_reference_counts(max_edges: int) -> str:
 def _check_series_invariants(max_edges: int) -> str:
     table = map_count_table(max_edges)
     reach = min(max_edges, MAX_JACK_WEIGHT // 2)
-    recursion_rows = {key: poly for key, poly in table.entries.items() if key.n <= reach}
-    jack_rows = extract_map_counts(map_series(reach)).entries
+    recursion_rows = {key: poly for key, poly in table.items() if key.n <= reach}
+    jack_rows = extract_map_counts(map_series(reach))
     check_agreement("map counts", "recursion", recursion_rows, "Jack route", jack_rows)
     sums_orientable: dict[int, int] = {}
     sums_all: dict[int, int] = {}
     b_at_alpha = UniPoly(arith.ALPHA, (-1, 1))  # b = alpha - 1
-    for key, poly in table.entries.items():
+    for key, poly in table.items():
         genus = 2 - key.euler_characteristic
         at_alpha = poly.compose(b_at_alpha)
         _require(
@@ -455,9 +455,9 @@ def _check_series_invariants(max_edges: int) -> str:
         column = {n: sums[n] for n in reached}
         check_agreement(f"b={b} column sums", "table", column, "rooted-map totals", reached)
     one_vertex = harer_zagier_rows(table.max_n)
-    b_free = {key: poly.coeff(0) for key, poly in table.entries.items() if key in one_vertex}
+    b_free = {key: poly.coeff(0) for key, poly in table.items() if key in one_vertex}
     hz_rows = check_agreement("b^0 coefficients", "table", b_free, "Harer-Zagier", one_vertex)
-    at_one = {key: poly.eval(1) for key, poly in table.entries.items() if len(key.mu) == 1}
+    at_one = {key: poly.eval(1) for key, poly in table.items() if len(key.mu) == 1}
     goe_rows = check_agreement(
         "b=1 values", "table", at_one, "Ledoux's GOE recursion", ledoux_rows(table.max_n)
     )
@@ -465,13 +465,13 @@ def _check_series_invariants(max_edges: int) -> str:
     slicings = check_agreement(
         "planar rows",
         "table",
-        {key: poly for key, poly in table.entries.items() if key in planar},
+        {key: poly for key, poly in table.items() if key in planar},
         "Tutte's slicings formula",
         {key: UniPoly("b", [count]) for key, count in planar.items()},
     )
     return (
         f"the recursion equals the Jack route row for row through n={reach}; "
-        f"the alpha <-> 1/alpha duality on {len(table.entries)} rows, the "
+        f"the alpha <-> 1/alpha duality on {len(table)} rows, the "
         f"column sums, {hz_rows} Harer-Zagier rows, {goe_rows} GOE rows (Ledoux) "
         f"and {slicings} slicing rows "
         f"hold to n={table.max_n}"
@@ -521,7 +521,7 @@ def _check_oracle_agreement(max_edges: int) -> str:
     ):
         reach = min(max_edges, limit)
         counts = {key: c for n in range(1, reach + 1) for key, c in census(n).items()}
-        at_b = {key: poly.eval(b) for key, poly in table.entries.items() if key.n <= reach}
+        at_b = {key: poly.eval(b) for key, poly in table.items() if key.n <= reach}
         rows = check_agreement(f"b={b} map counts", "table", at_b, f"{model} oracle", counts)
         found.append(f"b={b} agrees with the {model} oracle on {rows} rows through n={reach}")
     return ", ".join(found)
@@ -597,12 +597,12 @@ def _check_nonnegativity(max_edges: int) -> str:
     table = map_count_table(max_edges)
     violations = nonneg_report(table)
     if violations:
-        first = violations[0]
+        key, (degree, coefficient) = next(iter(violations.items()))
         raise CheckFailure(
             f"{len(violations)} rows have a negative coefficient, first at "
-            f"{first.key}: degree {first.degree} coefficient {first.coefficient}"
+            f"{key}: degree {degree} coefficient {coefficient}"
         )
-    return f"all {len(table.entries)} rows have nonnegative coefficients"
+    return f"all {len(table)} rows have nonnegative coefficients"
 
 
 # ---------------------------------------------------------------------------

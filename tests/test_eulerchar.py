@@ -175,6 +175,15 @@ def test_eval_at_gamma():
         eval_at_gamma(UniPoly("b", (1,)), Fraction(1))
 
 
+def test_eval_at_gamma_takes_an_int_or_a_fraction_and_refuses_a_float():
+    inv_gamma = UniPoly(INV_GAMMA, (0, 1))
+    assert eval_at_gamma(inv_gamma, 2) == Fraction(1, 2)
+    assert eval_at_gamma(inv_gamma, Fraction(1, 10)) == 10
+    assert eval_at_gamma(xi_closed(1, 1), 1) == Fraction(-1, 12)
+    with pytest.raises(TypeError, match="gamma must be an int or a Fraction, got 0.1"):
+        eval_at_gamma(xi_closed(1, 1), 0.1)
+
+
 def test_lambda_values():
     assert lambda_values(1, 1) == LambdaTriple(
         Fraction(-1, 12), Fraction(-1, 12), Fraction(0)

@@ -239,7 +239,7 @@ def test_oracles_match_series_specializations():
     for n in range(1, 5):
         orient = rooted_orientable_counts(n)
         everything = rooted_locally_orientable_counts(n)
-        for key in (k for k in table.entries if k.n == n):
+        for key in (k for k in table if k.n == n):
             assert orient.get(key, 0) == at_zero[key]
             assert everything.get(key, 0) == at_one[key]
         assert set(orient) == {k for k in at_zero if k.n == n and at_zero[k]}

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from mapchi import check_agreement
 from mapchi.arith import ALPHA, AlphaFn, UniPoly
 from mapchi.btutte import (
     ExtractionError,
@@ -53,19 +54,35 @@ def test_map_series_first_coefficient():
 
 def test_map_counts_match_known_table():
     table = map_count_table(3)
-    assert table.entries == {
-        key: UniPoly("b", coeffs) for key, coeffs in REFERENCE_COUNTS.items()
-    }
+    assert table == {key: UniPoly("b", coeffs) for key, coeffs in REFERENCE_COUNTS.items()}
+
+
+def test_map_count_table_is_the_dict_of_its_rows():
+    table = map_count_table(3)
+    assert isinstance(table, dict) and table.max_n == 3
+    assert not hasattr(table, "entries")
 
 
 def test_table_coefficients_are_ints():
     """Every row through 10 edges has int coefficients, never a Fraction or a float."""
-    for key, poly in map_count_table(10).entries.items():
+    for key, poly in map_count_table(10).items():
         assert poly.var == "b" and all(type(c) is int for c in poly.coeffs), (key, poly)
 
 
 def test_recursion_equals_jack_route():
-    assert map_count_table(3).entries == extract_map_counts(map_series(3)).entries
+    table, jack_rows = map_count_table(3), extract_map_counts(map_series(3))
+    assert check_agreement("map counts", "recursion", table, "Jack route", jack_rows) == 32
+
+
+def test_specialize_counts_takes_an_int_or_a_fraction_and_refuses_a_float():
+    table = map_count_table(1)
+    b = {MapKey((2,), 1): 1, MapKey((2,), 2): 0, MapKey((1, 1), 1): 0}  # b-degree per row
+    assert specialize_counts(table, 1) == {key: 1 for key in b}
+    assert all(type(count) is int for count in specialize_counts(table, 1).values())
+    half = Fraction(1, 2)
+    assert specialize_counts(table, half) == {key: half**d for key, d in b.items()}
+    with pytest.raises(TypeError, match="b must be an int or a Fraction, got 0.5"):
+        specialize_counts(table, 0.5)
 
 
 def test_orientable_totals_through_eight_edges():
@@ -146,7 +163,7 @@ def test_mapkey_validate_accepts_good_keys():
     table, both censuses at their reach and the closed-form rows."""
     keys = [
         *REFERENCE_COUNTS,
-        *map_count_table(10).entries,
+        *map_count_table(10),
         *(key for n in range(1, 7) for key in rooted_orientable_counts(n)),
         *(key for n in range(1, 6) for key in rooted_locally_orientable_counts(n)),
         *harer_zagier_rows(10),
@@ -180,13 +197,13 @@ def test_table_rows_satisfy_surface_constraints():
     dual at its Euler genus 2 - chi; that implies the Euler and crosscap
     bounds, b-free sphere rows and no orientable maps at odd chi."""
     b_at_alpha = UniPoly(ALPHA, (-1, 1))
-    for key, poly in map_count_table(10).entries.items():
+    for key, poly in map_count_table(10).items():
         at_alpha = poly.compose(b_at_alpha)
         assert at_alpha == alpha_dual(at_alpha, 2 - key.euler_characteristic), (key, poly)
 
 
 def test_nonneg_report_empty_for_real_counts():
-    assert nonneg_report(map_count_table(3)) == []
+    assert nonneg_report(map_count_table(3)) == {}
 
 
 def test_nonneg_report_flags_synthetic_violation():
@@ -194,11 +211,7 @@ def test_nonneg_report_flags_synthetic_violation():
         entries={MapKey((1, 1), 1): UniPoly("b", (-1, 2))},
         max_n=1,
     )
-    report = nonneg_report(bad)
-    assert len(report) == 1
-    assert report[0].key == MapKey((1, 1), 1)
-    assert report[0].degree == 0
-    assert report[0].coefficient == -1
+    assert nonneg_report(bad) == {MapKey((1, 1), 1): (0, -1)}
 
 
 def test_extraction_rejects_constant_terms():

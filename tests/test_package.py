@@ -302,8 +302,8 @@ HOMES = {
         "arith",
     ),
     **dict.fromkeys(
-        ("ExtractionError", "MapCountTable", "NonnegativityViolation")
-        + ("map_count_table", "nonneg_report", "specialize_counts"),
+        ("ExtractionError", "MapCountTable", "map_count_table")
+        + ("nonneg_report", "specialize_counts"),
         "btutte",
     ),
     **dict.fromkeys(
@@ -521,7 +521,6 @@ def test_table_names_live_in_btutte_alone():
     for name in (
         "ExtractionError",
         "MapCountTable",
-        "NonnegativityViolation",
         "counts_from_cumulant",
         "map_count_table",
         "nonneg_report",

@@ -12,6 +12,7 @@ from mapchi import RouteMismatchError, symfunc
 from mapchi.arith import ALPHA, TruncatedSeries, UniPoly
 from mapchi.partitions import Partition, partitions_of, z_of
 from mapchi.symfunc import (
+    JackRecord,
     PowerSumExpr,
     cauchy_check,
     expand_in_variables,
@@ -182,8 +183,8 @@ def test_jack_matches_gram_schmidt_oracle():
     """
     for n in range(1, 7):
         records = {shape: jack(shape) for shape in partitions_of(n)}
-        for rec in records.values():
-            assert all(c.degree <= n - 1 for c in rec.expansion.terms.values()), rec.shape
+        for shape, rec in records.items():
+            assert all(c.degree <= n - 1 for c in rec.expansion.terms.values()), shape
         for k in range(1, n + 1):
             a = Fraction(k, 2)
             for shape, expected in gram_schmidt_jack_oracle(n, a).items():
@@ -274,6 +275,10 @@ def test_jack_cache_returns_identical_records():
     assert jack((2, 1)) is jack(Partition((2, 1)))
 
 
+def test_jack_record_is_filed_under_its_shape_and_does_not_repeat_it():
+    assert JackRecord._fields == ("expansion", "norm", "principal", "p2coeff")
+
+
 def test_jack_weight_zero():
     rec = jack(())
     assert rec.expansion == PowerSumExpr.one()
@@ -298,7 +303,7 @@ def test_cauchy_check_catches_a_perturbed_power_sum_coefficient(monkeypatch):
 
     def perturbed(shape):
         rec = solved(shape)
-        if rec.shape != (2, 1):
+        if shape != (2, 1):
             return rec
         terms = dict(rec.expansion.terms)
         terms[Partition((3,))] = terms.get(Partition((3,)), 0) + 1

@@ -84,7 +84,7 @@ def test_a_corrupted_table_row_fails_every_check_that_reads_it(monkeypatch):
     reference table, the Jack route and the orientable census alike."""
     table = map_count_table(4)
     key = MapKey((3, 3), 1)
-    entries = dict(table.entries)
+    entries = dict(table)
     entries[key] = entries[key] + 1
     monkeypatch.setattr(verify, "map_count_table", lambda n: MapCountTable(entries, table.max_n))
     checks = dict(verify.CHECKS)
@@ -100,14 +100,28 @@ def test_a_row_corrupted_at_its_b0_and_b1_values_breaks_the_duality(monkeypatch)
     its degree, so only the alpha <-> 1/alpha duality sees the change."""
     table = map_count_table(6)
     key = MapKey((6, 6), 1)
-    entries = dict(table.entries)
+    entries = dict(table)
     entries[key] = entries[key] + UniPoly("b", (0, 1, -1))
-    assert entries[key].degree == table.entries[key].degree
+    assert entries[key].degree == table[key].degree
     monkeypatch.setattr(verify, "map_count_table", lambda n: MapCountTable(entries, table.max_n))
     result = run_check("series-invariants", dict(verify.CHECKS)["series-invariants"], 6)
     assert result.status == "fail"
     assert result.detail.startswith("CheckFailure: "), result.detail
     assert f"{key} row " in result.detail, result.detail
+
+
+def test_a_negative_row_fails_nonnegativity_naming_its_first_negative_coefficient(monkeypatch):
+    table = map_count_table(3)
+    key = MapKey((1, 1), 1)
+    entries = {k: table[k] for k in table.keys_sorted()}
+    entries[key] = -entries[key]
+    monkeypatch.setattr(verify, "map_count_table", lambda n: MapCountTable(entries, table.max_n))
+    result = run_check("nonnegativity", dict(verify.CHECKS)["nonnegativity"], 3)
+    assert result.status == "fail"
+    assert result.detail == (
+        "CheckFailure: 1 rows have a negative coefficient, first at "
+        "MapKey(mu=(1, 1), j=1): degree 0 coefficient -1"
+    ), result.detail
 
 
 def test_ledoux_rows_sum_to_the_one_by_one_goe_moment():
@@ -125,7 +139,7 @@ def test_ledoux_recursion_catches_a_b2_term_that_every_other_check_passes(monkey
     Ledoux's GOE recursion gives, sees the change."""
     table = map_count_table(7)
     key = MapKey((14,), 6)
-    entries = dict(table.entries)
+    entries = dict(table)
     entries[key] = entries[key] + UniPoly("b", (0, 0, 1))
     monkeypatch.setattr(verify, "map_count_table", lambda n: MapCountTable(entries, table.max_n))
     checks = dict(verify.CHECKS)
@@ -162,7 +176,7 @@ def test_jack_conditions_catch_a_principal_specialization_off_at_x_1_to_4(monkey
 
     def perturbed(shape):
         rec = solved(shape)
-        if rec.shape != (3, 3):
+        if shape != (3, 3):
             return rec
         return rec._replace(principal=rec.principal + bump)
 
