@@ -40,8 +40,8 @@ MAX_EDGE_TRUNCATION = 10
 #: not cover.  At weight 10 the two checks take 0.5-0.7 s and 0.8-1.2 s in
 #: process, and one `jack` of weight 10 takes 0.08-0.13 s in a fresh process,
 #: against 0.16-0.29 s at weight 14 (2 vCPUs, Python 3.11.7).  The Jack
-#: series of `mapseries` solves every shape of weight 2n, so it reaches half
-#: as many edges.
+#: route of `series-invariants` (`verify.jack_rows`) reads every shape of
+#: weight 2n, so it reaches half as many edges.
 MAX_JACK_WEIGHT = 10
 
 

@@ -11,8 +11,9 @@ alpha = 2/beta = 1 + b), mu being the vertex-valence partition:
 
 `map_count_table` makes that division over the integers: a remainder or a
 non-integer quotient raises `ExtractionError`.  The rows are `UniPoly`s in
-b with `int` coefficients, so building the table needs no `fractions`.  The
-Jack series of `mapseries` gives the same rows by a second route.
+b with `int` coefficients, so building the table needs no `fractions`.
+`verify.jack_rows` reads the same rows off the Jack series by a second
+route, at integer points b = alpha - 1.
 
 The ensemble's loop equation deletes the root edge of a map and gives a
 recursion for the moments E(p_{k+1}, R) = E[tr H^(k+1) prod_{r in R} tr H^r],
@@ -38,9 +39,9 @@ over the splits of R.  Each step is a ring operation, so `moment` and
 off one such value.
 
 `moment` and `cumulant` memoize every value they reach during one build of
-`map_count_table`, which clears both before it returns: their keys hold the
-build's packed point N = 2^(W (n + 1)), b = 2^W, where W grows strictly with
-n, so no other truncation could reuse an entry.  Building
+the table's rows (`_table_rows`), which clears both before it returns: their
+keys hold the build's packed point N = 2^(W (n + 1)), b = 2^W, where W grows
+strictly with n, so no other truncation could reuse an entry.  Building
 `map_count_table(10)` in a fresh process reaches 2814 `moment` and 2713
 `cumulant` entries and peaks at 22.5 MB resident, against 13.1 MB for the
 bare interpreter (2 vCPUs, Python 3.11.7).  The `cumulant` memo carries the
@@ -202,22 +203,28 @@ def counts_from_cumulant(mu: Partition, kappa: dict[int, list[int]]) -> dict[int
     return rows
 
 
-@lru_cache(maxsize=None)
 def map_count_table(max_n: int) -> MapCountTable:
     """Every refined count through max_n edges, from the b-Tutte recursion.
 
-    Cached per truncation.  Treat as immutable.
+    The rows are built once per truncation; each call returns a table of its
+    own, so a caller that changes one leaves every other caller's rows as built.
     """
+    return MapCountTable(_table_rows(max_n), max_n)
+
+
+@lru_cache(maxsize=None)
+def _table_rows(max_n: int) -> dict[MapKey, UniPoly]:
+    """The rows of `map_count_table`, built once per truncation."""
     check_truncation(max_n, MAX_EDGE_TRUNCATION, "the map-count table")
-    table = MapCountTable({}, max_n)
+    rows = {}
     for n in range(1, max_n + 1):
         for mu in partitions_of(2 * n):
             for j, poly in counts_from_cumulant(mu, face_rows(mu, max_n)).items():
-                table[MapKey(mu.parts, j).validate()] = poly
+                rows[MapKey(mu.parts, j).validate()] = poly
     # The memo keys hold this build's packed point, which no other truncation shares.
     moment.cache_clear()
     cumulant.cache_clear()
-    return table
+    return rows
 
 
 def specialize_counts(

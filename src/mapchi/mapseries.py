@@ -1,4 +1,4 @@
-"""The Jack series that cross-checks the refined map-count table.
+"""The Jack series, over rational functions in alpha.
 
 `btutte.map_count_table` reads the refined map numbers m(i, j, n) off the
 b-Tutte recursion.  The same numbers also come from the generating series
@@ -17,7 +17,10 @@ j, and substituting alpha = b + 1 yields m(i, j, n) again.  alpha stays
 symbolic through the logarithm and the Euler operator; b enters only at
 extraction, after all rational-function cancellation.  This route solves
 every Jack function up to weight 2n, so it stops at `MAX_JACK_WEIGHT` // 2
-edges; the verification suite compares it with the recursion row for row.
+edges.  No command runs it: `verify-all` checks the table against the same
+series at integer alpha (`verify.jack_rows`), and this symbolic form is kept
+for the benchmark's trace and the tests, which take
+``jack_partition_sum(n).log().z_ddz().scale(2 * alpha)`` themselves.
 At 5 edges it solves every Jack function of weight 10 in 0.16-0.29 s,
 assembles S(z) in 1.5-2.3 s and takes its log in 0.55-0.8 s (three runs in
 process, 2 vCPUs, Python 3.11.7).
@@ -82,12 +85,6 @@ def _partition_sum_level(m: int) -> PowerSumExpr:
         row = terms.setdefault(mu, [AlphaFn.zero()] * (2 * m + 1))
         row[j] = AlphaFn(num, den)
     return PowerSumExpr({mu: UniPoly("x", row) for mu, row in terms.items()})
-
-
-def map_series(max_n: int) -> TruncatedSeries:
-    """The map generating series M(z) = 2 alpha z d/dz log S(z)."""
-    s = jack_partition_sum(max_n)
-    return s.log().z_ddz().scale(AlphaFn.alpha() * 2)
 
 
 def extract_map_counts(series: TruncatedSeries) -> btutte.MapCountTable:

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from mapchi import MAX_EDGE_TRUNCATION
-from mapchi.btutte import cumulant, face_rows, map_count_table, moment
+from mapchi.btutte import _table_rows, cumulant, face_rows, moment
 from mapchi.partitions import partitions_of
 
 
@@ -68,7 +68,7 @@ def test_a_table_build_empties_both_memos():
     """Their keys hold the build's packed point, which no other build reuses."""
     cumulant((2, 2), 3, 5)  # fills both memos
     assert moment.cache_info().currsize and cumulant.cache_info().currsize
-    map_count_table.__wrapped__(2)  # a fresh build, past the table's own cache
+    _table_rows.__wrapped__(2)  # a fresh build, past the rows' own cache
     assert moment.cache_info().currsize == cumulant.cache_info().currsize == 0
 
 

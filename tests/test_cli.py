@@ -664,7 +664,7 @@ def test_frozen_heap_leaves_repeated_commands_unchanged(capsys):
     argv = ("--format", "csv", "maps", "table", "--max-edges", "4")
     outputs = []
     for _ in range(2):
-        btutte.map_count_table.cache_clear()  # build the table again on each run
+        btutte._table_rows.cache_clear()  # build the table again on each run
         outputs.append(run_cli(capsys, *argv))
         assert btutte.moment.cache_info().currsize == btutte.cumulant.cache_info().currsize == 0
     assert outputs[0] == outputs[1]

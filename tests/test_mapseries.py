@@ -18,7 +18,7 @@ from mapchi.btutte import (
     specialize_counts,
 )
 from mapchi.maporacle import rooted_locally_orientable_counts, rooted_orientable_counts
-from mapchi.mapseries import extract_map_counts, jack_partition_sum, map_series
+from mapchi.mapseries import extract_map_counts, jack_partition_sum
 from mapchi.partitions import MapKey, Partition
 from mapchi.symfunc import PowerSumExpr
 from mapchi.verify import (
@@ -45,7 +45,7 @@ def test_series_first_coefficient():
 
 def test_map_series_first_coefficient():
     """z^1 coefficient of M(z) is x p_11 + (x^2 + (alpha-1)x) p_2."""
-    m = map_series(1)
+    m = jack_partition_sum(1).log().z_ddz().scale(AlphaFn.alpha() * 2)
     x = UniPoly.gen("x")
     c = m.coefficient(1)
     assert c.coefficient((1, 1)) == x
@@ -70,7 +70,9 @@ def test_table_coefficients_are_ints():
 
 
 def test_recursion_equals_jack_route():
-    table, jack_rows = map_count_table(3), extract_map_counts(map_series(3))
+    """M(z) = 2 alpha z d/dz log S(z) over rational functions in alpha, read at alpha = b + 1."""
+    series = jack_partition_sum(3).log().z_ddz().scale(AlphaFn.alpha() * 2)
+    table, jack_rows = map_count_table(3), extract_map_counts(series)
     assert check_agreement("map counts", "recursion", table, "Jack route", jack_rows) == 32
 
 

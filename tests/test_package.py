@@ -317,7 +317,7 @@ HOMES = {
         + ("rooted_locally_orientable_counts", "rooted_orientable_counts"),
         "maporacle",
     ),
-    **dict.fromkeys(("extract_map_counts", "jack_partition_sum", "map_series"), "mapseries"),
+    **dict.fromkeys(("extract_map_counts", "jack_partition_sum"), "mapseries"),
     **dict.fromkeys(
         ("MapKey", "Partition", "partitions_of", "vertex_distribution_of", "z_of"),
         "partitions",
@@ -486,7 +486,6 @@ LOADS = [
             "btutte",
             "eulerchar",
             "maporacle",
-            "mapseries",
             "partitions",
             "symfunc",
         ),

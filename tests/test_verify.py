@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 
-from mapchi import verify
-from mapchi.arith import UniPoly
+from mapchi import symfunc, verify
+from mapchi.arith import ALPHA, UniPoly
 from mapchi.btutte import MapCountTable, map_count_table
 from mapchi.eulerchar import INV_GAMMA
-from mapchi.partitions import MapKey
+from mapchi.partitions import MapKey, Partition
 from mapchi.verify import (
     EXIT_CONJECTURE,
     EXIT_FAILURE,
@@ -93,6 +93,62 @@ def test_a_corrupted_table_row_fails_every_check_that_reads_it(monkeypatch):
         assert result.status == "fail", name
         assert result.detail.startswith("RouteMismatchError: "), result.detail
         assert f" at {key}: " in result.detail, result.detail
+
+
+def test_jack_rows_are_the_table_rows_at_b_alpha_minus_1():
+    """At alpha = 1..4 the Jack series gives every nonzero 3-edge row at b = alpha - 1, as an int."""
+    table = map_count_table(3)
+    for alpha in range(1, 5):
+        rows = verify.jack_rows(alpha, 3)
+        expected = {key: value for key, poly in table.items() if (value := poly.eval(alpha - 1))}
+        assert rows == expected, alpha
+        assert all(type(value) is int for value in rows.values()), alpha
+
+
+def test_a_written_table_leaves_the_next_callers_rows_as_built():
+    """Each call returns a table of its own: writing into one changes no other."""
+    key = MapKey((1, 1), 1)
+    mine = map_count_table(3)
+    mine[key] = 0
+    assert map_count_table(3)[key] == UniPoly("b", (1,))
+    result = run_check("reference-counts", dict(verify.CHECKS)["reference-counts"], 3)
+    assert result.status == "pass", result.detail
+
+
+def test_a_deviation_that_vanishes_at_b0_and_b1_fails_the_jack_route(monkeypatch):
+    """2b^4 - b^3 - b^2 is 0 at b = 0 and b = 1, alpha <-> 1/alpha dual at
+    k = 4 and keeps the 4-edge octagon row nonnegative: only the Jack route's
+    points past b = 1 see it."""
+    table = map_count_table(4)
+    key = MapKey((8,), 1)
+    entries = dict(table)
+    entries[key] = entries[key] + UniPoly("b", (0, 0, -1, -1, 2))
+    monkeypatch.setattr(verify, "map_count_table", lambda n: MapCountTable(entries, table.max_n))
+    checks = dict(verify.CHECKS)
+    for name in ("reference-counts", "rooted-oracle-agreement", "xi-map-route", "nonnegativity"):
+        assert run_check(name, checks[name], 4).status == "pass", name
+    result = run_check("series-invariants", checks["series-invariants"], 4)
+    assert result.status == "fail"
+    assert result.detail.startswith(
+        f"RouteMismatchError: map counts at b=2 at {key}: "
+    ), result.detail
+
+
+def test_a_perturbed_jack_record_fails_the_jack_route(monkeypatch):
+    """Adding alpha to [p_(2,2)] J_(2,2) shifts the 2-edge rows of valences
+    (2, 2); the first it reaches at b = 0 has two faces."""
+    theta = Partition((2, 2))
+    rec = symfunc.jack(theta)
+    terms = dict(rec.expansion.terms)
+    terms[theta] = terms[theta] + UniPoly.gen(ALPHA)
+    monkeypatch.setitem(
+        symfunc._jack_cache, theta, rec._replace(expansion=symfunc.PowerSumExpr(terms))
+    )
+    result = run_check("series-invariants", dict(verify.CHECKS)["series-invariants"], 4)
+    assert result.status == "fail"
+    assert result.detail.startswith(
+        "RouteMismatchError: map counts at b=0 at MapKey(mu=(2, 2), j=2): "
+    ), result.detail
 
 
 def test_a_row_corrupted_at_its_b0_and_b1_values_breaks_the_duality(monkeypatch):
